@@ -77,7 +77,7 @@ Result run(double load, Mode mode, std::uint64_t seed) {
       if (adaptive.has_value()) {
         ok = adaptive->try_admit(spec, prio).admitted;
       } else {
-        ok = fixed->try_admit(spec).admitted;
+        ok = fixed->try_admit(spec, sim.now()).admitted;
       }
       if (ok) {
         (*priorities)[spec.id] = prio;

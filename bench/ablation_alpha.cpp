@@ -54,7 +54,7 @@ pipeline::ExperimentResult run_random(double load, double alpha_override,
     sim.at(t, [&] {
       ++offered;
       const auto spec = gen.next_task();
-      if (controller.try_admit(spec).admitted) {
+      if (controller.try_admit(spec, sim.now()).admitted) {
         ++admitted;
         runtime.start_task(spec, sim.now() + spec.deadline);
       }

@@ -74,7 +74,7 @@ BlockingResult run_blocking(double load, double declared_beta,
             sched::Segment{crit, 0}};
       }
       // Screening keeps the declared beta honest for BOTH variants.
-      if (beta_ok && controller.try_admit(spec).admitted) {
+      if (beta_ok && controller.try_admit(spec, sim.now()).admitted) {
         ++admitted;
         runtime.start_task(spec, sim.now() + spec.deadline);
       }

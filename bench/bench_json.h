@@ -20,6 +20,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
@@ -64,13 +65,14 @@ class CollectingReporter final : public benchmark::ConsoleReporter {
     return results_;
   }
 
-  // Counter value of the named benchmark, or `fallback` when the benchmark
-  // or the counter is absent (e.g. a --benchmark_filter excluded it). A
-  // name ending in '*' matches any run whose full name (including arg /
-  // thread suffixes the library appends) starts with the prefix.
+  // Counter value of the named benchmark. A name ending in '*' matches any
+  // run whose full name (including arg / thread suffixes the library
+  // appends) starts with the prefix. When the benchmark or the counter is
+  // absent (e.g. a --benchmark_filter excluded it) the value is 0 and the
+  // source is recorded in missing(), so main() can refuse to publish a
+  // summary built on it (see export_json).
   [[nodiscard]] double counter_of(const std::string& benchmark_name,
-                                  const std::string& counter,
-                                  double fallback = 0) const {
+                                  const std::string& counter) {
     const bool prefix = !benchmark_name.empty() && benchmark_name.back() == '*';
     const std::string want =
         prefix ? benchmark_name.substr(0, benchmark_name.size() - 1)
@@ -82,11 +84,18 @@ class CollectingReporter final : public benchmark::ConsoleReporter {
       const auto it = r.counters.find(counter);
       if (it != r.counters.end()) return it->second;
     }
-    return fallback;
+    missing_.push_back(benchmark_name + " [" + counter + "]");
+    return 0;
+  }
+
+  // Summary sources counter_of() looked up but did not find.
+  [[nodiscard]] const std::vector<std::string>& missing() const {
+    return missing_;
   }
 
  private:
   std::vector<Result> results_;
+  std::vector<std::string> missing_;
 };
 
 inline std::string escape(const std::string& s) {
@@ -162,6 +171,35 @@ inline bool write_json(const std::string& path,
   }
   os << "\n  ]\n}\n";
   return static_cast<bool>(os);
+}
+
+// Exports the reporter's results and `summary` to json_path(filename).
+// Every missing summary source is listed on stderr. A summary with missing
+// sources is never written to the repo root: its keys would read 0 and
+// overwrite the committed BENCH_*.json with a filtered run. Such a run may
+// still export when FRAP_BENCH_JSON points elsewhere. Returns false (the
+// caller exits nonzero) on a refused or failed write.
+inline bool export_json(const char* filename,
+                        const CollectingReporter& reporter,
+                        const std::map<std::string, double>& summary) {
+  for (const std::string& source : reporter.missing()) {
+    std::fprintf(stderr, "summary source did not run: %s\n", source.c_str());
+  }
+  const char* env = std::getenv("FRAP_BENCH_JSON");
+  const bool repo_root = env == nullptr || *env == '\0';
+  if (repo_root && !reporter.missing().empty()) {
+    std::fprintf(stderr,
+                 "FATAL: refusing to write %s from a run that left %zu "
+                 "summary source(s) unmeasured\n",
+                 filename, reporter.missing().size());
+    return false;
+  }
+  const std::string path = json_path(filename);
+  if (!write_json(path, reporter.results(), summary)) {
+    std::fprintf(stderr, "FATAL: could not write %s\n", path.c_str());
+    return false;
+  }
+  return true;
 }
 
 }  // namespace frap::benchjson

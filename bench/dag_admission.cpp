@@ -21,7 +21,6 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
@@ -237,9 +236,7 @@ int main(int argc, char** argv) {
     summary["dominance_violations_" + size] =
         reporter.counter_of("DagAdmittedLoad/" + size, "crit_only");
   }
-  const std::string path = frap::benchjson::json_path("BENCH_dag.json");
-  if (!frap::benchjson::write_json(path, reporter.results(), summary)) {
-    std::fprintf(stderr, "FATAL: could not write %s\n", path.c_str());
+  if (!frap::benchjson::export_json("BENCH_dag.json", reporter, summary)) {
     return 1;
   }
   benchmark::Shutdown();

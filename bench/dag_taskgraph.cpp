@@ -81,13 +81,13 @@ DagResult run_dag(double load, bool as_chain, std::uint64_t seed) {
         auto chain = spec;
         chain.edges = {core::GraphEdge{0, 1}, core::GraphEdge{1, 2},
                        core::GraphEdge{2, 3}};
-        const auto decision = controller.try_admit(chain);
+        const auto decision = controller.try_admit(chain, sim.now());
         if (decision.admitted) {
           ++admitted;
           runtime.start_task(spec, sim.now() + spec.deadline);
         }
       } else {
-        if (controller.try_admit(spec).admitted) {
+        if (controller.try_admit(spec, sim.now()).admitted) {
           ++admitted;
           runtime.start_task(spec, sim.now() + spec.deadline);
         }

@@ -81,7 +81,7 @@ DegradationResult run(bool remediate, std::uint64_t seed) {
         auto spec = gen.next_task();
         const bool after = sim.now() >= kDamageAt;
         if (after) ++offered_after;
-        if (controller.try_admit(spec).admitted) {
+        if (controller.try_admit(spec, sim.now()).admitted) {
           if (after) ++admitted_after;
           // Execution uses the task's nominal demands; the slowed server
           // stretches them in wall time automatically.

@@ -284,16 +284,26 @@ BENCHMARK(IngestDecodeAdmitBatch);
 // through the sharded service at a per-lane epoch that advances one frame
 // span per iteration. Real-time aggregate records/sec is the scaling claim;
 // on few-core machines cpu_time is the honest per-lane signal.
-void IngestShardedDecodeAdmit(benchmark::State& state) {
-  static std::unique_ptr<service::ShardedAdmissionService> svc;
-  if (state.thread_index() == 0) {
-    svc = std::make_unique<service::ShardedAdmissionService>(
-        core::FeasibleRegion::deadline_monotonic(kStages),
-        service::ShardedAdmissionConfig{.num_shards = kShards,
-                                        .enable_fallback = false,
-                                        .rebalance_interval = 0});
-  }
+//
+// The lanes share one service, built by the Setup hook and dropped by the
+// Teardown hook: the library runs both once per run outside the lanes, so
+// the warm-up below never sees the service half-built or already gone.
+std::unique_ptr<service::ShardedAdmissionService> sharded_svc;
 
+void build_sharded_service(const benchmark::State& /*state*/) {
+  sharded_svc = std::make_unique<service::ShardedAdmissionService>(
+      core::FeasibleRegion::deadline_monotonic(kStages),
+      service::ShardedAdmissionConfig{.num_shards = kShards,
+                                      .enable_fallback = false,
+                                      .rebalance_interval = 0});
+}
+
+void drop_sharded_service(const benchmark::State& /*state*/) {
+  sharded_svc.reset();
+}
+
+void IngestShardedDecodeAdmit(benchmark::State& state) {
+  service::ShardedAdmissionService& svc = *sharded_svc;
   const auto lane = static_cast<std::uint64_t>(state.thread_index());
   ingest::WireEncoder enc(kStages);  // producer role: pre-encode the lane
   fill_frame(enc, 0.0, lane, kShards);
@@ -306,12 +316,12 @@ void IngestShardedDecodeAdmit(benchmark::State& state) {
   ingest::IngestSession session(kStages);
   Time t = 0;
   for (std::size_t i = 0; i < 3; ++i) {
-    const auto st = session.admit(view, *svc, nullptr, t);
+    const auto st = session.admit(view, svc, nullptr, t);
     if (!st.ok()) std::abort();
     t += kFrameSpan;
   }
   for (auto _ : state) {
-    const auto st = session.admit(view, *svc, nullptr, t);
+    const auto st = session.admit(view, svc, nullptr, t);
     benchmark::DoNotOptimize(st.admitted);
     t += kFrameSpan;
   }
@@ -319,13 +329,14 @@ void IngestShardedDecodeAdmit(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * kRecords));
 
   if (state.thread_index() == 0) {
-    const auto s = svc->stats();
+    const auto s = svc.stats();
     state.counters["admits"] = static_cast<double>(s.total_admits());
     state.counters["rejects"] = static_cast<double>(s.total_rejects());
-    svc.reset();
   }
 }
 BENCHMARK(IngestShardedDecodeAdmit)
+    ->Setup(build_sharded_service)
+    ->Teardown(drop_sharded_service)
     ->Threads(1)
     ->Threads(2)
     ->Threads(4)
@@ -409,9 +420,7 @@ int main(int argc, char** argv) {
       steady > 0 ? decode / steady : 0;
   summary["decode_over_probe_ratio"] = probe > 0 ? decode / probe : 0;
 
-  const std::string path = frap::benchjson::json_path("BENCH_ingest.json");
-  if (!frap::benchjson::write_json(path, reporter.results(), summary)) {
-    std::fprintf(stderr, "FATAL: could not write %s\n", path.c_str());
+  if (!frap::benchjson::export_json("BENCH_ingest.json", reporter, summary)) {
     return 1;
   }
   if (summary["decode_over_steady_admit_ratio"] < 10.0) {

@@ -80,7 +80,7 @@ JitterResult run(double jitter_periods, bool admission_control,
         ++offered;
         bool start = true;
         if (admission_control) {
-          start = controller.try_admit(spec).admitted;
+          start = controller.try_admit(spec, sim.now()).admitted;
         }
         if (start) {
           ++admitted;

@@ -27,14 +27,12 @@
 // attempts/sec per variant, the live-task count, and the churn speedup.
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "bench_json.h"
 #include "core/admission.h"
-#include "core/stage_delay_batch.h"
 #include "core/feasible_region.h"
 #include "core/reference_admitter.h"
 #include "core/reference_tracker.h"
@@ -42,7 +40,6 @@
 #include "core/synthetic_utilization.h"
 #include "core/task.h"
 #include "sim/simulator.h"
-#include "util/rng.h"
 #include "util/math.h"
 
 namespace {
@@ -81,7 +78,7 @@ void prefill_near_boundary(core::AdmissionController& controller,
   fill.deadline = 1.0;
   fill.stages.resize(stages);
   for (auto& s : fill.stages) s.compute = 0.94 * cap;
-  const auto d = controller.try_admit(fill);
+  const auto d = controller.try_admit(fill, controller.now());
   if (!d.admitted) std::abort();  // scenario must start inside the region
 }
 
@@ -93,7 +90,7 @@ void AdmissionVsStages(benchmark::State& state) {
       sim, tracker, core::FeasibleRegion::deadline_monotonic(stages));
   // Populate with 1000 live tasks.
   for (std::uint64_t i = 0; i < 1000; ++i) {
-    (void)controller.try_admit(tiny_task(i + 1, stages));
+    (void)controller.try_admit(tiny_task(i + 1, stages), sim.now());
   }
   // The probe saturates a stage so it is always REJECTED: the full O(N)
   // region evaluation runs but nothing is committed, keeping the measured
@@ -104,7 +101,7 @@ void AdmissionVsStages(benchmark::State& state) {
   for (auto _ : state) {
     auto spec = probe;
     spec.id = id++;
-    benchmark::DoNotOptimize(controller.try_admit(spec));
+    benchmark::DoNotOptimize(controller.try_admit(spec, sim.now()));
   }
   state.SetComplexityN(state.range(0));
 }
@@ -118,7 +115,7 @@ void AdmissionVsTasks(benchmark::State& state) {
       sim, tracker, core::FeasibleRegion::deadline_monotonic(stages));
   const auto live = static_cast<std::uint64_t>(state.range(0));
   for (std::uint64_t i = 0; i < live; ++i) {
-    (void)controller.try_admit(tiny_task(i + 1, stages));
+    (void)controller.try_admit(tiny_task(i + 1, stages), sim.now());
   }
   auto probe = tiny_task(0, stages);
   probe.stages[0].compute = 2.0;  // always rejected; state stays constant
@@ -126,7 +123,7 @@ void AdmissionVsTasks(benchmark::State& state) {
   for (auto _ : state) {
     auto spec = probe;
     spec.id = id++;
-    benchmark::DoNotOptimize(controller.try_admit(spec));
+    benchmark::DoNotOptimize(controller.try_admit(spec, sim.now()));
   }
   // The point: time here must NOT grow with `live`.
 }
@@ -149,7 +146,7 @@ void AdmissionReferencePath(benchmark::State& state) {
   frap::testing::ReferenceAdmitter reference(controller);
   const auto probe = sparse_task(2, kSweepStages, kProbeCompute);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(reference.try_admit(probe));
+    benchmark::DoNotOptimize(reference.try_admit(probe, sim.now()));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -163,7 +160,7 @@ void AdmissionFastPath(benchmark::State& state) {
   prefill_near_boundary(controller, kSweepStages);
   const auto probe = sparse_task(2, kSweepStages, kProbeCompute);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(controller.try_admit(probe));
+    benchmark::DoNotOptimize(controller.try_admit(probe, sim.now()));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -189,78 +186,6 @@ void AdmissionBatchPath(benchmark::State& state) {
       static_cast<std::int64_t>(burst));
 }
 BENCHMARK(AdmissionBatchPath)->Arg(16)->Arg(64)->Arg(256);
-
-// Same burst scenario with the AVX2 kernel forced off: the A/B for the
-// vectorized f(U) evaluation. Decisions are bit-identical by contract
-// (tests/simd_batch_test.cpp); only the throughput may differ.
-void AdmissionBatchPathScalar(benchmark::State& state) {
-  const bool prev = core::set_batch_simd_enabled(false);
-  const auto burst = static_cast<std::size_t>(state.range(0));
-  sim::Simulator sim;
-  core::SyntheticUtilizationTracker tracker(sim, kSweepStages);
-  core::AdmissionController controller(
-      sim, tracker, core::FeasibleRegion::deadline_monotonic(kSweepStages));
-  prefill_near_boundary(controller, kSweepStages);
-  core::BatchAdmissionController batch(controller);
-  std::vector<core::TaskSpec> specs;
-  for (std::size_t i = 0; i < burst; ++i) {
-    specs.push_back(sparse_task(2 + i, kSweepStages, kProbeCompute));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(batch.try_admit_burst(specs));
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(burst));
-  (void)core::set_batch_simd_enabled(prev);
-}
-BENCHMARK(AdmissionBatchPathScalar)->Arg(64)->Arg(256);
-
-// Raw f(U) evaluation kernel A/B over a dense lane array — the shape the
-// AVX2 kernel is built for. The burst benches above probe with sparse
-// one-touched-stage tasks, where the density gate in try_admit_burst
-// (core/admission.cpp) correctly routes AROUND the kernel: evaluating
-// every lane of a 5-stage pipeline to use one touched result loses to a
-// single scalar call no matter how fast the vector division is. This pair
-// isolates the kernel itself on 4096 dense lanes.
-constexpr std::size_t kKernelLanes = 4096;
-
-std::vector<double> kernel_lanes() {
-  std::vector<double> u(kKernelLanes);
-  frap::util::Rng rng(20260808);
-  for (auto& x : u) x = rng.uniform(0.0, 0.97);
-  return u;
-}
-
-void StageDelayKernelBatch(benchmark::State& state) {
-  const bool prev = core::set_batch_simd_enabled(true);
-  const std::vector<double> u = kernel_lanes();
-  std::vector<double> out(u.size());
-  for (auto _ : state) {
-    core::batch_stage_delay_factors(u.data(), out.data(), u.size());
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(u.size()));
-  (void)core::set_batch_simd_enabled(prev);
-}
-BENCHMARK(StageDelayKernelBatch);
-
-void StageDelayKernelScalar(benchmark::State& state) {
-  const bool prev = core::set_batch_simd_enabled(false);
-  const std::vector<double> u = kernel_lanes();
-  std::vector<double> out(u.size());
-  for (auto _ : state) {
-    core::batch_stage_delay_factors(u.data(), out.data(), u.size());
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(u.size()));
-  (void)core::set_batch_simd_enabled(prev);
-}
-BENCHMARK(StageDelayKernelScalar);
 
 // ------------------------------------------- storage churn A/B (ISSUE 5) --
 // The full per-admission work at capacity: test, commit into the tracker,
@@ -490,26 +415,9 @@ int main(int argc, char** argv) {
   const double ref_shed = summary["shed_reference_attempts_per_sec"];
   summary["shed_speedup"] =
       ref_shed > 0 ? summary["shed_slotmap_attempts_per_sec"] / ref_shed : 0;
-  summary["batch_simd_available"] =
-      frap::core::batch_simd_available() ? 1.0 : 0.0;
   summary["batch_256_attempts_per_sec"] = rate("AdmissionBatchPath/256");
-  summary["batch_256_scalar_attempts_per_sec"] =
-      rate("AdmissionBatchPathScalar/256");
-  const double scalar_256 = summary["batch_256_scalar_attempts_per_sec"];
-  // ~1.0 by design: the sparse probes route around the kernel (density
-  // gate); the kernel's own speedup is the f_kernel ratio below.
-  summary["batch_simd_speedup"] =
-      scalar_256 > 0 ? summary["batch_256_attempts_per_sec"] / scalar_256 : 0;
-  summary["f_kernel_evals_per_sec"] = rate("StageDelayKernelBatch");
-  summary["f_kernel_scalar_evals_per_sec"] = rate("StageDelayKernelScalar");
-  const double scalar_kernel = summary["f_kernel_scalar_evals_per_sec"];
-  summary["f_kernel_simd_speedup"] =
-      scalar_kernel > 0 ? summary["f_kernel_evals_per_sec"] / scalar_kernel
-                        : 0;
-  const std::string path =
-      frap::benchjson::json_path("BENCH_admission.json");
-  if (!frap::benchjson::write_json(path, reporter.results(), summary)) {
-    std::fprintf(stderr, "FATAL: could not write %s\n", path.c_str());
+  if (!frap::benchjson::export_json("BENCH_admission.json", reporter,
+                                    summary)) {
     return 1;
   }
   benchmark::Shutdown();

@@ -26,7 +26,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <memory>
@@ -207,36 +206,54 @@ void MtTracingOverheadReport(benchmark::State& state) {
 }
 BENCHMARK(MtTracingOverheadReport)->Iterations(400);
 
+// --- sharded service lifetime ------------------------------------------
+
+// The service every lane of the sharded benchmarks below shares. It is built
+// by the benchmark's Setup hook and dropped by its Teardown hook, which the
+// library runs once per run outside the lanes, so no lane can see it
+// half-built or already gone.
+std::unique_ptr<service::ShardedAdmissionService> svc;
+
+// Builds the service and fills every shard to just below its slice bound.
+void build_prefilled(service::ShardedAdmissionConfig config,
+                     const obs::SinkConfig* tracing = nullptr) {
+  svc = std::make_unique<service::ShardedAdmissionService>(
+      core::FeasibleRegion::deadline_monotonic(kStages), config);
+  if (tracing != nullptr) svc->enable_tracing(*tracing);
+  const double w = 1.0 / static_cast<double>(kShards);
+  for (std::size_t k = 0; k < kShards; ++k) {
+    // id = kShards + k routes to shard k and stays clear of probe ids.
+    const auto fill = contribution_task(kShards + k, near_boundary_fill(w));
+    if (!svc->try_admit(fill, 0.0).admitted) std::abort();
+  }
+}
+
+void drop_service(const benchmark::State& /*state*/) { svc.reset(); }
+
+// Thread t probes its own home shard: contribution 0.1 in the scaled view,
+// rejected at the boundary like the single-threaded scenario.
+core::TaskSpec boundary_probe(const benchmark::State& state) {
+  const double w = 1.0 / static_cast<double>(kShards);
+  std::vector<double> c(kStages, 0.0);
+  c[0] = kProbeContribution * w;
+  return contribution_task(static_cast<std::uint64_t>(state.thread_index()),
+                           c);
+}
+
 // --- sharded hot path, T threads on K=8 shards --------------------------
 
 // Mutex baseline: the atomic fast path is explicitly disabled so every
 // probe pays the shard lock plus the exact test — the configuration the
 // service shipped with before the lock-free path existed.
-void MtShardedHotPath(benchmark::State& state) {
-  static std::unique_ptr<service::ShardedAdmissionService> svc;
-  if (state.thread_index() == 0) {
-    svc = std::make_unique<service::ShardedAdmissionService>(
-        core::FeasibleRegion::deadline_monotonic(kStages),
-        service::ShardedAdmissionConfig{.num_shards = kShards,
-                                        .enable_fallback = false,
-                                        .rebalance_interval = 0,
-                                        .enable_atomic_fast_path = false});
-    const double w = 1.0 / static_cast<double>(kShards);
-    for (std::size_t k = 0; k < kShards; ++k) {
-      // id = kShards + k routes to shard k and stays clear of probe ids.
-      const auto fill =
-          contribution_task(kShards + k, near_boundary_fill(w));
-      if (!svc->try_admit(fill, 0.0).admitted) std::abort();
-    }
-  }
+void setup_hot_path(const benchmark::State& /*state*/) {
+  build_prefilled({.num_shards = kShards,
+                   .enable_fallback = false,
+                   .rebalance_interval = 0,
+                   .enable_atomic_fast_path = false});
+}
 
-  // Thread t probes its own home shard: contribution 0.1 in the scaled
-  // view, rejected at the boundary like the single-threaded scenario.
-  const double w = 1.0 / static_cast<double>(kShards);
-  std::vector<double> c(kStages, 0.0);
-  c[0] = kProbeContribution * w;
-  const auto probe = contribution_task(
-      static_cast<std::uint64_t>(state.thread_index()), c);
+void MtShardedHotPath(benchmark::State& state) {
+  const auto probe = boundary_probe(state);
   for (auto _ : state) {
     benchmark::DoNotOptimize(svc->try_admit(probe, 0.0));
   }
@@ -245,10 +262,11 @@ void MtShardedHotPath(benchmark::State& state) {
   if (state.thread_index() == 0) {
     const auto s = svc->stats();
     state.counters["rejects"] = static_cast<double>(s.total_rejects());
-    svc.reset();
   }
 }
 BENCHMARK(MtShardedHotPath)
+    ->Setup(setup_hot_path)
+    ->Teardown(drop_service)
     ->Threads(1)
     ->Threads(2)
     ->Threads(4)
@@ -261,27 +279,14 @@ BENCHMARK(MtShardedHotPath)
 // config): the probe's under-estimated delta already exceeds the quantized
 // bound ceiling, so every attempt is a certain lock-free reject — no shard
 // mutex, no globally shared atomic, just the per-shard guard reads.
-void MtShardedAtomicHotPath(benchmark::State& state) {
-  static std::unique_ptr<service::ShardedAdmissionService> svc;
-  if (state.thread_index() == 0) {
-    svc = std::make_unique<service::ShardedAdmissionService>(
-        core::FeasibleRegion::deadline_monotonic(kStages),
-        service::ShardedAdmissionConfig{.num_shards = kShards,
-                                        .enable_fallback = false,
-                                        .rebalance_interval = 0});
-    const double w = 1.0 / static_cast<double>(kShards);
-    for (std::size_t k = 0; k < kShards; ++k) {
-      const auto fill =
-          contribution_task(kShards + k, near_boundary_fill(w));
-      if (!svc->try_admit(fill, 0.0).admitted) std::abort();
-    }
-  }
+void setup_atomic_hot_path(const benchmark::State& /*state*/) {
+  build_prefilled({.num_shards = kShards,
+                   .enable_fallback = false,
+                   .rebalance_interval = 0});
+}
 
-  const double w = 1.0 / static_cast<double>(kShards);
-  std::vector<double> c(kStages, 0.0);
-  c[0] = kProbeContribution * w;
-  const auto probe = contribution_task(
-      static_cast<std::uint64_t>(state.thread_index()), c);
+void MtShardedAtomicHotPath(benchmark::State& state) {
+  const auto probe = boundary_probe(state);
   for (auto _ : state) {
     benchmark::DoNotOptimize(svc->try_admit(probe, 0.0));
   }
@@ -299,10 +304,11 @@ void MtShardedAtomicHotPath(benchmark::State& state) {
     // lock-free path if essentially everything fast-rejected.
     state.counters["atomic_rejects"] = atomic_rejects;
     state.counters["slow_rejects"] = slow_rejects;
-    svc.reset();
   }
 }
 BENCHMARK(MtShardedAtomicHotPath)
+    ->Setup(setup_atomic_hot_path)
+    ->Teardown(drop_service)
     ->Threads(1)
     ->Threads(2)
     ->Threads(4)
@@ -311,30 +317,17 @@ BENCHMARK(MtShardedAtomicHotPath)
 
 // --- sharded hot path with per-shard tracing on -------------------------
 
-void MtShardedHotPathTraced(benchmark::State& state) {
-  static std::unique_ptr<service::ShardedAdmissionService> svc;
-  if (state.thread_index() == 0) {
-    svc = std::make_unique<service::ShardedAdmissionService>(
-        core::FeasibleRegion::deadline_monotonic(kStages),
-        service::ShardedAdmissionConfig{.num_shards = kShards,
-                                        .enable_fallback = false,
-                                        .rebalance_interval = 0});
-    obs::SinkConfig cfg;
-    cfg.ring_capacity = std::size_t{1} << 16;
-    svc->enable_tracing(cfg);
-    const double w = 1.0 / static_cast<double>(kShards);
-    for (std::size_t k = 0; k < kShards; ++k) {
-      const auto fill =
-          contribution_task(kShards + k, near_boundary_fill(w));
-      if (!svc->try_admit(fill, 0.0).admitted) std::abort();
-    }
-  }
+void setup_hot_path_traced(const benchmark::State& /*state*/) {
+  obs::SinkConfig cfg;
+  cfg.ring_capacity = std::size_t{1} << 16;
+  build_prefilled({.num_shards = kShards,
+                   .enable_fallback = false,
+                   .rebalance_interval = 0},
+                  &cfg);
+}
 
-  const double w = 1.0 / static_cast<double>(kShards);
-  std::vector<double> c(kStages, 0.0);
-  c[0] = kProbeContribution * w;
-  const auto probe = contribution_task(
-      static_cast<std::uint64_t>(state.thread_index()), c);
+void MtShardedHotPathTraced(benchmark::State& state) {
+  const auto probe = boundary_probe(state);
   for (auto _ : state) {
     benchmark::DoNotOptimize(svc->try_admit(probe, 0.0));
   }
@@ -345,10 +338,11 @@ void MtShardedHotPathTraced(benchmark::State& state) {
     double pushed = 0;
     for (const auto& s : snap.sinks) pushed += static_cast<double>(s.pushed);
     state.counters["ring_pushed"] = pushed;
-    svc.reset();
   }
 }
 BENCHMARK(MtShardedHotPathTraced)
+    ->Setup(setup_hot_path_traced)
+    ->Teardown(drop_service)
     ->Threads(1)
     ->Threads(8)
     ->UseRealTime();
@@ -356,22 +350,13 @@ BENCHMARK(MtShardedHotPathTraced)
 // --- sharded global fallback path (for contrast: every probe takes the
 // --- global lock, so this should NOT scale) ------------------------------
 
-void MtShardedFallbackPath(benchmark::State& state) {
-  static std::unique_ptr<service::ShardedAdmissionService> svc;
-  if (state.thread_index() == 0) {
-    svc = std::make_unique<service::ShardedAdmissionService>(
-        core::FeasibleRegion::deadline_monotonic(kStages),
-        service::ShardedAdmissionConfig{.num_shards = kShards,
-                                        .enable_fallback = true,
-                                        .rebalance_interval = 0});
-    const double w = 1.0 / static_cast<double>(kShards);
-    for (std::size_t k = 0; k < kShards; ++k) {
-      const auto fill =
-          contribution_task(kShards + k, near_boundary_fill(w));
-      if (!svc->try_admit(fill, 0.0).admitted) std::abort();
-    }
-  }
+void setup_fallback_path(const benchmark::State& /*state*/) {
+  build_prefilled({.num_shards = kShards,
+                   .enable_fallback = true,
+                   .rebalance_interval = 0});
+}
 
+void MtShardedFallbackPath(benchmark::State& state) {
   // A probe too large for any slice OR the whole region: rejected on the
   // home shard, retried (and rejected again) under the global lock.
   std::vector<double> c(kStages, 2.0);
@@ -381,10 +366,13 @@ void MtShardedFallbackPath(benchmark::State& state) {
     benchmark::DoNotOptimize(svc->try_admit(probe, 0.0));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-
-  if (state.thread_index() == 0) svc.reset();
 }
-BENCHMARK(MtShardedFallbackPath)->Threads(1)->Threads(4)->UseRealTime();
+BENCHMARK(MtShardedFallbackPath)
+    ->Setup(setup_fallback_path)
+    ->Teardown(drop_service)
+    ->Threads(1)
+    ->Threads(4)
+    ->UseRealTime();
 
 }  // namespace
 
@@ -421,10 +409,8 @@ int main(int argc, char** argv) {
       atomic_1t > 0 ? atomic_8t / atomic_1t : 0;
   summary["traced_overhead_pct"] =
       reporter.counter_of("MtTracingOverheadReport*", "overhead_pct");
-  const std::string path =
-      frap::benchjson::json_path("BENCH_mt_admission.json");
-  if (!frap::benchjson::write_json(path, reporter.results(), summary)) {
-    std::fprintf(stderr, "FATAL: could not write %s\n", path.c_str());
+  if (!frap::benchjson::export_json("BENCH_mt_admission.json", reporter,
+                                    summary)) {
     return 1;
   }
   benchmark::Shutdown();

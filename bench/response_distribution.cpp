@@ -66,7 +66,7 @@ TailResult run(double load, bool admission_on, std::uint64_t seed) {
       sim, sim_end, [&] { return gen.next_interarrival(); }, [&](Time) {
       const auto spec = gen.next_task();
       const bool start =
-          !admission_on || controller.try_admit(spec).admitted;
+          !admission_on || controller.try_admit(spec, sim.now()).admitted;
       if (start) runtime.start_task(spec, sim.now() + spec.deadline);
       });
   sim.run();

@@ -93,7 +93,7 @@ Cell run(Arrivals arrivals, Service service, double load,
       spec.stages.resize(2);
       spec.stages[0].compute = next_compute();
       spec.stages[1].compute = next_compute();
-      if (controller.try_admit(spec).admitted) {
+      if (controller.try_admit(spec, sim.now()).admitted) {
         ++admitted;
         runtime.start_task(spec, sim.now() + spec.deadline);
       }

@@ -117,7 +117,7 @@ RunResult run(bool paper_architecture, double load_scale,
           spec.stages[1].compute = rng.exponential(cls.mean_c);
           bool start = true;
           if (paper_architecture) {
-            start = shedder.try_admit(spec).admitted;
+            start = shedder.try_admit(spec, sim.now()).admitted;
           }
           if (start) {
             ++cls.stats->admitted;

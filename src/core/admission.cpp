@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/stage_delay.h"
-#include "core/stage_delay_batch.h"
 #include "util/check.h"
 #include "util/math.h"
 
@@ -111,14 +110,6 @@ void AdmissionController::commit(const TaskSpec& spec,
                       absolute_deadline);
 }
 
-void AdmissionController::record_audit(const TaskSpec& spec,
-                                       const AdmissionDecision& d) {
-  if (audit_ != nullptr) {
-    audit_->record(AuditRecord{sim_.now(), spec.id, d.admitted, d.lhs_before,
-                               d.lhs_with_task, region_.bound()});
-  }
-}
-
 std::uint16_t AdmissionController::touched_stages(const TaskSpec& spec) const {
   std::uint16_t k = 0;
   for (std::size_t j = 0; j < region_.num_stages(); ++j) {
@@ -167,7 +158,6 @@ AdmissionDecision AdmissionController::try_admit_tagged(
     ++admitted_;
     commit(spec, now + spec.deadline);
   }
-  record_audit(spec, d);
   if (sink_ != nullptr) sink_->record(d, spec.id, touched, t0);
   return d;
 }
@@ -179,9 +169,6 @@ BatchAdmissionController::BatchAdmissionController(AdmissionController& inner)
   const std::size_t n = inner_.tracker().num_stages();
   u_.resize(n);
   f_.resize(n);
-  c_.resize(n);
-  u_with_.resize(n);
-  f_with_.resize(n);
 }
 
 const std::vector<AdmissionDecision>& BatchAdmissionController::try_admit_burst(
@@ -215,61 +202,15 @@ const std::vector<AdmissionDecision>& BatchAdmissionController::try_admit_burst(
     d.lhs_before = lhs;
     double delta = 0;
     bool saturates = false;
-    bool decided = false;
-    // Pipelines shorter than two vector blocks can't pay for the dense
-    // evaluation + density scan even when fully touched; skip straight to
-    // the fused scalar loop there.
-    if (batch_simd_active() && n >= 8) {
-      // SIMD path: evaluate f over the whole candidate vector in one call,
-      // then accumulate the touched-stage deltas in the same ascending
-      // order as the scalar loop. The kernel's bit-identity contract
-      // (core/stage_delay_batch.h) makes the decision — and the LHS the
-      // decision record carries — independent of the dispatch outcome.
-      //
-      // Density gate: the kernel evaluates every lane while the scalar
-      // loop only evaluates touched stages, so dense evaluation only pays
-      // when the task touches at least half the pipeline. For sparser
-      // tasks fall through to the scalar loop (same result, bit-identical
-      // by the kernel contract — only the instruction mix changes). The
-      // count scan is store-free and multiply-free (contribution() is the
-      // base compute scaled by two positive factors, so its sign is the
-      // base's sign) so the sparse route keeps the fused scalar loop below
-      // at full speed.
-      const bool mean_mode = !inner_.mean_compute_.empty();
-      std::size_t touched = 0;
-      for (std::size_t j = 0; j < n; ++j) {
-        const double base =
-            mean_mode ? inner_.mean_compute_[j] : spec.stages[j].compute;
-        if (base > 0) ++touched;
+    for (std::size_t j = 0; j < n; ++j) {
+      const double c = inner_.contribution(spec, j, inv_d);
+      if (c <= 0) continue;
+      const double u_new = u_[j] + c;
+      if (u_new >= 1.0) {
+        saturates = true;
+        break;
       }
-      if (2 * touched >= n) {
-        decided = true;
-        for (std::size_t j = 0; j < n; ++j) {
-          c_[j] = inner_.contribution(spec, j, inv_d);
-          u_with_[j] = u_[j] + c_[j];
-        }
-        batch_stage_delay_factors(u_with_.data(), f_with_.data(), n);
-        for (std::size_t j = 0; j < n; ++j) {
-          if (c_[j] <= 0) continue;
-          if (u_with_[j] >= 1.0) {
-            saturates = true;
-            break;
-          }
-          delta += f_with_[j] - f_[j];
-        }
-      }
-    }
-    if (!decided) {
-      for (std::size_t j = 0; j < n; ++j) {
-        const double c = inner_.contribution(spec, j, inv_d);
-        if (c <= 0) continue;
-        const double u_new = u_[j] + c;
-        if (u_new >= 1.0) {
-          saturates = true;
-          break;
-        }
-        delta += stage_delay_factor(u_new) - f_[j];
-      }
+      delta += stage_delay_factor(u_new) - f_[j];
     }
     d.lhs_with_task = saturates ? util::kInf : lhs + delta;
     d.admitted = region.admits(d.lhs_with_task);
@@ -289,109 +230,11 @@ const std::vector<AdmissionDecision>& BatchAdmissionController::try_admit_burst(
       }
       lhs = tracker.cached_lhs();
     }
-    inner_.record_audit(spec, d);
     if (sink != nullptr)
       sink->record(d, spec.id, inner_.touched_stages(spec), t0);
     decisions_.push_back(d);
   }
   return decisions_;
-}
-
-// -------------------------------------------------------------- waiting ---
-
-WaitingAdmissionController::WaitingAdmissionController(
-    sim::Simulator& sim, AdmissionController& inner, Duration patience)
-    : sim_(sim), inner_(inner), patience_(patience) {
-  FRAP_EXPECTS(patience >= 0);
-}
-
-void WaitingAdmissionController::attach() {
-  inner_.tracker().set_on_decrease([this] { retry(); });
-}
-
-void WaitingAdmissionController::decide(const Pending& p,
-                                        const AdmissionDecision& d) {
-  if (decide_) decide_(p.spec, d);
-}
-
-AdmissionDecision WaitingAdmissionController::timed_out_decision(
-    const Pending& p) const {
-  // Final rejection after waiting: report the LHS pair of the last failed
-  // test so the callback still sees how far outside the region the task was.
-  AdmissionDecision d = p.last_test;
-  d.admitted = false;
-  d.reason = AdmissionDecision::Reason::kTimedOut;
-  d.arrival = p.arrival;
-  d.decided_at = sim_.now();
-  return d;
-}
-
-void WaitingAdmissionController::submit(const TaskSpec& spec) {
-  const Time arrival = sim_.now();
-  Pending p{spec, arrival, AdmissionDecision{}, sim::kInvalidEventId};
-  // FIFO: while earlier arrivals wait, newcomers queue behind them even if
-  // they would fit — otherwise small tasks would starve large waiting ones.
-  if (queue_.empty()) {
-    const auto d = inner_.try_admit(spec, arrival);
-    if (d.admitted) {
-      decide(p, d);
-      return;
-    }
-    p.last_test = d;
-  } else {
-    p.last_test.bound = inner_.region().bound();
-    p.last_test.lhs_before = inner_.tracker().cached_lhs();
-    p.last_test.lhs_with_task = p.last_test.lhs_before;
-  }
-  if (patience_ <= 0) {
-    decide(p, timed_out_decision(p));
-    return;
-  }
-  const std::uint64_t id = spec.id;
-  p.timeout_event = sim_.after(patience_, [this, id] { timeout(id); });
-  queue_.push_back(std::move(p));
-}
-
-void WaitingAdmissionController::retry() {
-  // A decrease can fire while a retry scan is already running: an admitted
-  // task's decision callback may cascade into expiries, idle resets, or
-  // removals (e.g. the runtime starting the task synchronously completes a
-  // zero-length subtask). Re-entering the scan here would double-process
-  // the queue front, but silently dropping the notification could strand a
-  // waiter that now fits until the NEXT decrease — so remember it and
-  // re-arm the scan once the active pass finishes.
-  if (retrying_) {
-    rearm_ = true;
-    return;
-  }
-  retrying_ = true;
-  do {
-    rearm_ = false;
-    while (!queue_.empty()) {
-      Pending& p = queue_.front();
-      const auto d = inner_.try_admit(p.spec, p.arrival);
-      if (!d.admitted) {
-        p.last_test = d;
-        break;  // FIFO: later tasks wait their turn
-      }
-      sim_.cancel(p.timeout_event);
-      Pending done = std::move(p);
-      queue_.pop_front();
-      decide(done, d);
-    }
-    if (rearm_) ++rearmed_retries_;
-  } while (rearm_);
-  retrying_ = false;
-}
-
-void WaitingAdmissionController::timeout(std::uint64_t task_id) {
-  auto it = std::find_if(queue_.begin(), queue_.end(),
-                         [&](const Pending& p) { return p.spec.id == task_id; });
-  if (it == queue_.end()) return;  // already admitted
-  Pending done = std::move(*it);
-  queue_.erase(it);
-  ++timed_out_;
-  decide(done, timed_out_decision(done));
 }
 
 // ------------------------------------------------------------- shedding ---
@@ -553,58 +396,69 @@ AdmissionDecision GraphAdmissionController::try_admit(const TaskSpec& spec,
   return try_admit(GraphTaskSpec::from_pipeline(spec), now);
 }
 
-// ------------------------------------------------------- waiting (graph) ---
+// -------------------------------------------------------------- waiting ---
 
-WaitingGraphAdmissionController::WaitingGraphAdmissionController(
-    sim::Simulator& sim, GraphAdmissionController& inner, Duration patience)
-    : sim_(sim), inner_(inner), tracker_(inner.tracker()),
-      patience_(patience) {
+template <class Inner>
+WaitingAdmission<Inner>::WaitingAdmission(sim::Simulator& sim, Inner& inner,
+                                          Duration patience)
+    : sim_(sim), inner_(inner), patience_(patience) {
   FRAP_EXPECTS(patience >= 0);
 }
 
-void WaitingGraphAdmissionController::attach() {
-  tracker_.set_on_decrease([this] { on_decrease(); });
+template <class Inner>
+void WaitingAdmission<Inner>::attach() {
+  inner_.tracker().set_on_decrease([this] { on_decrease(); });
 }
 
-void WaitingGraphAdmissionController::snapshot_gate(Pending& p) const {
-  if (p.touched.empty()) {
-    if (p.spec.shape != nullptr) {
-      const auto touched = p.spec.shape->touched_resources();
-      p.touched.assign(touched.begin(), touched.end());
-    } else {
-      for (const auto& n : p.spec.nodes) {
-        p.touched.push_back(static_cast<std::uint32_t>(n.resource));
+template <class Inner>
+void WaitingAdmission<Inner>::snapshot_gate(Pending& p) const {
+  if constexpr (kGraph) {
+    if (p.touched.empty()) {
+      if (p.spec.shape != nullptr) {
+        const auto touched = p.spec.shape->touched_resources();
+        p.touched.assign(touched.begin(), touched.end());
+      } else {
+        for (const auto& n : p.spec.nodes) {
+          p.touched.push_back(static_cast<std::uint32_t>(n.resource));
+        }
+        std::sort(p.touched.begin(), p.touched.end());
+        p.touched.erase(std::unique(p.touched.begin(), p.touched.end()),
+                        p.touched.end());
       }
-      std::sort(p.touched.begin(), p.touched.end());
-      p.touched.erase(std::unique(p.touched.begin(), p.touched.end()),
-                      p.touched.end());
+    }
+    p.gate_f.resize(p.touched.size());
+    for (std::size_t i = 0; i < p.touched.size(); ++i) {
+      p.gate_f[i] = inner_.tracker().stage_lhs_term(p.touched[i]);
     }
   }
-  p.gate_f.resize(p.touched.size());
-  for (std::size_t i = 0; i < p.touched.size(); ++i) {
-    p.gate_f[i] = tracker_.stage_lhs_term(p.touched[i]);
-  }
 }
 
-bool WaitingGraphAdmissionController::gate_changed(const Pending& p) const {
+template <class Inner>
+bool WaitingAdmission<Inner>::gate_changed(const Pending& p) const {
   for (std::size_t i = 0; i < p.touched.size(); ++i) {
     // Bitwise compare, deliberately: f is strictly increasing in U, so an
     // identical f-term means an identical touched utilization and the failed
     // test would repeat verbatim. Any real change — in either direction —
     // re-evaluates, so the gate can only skip provably-futile retries.
     // frap-lint: allow(float-equality) -- exactness is the point here.
-    if (p.gate_f[i] != tracker_.stage_lhs_term(p.touched[i])) return true;
+    if (p.gate_f[i] != inner_.tracker().stage_lhs_term(p.touched[i])) {
+      return true;
+    }
   }
   return false;
 }
 
-void WaitingGraphAdmissionController::decide(const Pending& p,
-                                             const AdmissionDecision& d) {
+template <class Inner>
+void WaitingAdmission<Inner>::decide(const Pending& p,
+                                     const AdmissionDecision& d) {
   if (decide_) decide_(p.spec, d);
 }
 
-AdmissionDecision WaitingGraphAdmissionController::timed_out_decision(
+template <class Inner>
+AdmissionDecision WaitingAdmission<Inner>::timed_out_decision(
     const Pending& p) const {
+  // Final rejection after waiting: report the LHS pair of the last failed
+  // test so the callback still sees how far outside the region the task was.
   AdmissionDecision d = p.last_test;
   d.admitted = false;
   d.reason = AdmissionDecision::Reason::kTimedOut;
@@ -613,7 +467,8 @@ AdmissionDecision WaitingGraphAdmissionController::timed_out_decision(
   return d;
 }
 
-void WaitingGraphAdmissionController::submit(const GraphTaskSpec& spec) {
+template <class Inner>
+void WaitingAdmission<Inner>::submit(const Spec& spec) {
   const Time arrival = sim_.now();
   Pending p{spec, arrival, AdmissionDecision{}, sim::kInvalidEventId, {}, {}};
   // FIFO: while earlier arrivals wait, newcomers queue behind them even if
@@ -626,8 +481,12 @@ void WaitingGraphAdmissionController::submit(const GraphTaskSpec& spec) {
     }
     p.last_test = d;
   } else {
-    p.last_test.bound = LongPathEvaluator::kDelayBudget;
-    p.last_test.lhs_before = tracker_.cached_lhs();
+    if constexpr (kGraph) {
+      p.last_test.bound = LongPathEvaluator::kDelayBudget;
+    } else {
+      p.last_test.bound = inner_.region().bound();
+    }
+    p.last_test.lhs_before = inner_.tracker().cached_lhs();
     p.last_test.lhs_with_task = p.last_test.lhs_before;
   }
   if (patience_ <= 0) {
@@ -640,21 +499,30 @@ void WaitingGraphAdmissionController::submit(const GraphTaskSpec& spec) {
   queue_.push_back(std::move(p));
 }
 
-void WaitingGraphAdmissionController::on_decrease() {
-  if (queue_.empty()) return;
-  // Headroom gate: only the FIFO front is eligible for retry, so if none of
-  // ITS touched f-terms moved since its last failed test, no evaluation can
-  // change outcome — skip without invoking the evaluator at all.
-  if (!retrying_ && !gate_changed(queue_.front())) {
-    ++gate_skips_;
-    return;
+template <class Inner>
+void WaitingAdmission<Inner>::on_decrease() {
+  if constexpr (kGraph) {
+    if (queue_.empty()) return;
+    // Headroom gate: only the FIFO front is eligible for retry, so if none
+    // of ITS touched f-terms moved since its last failed test, no
+    // evaluation can change outcome — skip without invoking the evaluator.
+    if (!retrying_ && !gate_changed(queue_.front())) {
+      ++gate_skips_;
+      return;
+    }
   }
   retry();
 }
 
-void WaitingGraphAdmissionController::retry() {
-  // Same re-arm discipline as WaitingAdmissionController::retry: a decide
-  // callback can cascade into further decreases mid-scan.
+template <class Inner>
+void WaitingAdmission<Inner>::retry() {
+  // A decrease can fire while a retry scan is already running: an admitted
+  // task's decision callback may cascade into expiries, idle resets, or
+  // removals (e.g. the runtime starting the task synchronously completes a
+  // zero-length subtask). Re-entering the scan here would double-process
+  // the queue front, but silently dropping the notification could strand a
+  // waiter that now fits until the NEXT decrease — so remember it and
+  // re-arm the scan once the active pass finishes.
   if (retrying_) {
     rearm_ = true;
     return;
@@ -680,7 +548,8 @@ void WaitingGraphAdmissionController::retry() {
   retrying_ = false;
 }
 
-void WaitingGraphAdmissionController::timeout(std::uint64_t task_id) {
+template <class Inner>
+void WaitingAdmission<Inner>::timeout(std::uint64_t task_id) {
   auto it = std::find_if(queue_.begin(), queue_.end(),
                          [&](const Pending& p) { return p.spec.id == task_id; });
   if (it == queue_.end()) return;  // already admitted
@@ -692,8 +561,11 @@ void WaitingGraphAdmissionController::timeout(std::uint64_t task_id) {
   // A timeout promotes the next waiter to the front without any decrease
   // event; it has never been tested against the current state, so retry now
   // (which also snapshots its gate on failure) rather than stranding it
-  // until the next touched-f change.
+  // until the next decrease.
   if (was_front && !queue_.empty()) retry();
 }
+
+template class WaitingAdmission<AdmissionController>;
+template class WaitingAdmission<GraphAdmissionController>;
 
 }  // namespace frap::core

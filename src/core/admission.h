@@ -29,8 +29,9 @@
 //     computation times instead of the task's actual ones (the actual values
 //     still execute), modelling operators who only know averages;
 //   * waiting admission (Sec. 5): a rejected task may wait a bounded
-//     patience for the region to drain (it retries on every utilization
-//     decrease) before being finally rejected;
+//     patience for the region to drain (it retries on utilization
+//     decreases) before being finally rejected; one implementation,
+//     WaitingAdmission<Inner>, serves pipeline and graph controllers;
 //   * shedding admission (Sec. 5): when an important task does not fit,
 //     less important admitted tasks are shed (their contributions removed
 //     and their execution aborted) in increasing order of importance until
@@ -45,9 +46,9 @@
 #include <map>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
-#include "core/admission_audit.h"
 #include "core/admission_decision.h"
 #include "core/feasible_region.h"
 #include "core/long_path_bound.h"
@@ -96,13 +97,8 @@ class AdmissionController : public Admitter {
   [[nodiscard]] AdmissionDecision try_admit(const TaskSpec& spec,
                                             Time now) override;
 
-  // Deprecated shim: forwards the simulator clock as the arrival instant.
-  [[nodiscard]] AdmissionDecision try_admit(const TaskSpec& spec) {
-    return try_admit(spec, sim_.now());
-  }
-
-  // try_admit with the ADMIT reason overridden: identical test, commit,
-  // audit, and trace, but an admitted decision carries (and is traced with)
+  // try_admit with the ADMIT reason overridden: identical test, commit
+  // and trace, but an admitted decision carries (and is traced with)
   // `admit_reason` instead of kAdmitted. The sharded service's atomic fast
   // path uses this to label its exact-path confirmations kAtomicFastPath /
   // kSlowPathFallback without double-recording into the sink. Rejections
@@ -118,9 +114,6 @@ class AdmissionController : public Admitter {
   const FeasibleRegion& region() const { return region_; }
   SyntheticUtilizationTracker& tracker() { return tracker_; }
   Time now() const { return sim_.now(); }
-
-  // Optional decision auditing; the audit must outlive the controller.
-  void set_audit(AdmissionAudit* audit) { audit_ = audit; }
 
   // Optional decision tracing (docs/observability.md); the sink must
   // outlive the controller. Tracing is passive: it NEVER changes a decision
@@ -165,8 +158,6 @@ class AdmissionController : public Admitter {
   // buffer (no per-call allocation beyond the tracker's task record).
   void commit(const TaskSpec& spec, Time absolute_deadline);
 
-  void record_audit(const TaskSpec& spec, const AdmissionDecision& d);
-
   // Stages the task contributes to (c_j > 0) under the active admission
   // mode; only evaluated when a sink is attached.
   std::uint16_t touched_stages(const TaskSpec& spec) const;
@@ -181,7 +172,6 @@ class AdmissionController : public Admitter {
   std::vector<std::uint32_t> commit_stages_;
   std::vector<double> commit_values_;
   double contribution_scale_ = 1.0;     // 1/w under a quota plan
-  AdmissionAudit* audit_ = nullptr;
   obs::DecisionSink* sink_ = nullptr;
   std::uint64_t attempts_ = 0;
   std::uint64_t admitted_ = 0;
@@ -193,7 +183,7 @@ class AdmissionController : public Admitter {
 // running snapshot with pure array arithmetic, and each admission is
 // committed to the tracker before the next spec is tested — so the decisions
 // are identical to calling inner.try_admit() sequentially, while the hot
-// loop avoids per-attempt tracker reads. Counters and the audit of the
+// loop avoids per-attempt tracker reads. Counters and the sink of the
 // inner controller are updated exactly as for single admissions.
 class BatchAdmissionController : public Admitter {
  public:
@@ -218,71 +208,8 @@ class BatchAdmissionController : public Admitter {
   AdmissionController& inner_;
   std::vector<double> u_;  // working per-stage utilization snapshot
   std::vector<double> f_;  // working per-stage f-terms
-  // Scratch for the SIMD batch f(U) evaluation (core/stage_delay_batch.h):
-  // per-spec contributions, candidate utilizations, and their f-terms.
-  std::vector<double> c_;
-  std::vector<double> u_with_;
-  std::vector<double> f_with_;
   std::vector<AdmissionDecision> decisions_;
   std::uint64_t bursts_ = 0;
-};
-
-// Sec. 5 waiting behaviour: an arrival that does not fit immediately is
-// parked for up to `patience`; every utilization decrease retries the queue
-// in FIFO order. The absolute deadline stays anchored at the original
-// arrival time, so waiting consumes the task's own slack.
-class WaitingAdmissionController {
- public:
-  // Decision callback: receives the full decision. decision.arrival is the
-  // task's original arrival (its deadline stays anchored there) and
-  // decision.decided_at the simulation instant of the decision (arrival +
-  // waiting). A task that waits out its patience is reported with
-  // reason == Reason::kTimedOut and the LHS pair of its last failed test.
-  using DecisionCallback =
-      std::function<void(const TaskSpec&, const AdmissionDecision&)>;
-
-  WaitingAdmissionController(sim::Simulator& sim, AdmissionController& inner,
-                             Duration patience);
-
-  // Call once; the controller hooks the tracker's decrease notifications.
-  // Any previously installed on-decrease callback is replaced.
-  void attach();
-
-  void set_decision_callback(DecisionCallback cb) { decide_ = std::move(cb); }
-
-  // Submits an arrival at the current time. May decide synchronously (fits
-  // now, or patience == 0) or later.
-  void submit(const TaskSpec& spec);
-
-  std::size_t pending() const { return queue_.size(); }
-  std::uint64_t timed_out() const { return timed_out_; }
-
-  // Times a decrease arrived while a retry scan was already running and the
-  // scan was re-armed to run again (observability for the cascade case).
-  std::uint64_t rearmed_retries() const { return rearmed_retries_; }
-
- private:
-  struct Pending {
-    TaskSpec spec;
-    Time arrival;
-    AdmissionDecision last_test;  // most recent failed admission attempt
-    sim::EventId timeout_event;
-  };
-
-  void retry();
-  void timeout(std::uint64_t task_id);
-  void decide(const Pending& p, const AdmissionDecision& d);
-  AdmissionDecision timed_out_decision(const Pending& p) const;
-
-  sim::Simulator& sim_;
-  AdmissionController& inner_;
-  Duration patience_;
-  std::deque<Pending> queue_;
-  DecisionCallback decide_;
-  std::uint64_t timed_out_ = 0;
-  bool retrying_ = false;
-  bool rearm_ = false;  // decrease observed mid-retry: scan again
-  std::uint64_t rearmed_retries_ = 0;
 };
 
 // Sec. 5 load shedding: admitted tasks register with their semantic
@@ -310,11 +237,6 @@ class SheddingAdmissionController : public Admitter {
   // reported with reason == Reason::kShed.
   [[nodiscard]] AdmissionDecision try_admit(const TaskSpec& spec,
                                             Time now) override;
-
-  // Deprecated shim: forwards the simulator clock as the arrival instant.
-  [[nodiscard]] AdmissionDecision try_admit(const TaskSpec& spec) {
-    return try_admit(spec, inner_.now());
-  }
 
   std::uint64_t tasks_shed() const { return tasks_shed_; }
 
@@ -353,11 +275,6 @@ class GraphAdmissionController : public Admitter {
                                             Time now);
   [[nodiscard]] AdmissionDecision try_admit(const TaskSpec& spec,
                                             Time now) override;
-
-  // Deprecated shims: forward the simulator clock as the arrival instant.
-  [[nodiscard]] AdmissionDecision try_admit(const GraphTaskSpec& spec) {
-    return try_admit(spec, sim_.now());
-  }
 
   [[nodiscard]] bool long_path() const { return long_path_.has_value(); }
   LongPathEvaluator* long_path_evaluator() {
@@ -398,23 +315,44 @@ class GraphAdmissionController : public Admitter {
   obs::DecisionSink* sink_ = nullptr;
 };
 
-// Sec. 5 waiting behaviour for DAG tasks, with a headroom gate fixing the
-// re-walk-on-expire cost: a parked task stores the tracker's cached f-terms
-// over its touched resources at its last failed test, and a utilization
+// Sec. 5 waiting behaviour, for pipeline and DAG tasks alike: an arrival
+// that does not fit immediately is parked for up to `patience`; utilization
+// decreases retry the queue in FIFO order, and a timeout that promotes a new
+// front waiter retries it at once. The absolute deadline stays anchored at
+// the original arrival time, so waiting consumes the task's own slack.
+//
+// Inner is AdmissionController (TaskSpec arrivals) or
+// GraphAdmissionController (GraphTaskSpec arrivals); both are explicitly
+// instantiated in admission.cpp. Over the graph controller a headroom gate
+// cuts the re-walk-on-expire cost: a parked task stores the tracker's cached
+// f-terms over its touched resources at its last failed test, and a
 // decrease only re-runs the (profile or full-DAG) evaluation when one of
-// those f-terms actually changed. f is strictly increasing in U, so equal
-// f-terms mean the touched utilizations are unchanged and the failed test
-// would repeat verbatim — the gate can never strand an admissible waiter.
+// those f-terms changed. f is strictly increasing in U, so equal f-terms
+// mean the touched utilizations are unchanged and the failed test would
+// repeat verbatim — the gate can never strand an admissible waiter.
 // Decreases at resources the front waiter does not touch cost O(touched)
-// compares and zero evaluator invocations (gate_skips()).
-class WaitingGraphAdmissionController {
+// compares and zero evaluator invocations (gate_skips()). The pipeline
+// region sums every stage, so over AdmissionController every decrease
+// retries.
+template <class Inner>
+class WaitingAdmission {
  public:
-  using DecisionCallback =
-      std::function<void(const GraphTaskSpec&, const AdmissionDecision&)>;
+  static constexpr bool kGraph =
+      std::is_same_v<Inner, GraphAdmissionController>;
+  using Spec = std::conditional_t<kGraph, GraphTaskSpec, TaskSpec>;
 
-  WaitingGraphAdmissionController(sim::Simulator& sim,
-                                  GraphAdmissionController& inner,
-                                  Duration patience);
+  // Decision callback: receives the full decision. decision.arrival is the
+  // task's original arrival (its deadline stays anchored there) and
+  // decision.decided_at the simulation instant of the decision (arrival +
+  // waiting). A task that waits out its patience is reported with
+  // reason == Reason::kTimedOut and the LHS pair of its last failed test.
+  using DecisionCallback =
+      std::function<void(const Spec&, const AdmissionDecision&)>;
+
+  WaitingAdmission(sim::Simulator& sim, Inner& inner, Duration patience);
+  // Pending timeouts and the tracker's decrease hook capture `this`.
+  WaitingAdmission(const WaitingAdmission&) = delete;
+  WaitingAdmission& operator=(const WaitingAdmission&) = delete;
 
   // Call once; the controller hooks the tracker's decrease notifications.
   // Any previously installed on-decrease callback is replaced.
@@ -424,26 +362,29 @@ class WaitingGraphAdmissionController {
 
   // Submits an arrival at the current time. May decide synchronously (fits
   // now, or patience == 0) or later.
-  void submit(const GraphTaskSpec& spec);
+  void submit(const Spec& spec);
 
   std::size_t pending() const { return queue_.size(); }
   std::uint64_t timed_out() const { return timed_out_; }
 
   // Decrease notifications short-circuited by the headroom gate (no
-  // evaluator invocation).
+  // evaluator invocation); always 0 over AdmissionController.
   std::uint64_t gate_skips() const { return gate_skips_; }
 
-  // Decreases that arrived while a retry scan was running (scan re-armed).
+  // Times a decrease arrived while a retry scan was already running and the
+  // scan was re-armed to run again (observability for the cascade case).
   std::uint64_t rearmed_retries() const { return rearmed_retries_; }
 
  private:
   struct Pending {
-    GraphTaskSpec spec;
+    Spec spec;
     Time arrival;
     AdmissionDecision last_test;  // most recent failed admission attempt
     sim::EventId timeout_event;
-    std::vector<std::uint32_t> touched;  // resources, ascending
-    std::vector<double> gate_f;  // cached f-terms at the last failed test
+    // Headroom gate state (graph only): touched resources, ascending, and
+    // their cached f-terms at the last failed test.
+    std::vector<std::uint32_t> touched;
+    std::vector<double> gate_f;
   };
 
   void snapshot_gate(Pending& p) const;
@@ -455,8 +396,7 @@ class WaitingGraphAdmissionController {
   AdmissionDecision timed_out_decision(const Pending& p) const;
 
   sim::Simulator& sim_;
-  GraphAdmissionController& inner_;
-  SyntheticUtilizationTracker& tracker_;
+  Inner& inner_;
   Duration patience_;
   std::deque<Pending> queue_;
   DecisionCallback decide_;
@@ -466,5 +406,12 @@ class WaitingGraphAdmissionController {
   bool rearm_ = false;  // decrease observed mid-retry: scan again
   std::uint64_t rearmed_retries_ = 0;
 };
+
+extern template class WaitingAdmission<AdmissionController>;
+extern template class WaitingAdmission<GraphAdmissionController>;
+
+using WaitingAdmissionController = WaitingAdmission<AdmissionController>;
+using WaitingGraphAdmissionController =
+    WaitingAdmission<GraphAdmissionController>;
 
 }  // namespace frap::core

@@ -49,11 +49,6 @@ class DeadlineSplitAdmissionController : public Admitter {
   [[nodiscard]] AdmissionDecision try_admit(const TaskSpec& spec,
                                             Time now) override;
 
-  // Deprecated shim: forwards the simulator clock as the arrival instant.
-  [[nodiscard]] AdmissionDecision try_admit(const TaskSpec& spec) {
-    return try_admit(spec, sim_.now());
-  }
-
   std::uint64_t attempts() const { return attempts_; }
   std::uint64_t admitted() const { return admitted_; }
 

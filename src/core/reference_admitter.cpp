@@ -29,7 +29,6 @@ core::AdmissionDecision ReferenceAdmitter::try_admit(
     ++c.admitted_;
     c.tracker_.add(spec.id, add, now + spec.deadline);
   }
-  c.record_audit(spec, d);
   return d;
 }
 

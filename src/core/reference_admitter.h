@@ -3,7 +3,7 @@
 // ReferenceAdmitter wraps an AdmissionController and decides tasks with the
 // original full O(N) evaluation: materialize the contribution vector, copy
 // the utilization snapshot, evaluate the whole-region LHS twice. It shares
-// the wrapped controller's tracker, region, counters, and audit, so its
+// the wrapped controller's tracker, region, and counters, so its
 // decisions and side effects are interchangeable with the incremental fast
 // path — which is exactly why it exists: the A/B identity tests
 // (tests/admission_fastpath_test.cpp, tests/sharded_admission_test.cpp) and
@@ -26,14 +26,9 @@ class ReferenceAdmitter : public Admitter {
       : inner_(inner) {}
 
   // Full-evaluation twin of inner.try_admit(spec, now): same decision, same
-  // commit, same counters and audit records.
+  // commit, same counters.
   [[nodiscard]] core::AdmissionDecision try_admit(const core::TaskSpec& spec,
                                                   Time now) override;
-
-  // Shim mirroring the controllers': forwards the simulator clock.
-  [[nodiscard]] core::AdmissionDecision try_admit(const core::TaskSpec& spec) {
-    return try_admit(spec, inner_.now());
-  }
 
   core::AdmissionController& inner() { return inner_; }
 

@@ -6,22 +6,6 @@
 
 namespace frap::sched {
 
-// Owned by the executor; installed as the listener whenever a caller uses
-// the deprecated std::function setters. Unset callbacks are simply skipped,
-// matching the old optional-callback semantics.
-class StageExecutor::FunctionalListenerAdapter final : public StageListener {
- public:
-  void on_job_complete(StageExecutor& /*stage*/, Job& job) override {
-    if (on_complete_) on_complete_(job);
-  }
-  void on_stage_idle(StageExecutor& /*stage*/) override {
-    if (on_idle_) on_idle_();
-  }
-
-  std::function<void(Job&)> on_complete_;
-  std::function<void()> on_idle_;
-};
-
 StageExecutor::StageExecutor(sim::Simulator& sim, std::string name,
                              const SchedulingPolicy& policy)
     : sim_(sim), name_(std::move(name)), policy_(&policy) {}
@@ -30,22 +14,6 @@ StageExecutor::~StageExecutor() = default;
 
 void StageExecutor::set_listener(StageListener* listener) {
   listener_ = listener;
-}
-
-StageExecutor::FunctionalListenerAdapter& StageExecutor::legacy_adapter() {
-  if (legacy_adapter_ == nullptr) {
-    legacy_adapter_ = std::make_unique<FunctionalListenerAdapter>();
-  }
-  listener_ = legacy_adapter_.get();
-  return *legacy_adapter_;
-}
-
-void StageExecutor::set_on_complete(std::function<void(Job&)> cb) {
-  legacy_adapter().on_complete_ = std::move(cb);
-}
-
-void StageExecutor::set_on_idle(std::function<void()> cb) {
-  legacy_adapter().on_idle_ = std::move(cb);
 }
 
 void StageExecutor::admit_job(Job& job) {

@@ -11,14 +11,10 @@
 // Completion/idle notification goes through the typed StageListener
 // interface so dispatch stays allocation-free end to end: installing a
 // listener stores one raw pointer, and firing it is a virtual call with no
-// std::function machinery on the hot path. The legacy std::function setters
-// survive one PR as deprecated shims (mirroring the PR-3 Admitter
-// migration) implemented by an owned adapter.
+// std::function machinery on the hot path.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -55,21 +51,13 @@ class StageExecutor {
   virtual ~StageExecutor();
 
   // Installs the completion/idle sink (nullptr detaches). The listener must
-  // outlive the executor. Replaces any previously installed listener,
-  // including one set through the deprecated std::function shims.
+  // outlive the executor. Replaces any previously installed listener.
   void set_listener(StageListener* listener);
 
   // Opaque value the owning runtime may attach (typically the stage index)
   // so a shared listener can tell stages apart without a lookup.
   void set_tag(std::size_t tag) { tag_ = tag; }
   std::size_t tag() const { return tag_; }
-
-  // Deprecated shim: wraps the callback in an owned StageListener adapter.
-  // Prefer set_listener; removed next PR.
-  void set_on_complete(std::function<void(Job&)> cb);
-
-  // Deprecated shim: see set_on_complete.
-  void set_on_idle(std::function<void()> cb);
 
   // Admits a job to this stage. The job must not already be on a server and
   // must have at least one segment; the caller keeps ownership and must keep
@@ -149,13 +137,8 @@ class StageExecutor {
   double speed_ = 1.0;
 
  private:
-  // Bridges the deprecated std::function setters onto StageListener.
-  class FunctionalListenerAdapter;
-  FunctionalListenerAdapter& legacy_adapter();
-
   const SchedulingPolicy* policy_;
   StageListener* listener_ = nullptr;
-  std::unique_ptr<FunctionalListenerAdapter> legacy_adapter_;
   std::size_t tag_ = 0;
 };
 

@@ -9,11 +9,8 @@
 //
 // where `now` is the task's arrival instant: the implementation anchors the
 // admitted task's absolute deadline at now + spec.deadline and fills the
-// decision's arrival/decided_at fields from it. Callers that used the old
-// per-class entry points (bare try_admit(spec), the absolute-deadline
-// overload, reference paths) should migrate to this signature; the
-// remaining one-argument overloads are thin shims that forward
-// sim.now() as the arrival.
+// decision's arrival/decided_at fields from it. There are no
+// one-argument overloads: every caller names the arrival instant.
 //
 // Header-only on purpose: the interface lives in src/service/ but depends
 // only on the core vocabulary types, so src/core can implement it without

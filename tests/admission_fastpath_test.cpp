@@ -63,8 +63,8 @@ TEST(AdmissionFastPathTest, DecisionsIdenticalToReferenceOver10kArrivals) {
     fast.sim.run_until(t);
     ref.sim.run_until(t);
 
-    const auto df = fast.controller.try_admit(spec);
-    const auto dr = ref.reference.try_admit(spec);
+    const auto df = fast.controller.try_admit(spec, fast.sim.now());
+    const auto dr = ref.reference.try_admit(spec, ref.sim.now());
     if (df.admitted != dr.admitted) ++mismatches;
     if (df.admitted) ++admitted;
     // The LHS values come from different summation orders but must agree to
@@ -117,8 +117,8 @@ TEST(AdmissionFastPathTest, ApproximateMeansVariantMatchesReference) {
     const Time t = fast.sim.now() + rng.exponential(0.01);
     fast.sim.run_until(t);
     ref.sim.run_until(t);
-    const auto df = fast.controller.try_admit(spec);
-    const auto dr = ref.reference.try_admit(spec);
+    const auto df = fast.controller.try_admit(spec, fast.sim.now());
+    const auto dr = ref.reference.try_admit(spec, ref.sim.now());
     EXPECT_EQ(df.admitted, dr.admitted) << "arrival " << i;
   }
   fast.tracker.verify_lhs_cache(1e-9);
@@ -145,7 +145,7 @@ TEST(AdmissionFastPathTest, BatchDecisionsMatchSequentialFastPath) {
     const auto& decisions = batch.try_admit_burst(specs);
     ASSERT_EQ(decisions.size(), specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
-      const auto d = seq.controller.try_admit(specs[i]);
+      const auto d = seq.controller.try_admit(specs[i], seq.sim.now());
       EXPECT_EQ(decisions[i].admitted, d.admitted)
           << "burst " << burst << " index " << i;
       EXPECT_DOUBLE_EQ(decisions[i].lhs_with_task, d.lhs_with_task);
@@ -165,7 +165,7 @@ TEST(AdmissionFastPathTest, RejectionsLeaveNoTrace) {
   big.stages.resize(2);
   big.stages[0].compute = 0.5;
   big.stages[1].compute = 0.5;
-  const auto d = h.controller.try_admit(big);
+  const auto d = h.controller.try_admit(big, h.sim.now());
   EXPECT_FALSE(d.admitted);
   EXPECT_EQ(h.tracker.live_tasks(), 0u);
   EXPECT_DOUBLE_EQ(h.tracker.cached_lhs(), 0.0);
@@ -182,8 +182,8 @@ TEST(AdmissionFastPathTest, SaturatingTaskRejectedWithInfiniteLhs) {
   sat.deadline = 1.0;
   sat.stages.resize(2);
   sat.stages[0].compute = 2.0;
-  const auto df = fast.controller.try_admit(sat);
-  const auto dr = ref.reference.try_admit(sat);
+  const auto df = fast.controller.try_admit(sat, fast.sim.now());
+  const auto dr = ref.reference.try_admit(sat, ref.sim.now());
   EXPECT_FALSE(df.admitted);
   EXPECT_FALSE(dr.admitted);
   EXPECT_TRUE(std::isinf(df.lhs_with_task));
@@ -212,7 +212,7 @@ TEST(AdmissionFastPathTest, BoundaryTieIsAdmittedConsistently) {
     AdmissionController c(sim, tracker, FeasibleRegion::with_alpha(1, alpha));
     EXPECT_TRUE(c.region().admits(alpha));
     EXPECT_TRUE(c.test(spec));
-    const auto d = c.try_admit(spec);
+    const auto d = c.try_admit(spec, sim.now());
     EXPECT_TRUE(d.admitted);
     EXPECT_DOUBLE_EQ(d.lhs_with_task, c.region().bound());
   }
@@ -221,7 +221,7 @@ TEST(AdmissionFastPathTest, BoundaryTieIsAdmittedConsistently) {
     SyntheticUtilizationTracker tracker(sim, 1);
     AdmissionController c(sim, tracker, FeasibleRegion::with_alpha(1, alpha));
     frap::testing::ReferenceAdmitter reference(c);
-    const auto d = reference.try_admit(spec);
+    const auto d = reference.try_admit(spec, sim.now());
     EXPECT_TRUE(d.admitted);
   }
 }
@@ -240,7 +240,7 @@ TEST(AdmissionFastPathTest, JustPastBoundaryRejectedConsistently) {
   SyntheticUtilizationTracker tracker(sim, 1);
   AdmissionController c(sim, tracker, FeasibleRegion::with_alpha(1, alpha));
   EXPECT_FALSE(c.test(spec));
-  EXPECT_FALSE(c.try_admit(spec).admitted);
+  EXPECT_FALSE(c.try_admit(spec, sim.now()).admitted);
 }
 
 }  // namespace

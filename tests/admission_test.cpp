@@ -40,7 +40,8 @@ class AdmissionTest : public ::testing::Test {
 
 TEST_F(AdmissionTest, AdmitsTaskInsideRegion) {
   // Contribution (0.1, 0.1): f(0.1)*2 ~= 0.211 < 1.
-  const auto d = controller_.try_admit(make_task(1, 1.0, {0.1, 0.1}));
+  const auto d = controller_.try_admit(make_task(1, 1.0, {0.1, 0.1}),
+                                       sim_.now());
   EXPECT_TRUE(d.admitted);
   EXPECT_EQ(d.reason, AdmissionDecision::Reason::kAdmitted);
   EXPECT_DOUBLE_EQ(d.lhs_before, 0.0);
@@ -53,7 +54,8 @@ TEST_F(AdmissionTest, AdmitsTaskInsideRegion) {
 
 TEST_F(AdmissionTest, RejectsTaskOutsideRegion) {
   // A single task at (0.5, 0.5): f(0.5)*2 = 1.5 > 1.
-  const auto d = controller_.try_admit(make_task(1, 1.0, {0.5, 0.5}));
+  const auto d = controller_.try_admit(make_task(1, 1.0, {0.5, 0.5}),
+                                       sim_.now());
   EXPECT_FALSE(d.admitted);
   EXPECT_EQ(d.reason, AdmissionDecision::Reason::kRegionFull);
   // Rejection leaves the tracker untouched.
@@ -63,7 +65,8 @@ TEST_F(AdmissionTest, RejectsTaskOutsideRegion) {
 
 TEST_F(AdmissionTest, SaturatingTaskReportsStageSaturated) {
   // Contribution 1.5 on stage 0: U_0 would cross 1, not merely the bound.
-  const auto d = controller_.try_admit(make_task(1, 1.0, {1.5, 0.0}));
+  const auto d = controller_.try_admit(make_task(1, 1.0, {1.5, 0.0}),
+                                       sim_.now());
   EXPECT_FALSE(d.admitted);
   EXPECT_EQ(d.reason, AdmissionDecision::Reason::kStageSaturated);
   EXPECT_TRUE(std::isinf(d.lhs_with_task));
@@ -75,7 +78,8 @@ TEST_F(AdmissionTest, AdmitsUpToTheBalancedCap) {
   int admitted = 0;
   for (int i = 0; i < 10; ++i) {
     const auto d = controller_.try_admit(
-        make_task(static_cast<std::uint64_t>(i + 1), 1.0, {0.05, 0.05}));
+        make_task(static_cast<std::uint64_t>(i + 1), 1.0, {0.05, 0.05}),
+        sim_.now());
     if (d.admitted) ++admitted;
   }
   EXPECT_EQ(admitted, 7);
@@ -83,15 +87,19 @@ TEST_F(AdmissionTest, AdmitsUpToTheBalancedCap) {
 }
 
 TEST_F(AdmissionTest, ExpiryFreesCapacity) {
-  EXPECT_TRUE(controller_.try_admit(make_task(1, 1.0, {0.3, 0.3})).admitted);
-  EXPECT_FALSE(controller_.try_admit(make_task(2, 1.0, {0.3, 0.3})).admitted);
+  EXPECT_TRUE(controller_.try_admit(make_task(1, 1.0, {0.3, 0.3}),
+                                    sim_.now()).admitted);
+  EXPECT_FALSE(controller_.try_admit(make_task(2, 1.0, {0.3, 0.3}),
+                                     sim_.now()).admitted);
   sim_.run_until(1.0);  // task 1 expires
-  EXPECT_TRUE(controller_.try_admit(make_task(3, 1.0, {0.3, 0.3})).admitted);
+  EXPECT_TRUE(controller_.try_admit(make_task(3, 1.0, {0.3, 0.3}),
+                                    sim_.now()).admitted);
 }
 
 TEST_F(AdmissionTest, CountsAttemptsAndAcceptanceRatio) {
-  (void)controller_.try_admit(make_task(1, 1.0, {0.3, 0.3}));  // in
-  (void)controller_.try_admit(make_task(2, 1.0, {0.3, 0.3}));  // out
+  (void)controller_.try_admit(make_task(1, 1.0, {0.3, 0.3}), sim_.now());  // in
+  (void)controller_.try_admit(make_task(2, 1.0, {0.3, 0.3}),
+                              sim_.now());  // out
   EXPECT_EQ(controller_.attempts(), 2u);
   EXPECT_EQ(controller_.admitted(), 1u);
   EXPECT_DOUBLE_EQ(controller_.acceptance_ratio(), 0.5);
@@ -107,7 +115,8 @@ TEST_F(AdmissionTest, ApproximateModeUsesMeans) {
   controller_.set_approximate_means({0.2, 0.2});
   EXPECT_TRUE(controller_.approximate());
   // Actual computes are huge, but means say (0.2, 0.2)/D -> admitted.
-  const auto d = controller_.try_admit(make_task(1, 1.0, {0.9, 0.9}));
+  const auto d = controller_.try_admit(make_task(1, 1.0, {0.9, 0.9}),
+                                       sim_.now());
   EXPECT_TRUE(d.admitted);
   // Tracker holds the approximate contribution.
   EXPECT_DOUBLE_EQ(tracker_.utilization(0), 0.2);
@@ -136,8 +145,8 @@ TEST_F(AdmissionTest, BlockingRegionIsStricter) {
   // Bound is 0.6: the (0.3, 0.3) task (lhs ~0.729) fails, but passes the
   // unblocked controller (bound 1).
   auto spec = make_task(1, 1.0, {0.3, 0.3});
-  EXPECT_TRUE(controller_.try_admit(spec).admitted);
-  EXPECT_FALSE(blocked.try_admit(spec).admitted);
+  EXPECT_TRUE(controller_.try_admit(spec, sim_.now()).admitted);
+  EXPECT_FALSE(blocked.try_admit(spec, sim_.now()).admitted);
 }
 
 // ----------------------------------------------------------- waiting -----
@@ -259,10 +268,12 @@ TEST_F(WaitingTest, DecreaseDuringRetryRearmsAndAdmitsCascade) {
 
   sim_.at(0.0, [&] {
     // Blocker X: u += 0.2/stage, expires at t=1 (triggers the retry).
-    EXPECT_TRUE(controller_.try_admit(make_task(10, 1.0, {0.2, 0.2})).admitted);
+    EXPECT_TRUE(controller_.try_admit(make_task(10, 1.0, {0.2, 0.2}),
+                                      sim_.now()).admitted);
     // Blocker Y: u += 0.15/stage, held until removed in the callback.
     EXPECT_TRUE(
-        controller_.try_admit(make_task(11, 10.0, {1.5, 1.5})).admitted);
+        controller_.try_admit(make_task(11, 10.0, {1.5, 1.5}),
+                              sim_.now()).admitted);
     // B (u 0.2/stage) only fits once X expires; C (u 0.15/stage) only fits
     // once Y is ALSO gone — i.e. only via the decrease raised inside B's
     // decision callback.
@@ -283,6 +294,45 @@ TEST_F(WaitingTest, DecreaseDuringRetryRearmsAndAdmitsCascade) {
   EXPECT_GE(waiting.rearmed_retries(), 1u);
 }
 
+// A timed-out front waiter must promote the next waiter AND retest it at
+// once: the second waiter queued behind the front without a test, and no
+// decrease follows the timeout, so without the retest an admissible task
+// would wait out its own patience.
+TEST_F(WaitingTest, TimeoutPromotesAndRetestsNextWaiter) {
+  WaitingAdmissionController waiting(sim_, controller_, 2.0);
+  waiting.attach();
+  std::vector<std::pair<std::uint64_t, AdmissionDecision>> decisions;
+  waiting.set_decision_callback(
+      [&](const TaskSpec& s, const AdmissionDecision& d) {
+        decisions.emplace_back(s.id, d);
+      });
+
+  sim_.at(0.0, [&] {
+    // Blocker: u = 0.35 per stage, live past the end of the test.
+    ASSERT_TRUE(
+        controller_.try_admit(make_task(10, 10.0, {3.5, 3.5}), sim_.now())
+            .admitted);
+    waiting.submit(make_task(1, 10.0, {0.5, 0.5}));  // +0.05: parked
+  });
+  sim_.at(1.0, [&] {
+    waiting.submit(make_task(2, 10.0, {0.1, 0.1}));  // +0.01: would fit
+    EXPECT_EQ(waiting.pending(), 2u);  // queued FIFO behind the front
+  });
+  sim_.run_until(4.0);
+
+  ASSERT_EQ(decisions.size(), 2u);
+  EXPECT_EQ(decisions[0].first, 1u);
+  EXPECT_EQ(decisions[0].second.reason, AdmissionDecision::Reason::kTimedOut);
+  EXPECT_DOUBLE_EQ(decisions[0].second.decided_at, 2.0);
+  // Promotion retested the second waiter at the timeout instant.
+  EXPECT_EQ(decisions[1].first, 2u);
+  EXPECT_TRUE(decisions[1].second.admitted);
+  EXPECT_DOUBLE_EQ(decisions[1].second.arrival, 1.0);
+  EXPECT_DOUBLE_EQ(decisions[1].second.decided_at, 2.0);
+  EXPECT_EQ(waiting.pending(), 0u);
+  EXPECT_EQ(waiting.timed_out(), 1u);
+}
+
 // ---------------------------------------------------------- shedding -----
 
 class SheddingTest : public AdmissionTest {};
@@ -293,10 +343,13 @@ TEST_F(SheddingTest, ShedsLessImportantVictims) {
       controller_, [&](std::uint64_t id) { shed.push_back(id); });
 
   // Fill with low-importance tasks.
-  EXPECT_TRUE(shedder.try_admit(make_task(1, 1.0, {0.15, 0.15}, 1.0)).admitted);
-  EXPECT_TRUE(shedder.try_admit(make_task(2, 1.0, {0.15, 0.15}, 1.0)).admitted);
+  EXPECT_TRUE(shedder.try_admit(make_task(1, 1.0, {0.15, 0.15}, 1.0),
+                                sim_.now()).admitted);
+  EXPECT_TRUE(shedder.try_admit(make_task(2, 1.0, {0.15, 0.15}, 1.0),
+                                sim_.now()).admitted);
   // Important arrival needs room: shed id 1 (first at lowest importance).
-  const auto d = shedder.try_admit(make_task(3, 1.0, {0.2, 0.2}, 9.0));
+  const auto d = shedder.try_admit(make_task(3, 1.0, {0.2, 0.2}, 9.0),
+                                   sim_.now());
   EXPECT_TRUE(d.admitted);
   EXPECT_EQ(d.reason, AdmissionDecision::Reason::kShed);
   ASSERT_EQ(shed.size(), 1u);
@@ -308,9 +361,11 @@ TEST_F(SheddingTest, NeverShedsEquallyOrMoreImportant) {
   std::vector<std::uint64_t> shed;
   SheddingAdmissionController shedder(
       controller_, [&](std::uint64_t id) { shed.push_back(id); });
-  EXPECT_TRUE(shedder.try_admit(make_task(1, 1.0, {0.3, 0.3}, 5.0)).admitted);
+  EXPECT_TRUE(shedder.try_admit(make_task(1, 1.0, {0.3, 0.3}, 5.0),
+                                sim_.now()).admitted);
   // Equal importance: must NOT shed task 1.
-  const auto d = shedder.try_admit(make_task(2, 1.0, {0.3, 0.3}, 5.0));
+  const auto d = shedder.try_admit(make_task(2, 1.0, {0.3, 0.3}, 5.0),
+                                   sim_.now());
   EXPECT_FALSE(d.admitted);
   EXPECT_TRUE(shed.empty());
 }
@@ -319,11 +374,15 @@ TEST_F(SheddingTest, ShedsMultipleUntilItFits) {
   std::vector<std::uint64_t> shed;
   SheddingAdmissionController shedder(
       controller_, [&](std::uint64_t id) { shed.push_back(id); });
-  EXPECT_TRUE(shedder.try_admit(make_task(1, 1.0, {0.12, 0.12}, 1.0)).admitted);
-  EXPECT_TRUE(shedder.try_admit(make_task(2, 1.0, {0.12, 0.12}, 2.0)).admitted);
-  EXPECT_TRUE(shedder.try_admit(make_task(3, 1.0, {0.12, 0.12}, 3.0)).admitted);
+  EXPECT_TRUE(shedder.try_admit(make_task(1, 1.0, {0.12, 0.12}, 1.0),
+                                sim_.now()).admitted);
+  EXPECT_TRUE(shedder.try_admit(make_task(2, 1.0, {0.12, 0.12}, 2.0),
+                                sim_.now()).admitted);
+  EXPECT_TRUE(shedder.try_admit(make_task(3, 1.0, {0.12, 0.12}, 3.0),
+                                sim_.now()).admitted);
   // Needs most of the region: sheds 1 then 2 (in importance order).
-  const auto d = shedder.try_admit(make_task(4, 1.0, {0.2, 0.2}, 9.0));
+  const auto d = shedder.try_admit(make_task(4, 1.0, {0.2, 0.2}, 9.0),
+                                   sim_.now());
   EXPECT_TRUE(d.admitted);
   EXPECT_EQ(shed, (std::vector<std::uint64_t>{1, 2}));
 }
@@ -333,10 +392,10 @@ TEST_F(SheddingTest, ExpiredVictimsAreSkipped) {
   SheddingAdmissionController shedder(
       controller_, [&](std::uint64_t id) { shed.push_back(id); });
   sim_.at(0.0, [&] {
-    (void)shedder.try_admit(make_task(1, 0.5, {0.1, 0.1}, 1.0));
+    (void)shedder.try_admit(make_task(1, 0.5, {0.1, 0.1}, 1.0), sim_.now());
   });
   sim_.run_until(2.0);  // task 1 long expired
-  (void)shedder.try_admit(make_task(2, 1.0, {0.3, 0.3}, 1.5));
+  (void)shedder.try_admit(make_task(2, 1.0, {0.3, 0.3}, 1.5), sim_.now());
   // No shedding happened (nothing live to shed, and task 2 fits anyway).
   EXPECT_TRUE(shed.empty());
 }
@@ -358,10 +417,10 @@ TEST(DeadlineSplitTest, MoreConservativeThanEndToEndRegion) {
     auto spec = make_task(static_cast<std::uint64_t>(i + 1), 1.0,
                           {0.02, 0.02});
     spec.id = static_cast<std::uint64_t>(i + 1);
-    if (region.try_admit(spec).admitted) ++admitted_region;
+    if (region.try_admit(spec, sim.now()).admitted) ++admitted_region;
     auto spec2 = spec;
     spec2.id += 1000;
-    if (split.try_admit(spec2).admitted) ++admitted_split;
+    if (split.try_admit(spec2, sim.now()).admitted) ++admitted_split;
   }
   EXPECT_GT(admitted_region, admitted_split);
   // Analytical check: split caps per-stage at 0.586/N = 0.293 -> 14 tasks

@@ -93,7 +93,7 @@ TEST(AllocSteadyStateTest, AdmitExpireCycleIsAllocationFree) {
   for (std::uint64_t i = 0; i < 2 * kLiveTarget; ++i) {
     sim.run_until(sim.now() + kSpacing);
     spec.id = id++;
-    const auto d = controller.try_admit(spec);
+    const auto d = controller.try_admit(spec, sim.now());
     ASSERT_TRUE(d.admitted);
     if (i % 3 == 0) {
       tracker.mark_departed(spec.id, 0);
@@ -110,7 +110,8 @@ TEST(AllocSteadyStateTest, AdmitExpireCycleIsAllocationFree) {
   for (int i = 0; i < 2000; ++i) {
     sim.run_until(sim.now() + kSpacing);
     spec.id = id++;
-    if (!controller.try_admit(spec).admitted) break;  // assert after window
+    // A failed admit is asserted after the counting window.
+    if (!controller.try_admit(spec, sim.now()).admitted) break;
     if (i % 3 == 0) {
       tracker.mark_departed(spec.id, 0);
       tracker.on_stage_idle(0);

@@ -66,7 +66,7 @@ BlockingStats run_blocking(double load, double crit_fraction,
       }
       if (!beta_ok) {
         ++stats.beta_screened;
-      } else if (controller.try_admit(spec).admitted) {
+      } else if (controller.try_admit(spec, sim.now()).admitted) {
         ++stats.admitted;
         runtime.start_task(spec, sim.now() + spec.deadline);
       }

@@ -133,7 +133,7 @@ TEST(ContractDeathTest, AdmissionRejectsMismatchedTask) {
   wrong.deadline = 1.0;
   wrong.stages.resize(3);  // pipeline is 2 stages
   for (auto& s : wrong.stages) s.compute = 0.1;
-  EXPECT_DEATH((void)c.try_admit(wrong), "precondition");
+  EXPECT_DEATH((void)c.try_admit(wrong, sim.now()), "precondition");
 }
 
 TEST(ContractDeathTest, AdmissionRejectsInvalidSpec) {
@@ -143,7 +143,7 @@ TEST(ContractDeathTest, AdmissionRejectsInvalidSpec) {
   core::AdmissionController c(sim, t,
                               core::FeasibleRegion::deadline_monotonic(1));
   core::TaskSpec bad;  // no deadline, no stages
-  EXPECT_DEATH((void)c.try_admit(bad), "precondition");
+  EXPECT_DEATH((void)c.try_admit(bad, sim.now()), "precondition");
 }
 
 }  // namespace

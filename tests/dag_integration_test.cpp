@@ -82,7 +82,7 @@ DagRunStats run_dag_soundness(std::size_t resources, double load,
     sim.at(t, [&] {
       ++stats.offered;
       const auto spec = random_dag(next_id++, resources, resolution, rng);
-      if (controller.try_admit(spec).admitted) {
+      if (controller.try_admit(spec, sim.now()).admitted) {
         ++stats.admitted;
         runtime.start_task(spec, sim.now() + spec.deadline);
       }

@@ -43,7 +43,7 @@ class GraphAdmissionTest : public ::testing::Test {
 };
 
 TEST_F(GraphAdmissionTest, AdmitsSmallGraphTask) {
-  const auto d = controller_.try_admit(fork_join(1, 1.0, 0.05));
+  const auto d = controller_.try_admit(fork_join(1, 1.0, 0.05), sim_.now());
   EXPECT_TRUE(d.admitted);
   // Contribution 0.05 on each resource.
   for (std::size_t r = 0; r < 4; ++r) {
@@ -59,7 +59,7 @@ TEST_F(GraphAdmissionTest, LhsUsesCriticalPathNotSum) {
   // to ~0.25 is admitted although a 4-chain would not be.
   for (int i = 0; i < 4; ++i) {
     const auto d = controller_.try_admit(
-        fork_join(static_cast<std::uint64_t>(i + 1), 1.0, 0.0625));
+        fork_join(static_cast<std::uint64_t>(i + 1), 1.0, 0.0625), sim_.now());
     EXPECT_TRUE(d.admitted) << i;
   }
   // Now at exactly 0.25 per resource: lhs = 3 f(0.25).
@@ -71,7 +71,7 @@ TEST_F(GraphAdmissionTest, LhsUsesCriticalPathNotSum) {
 }
 
 TEST_F(GraphAdmissionTest, RejectionLeavesTrackerUntouched) {
-  const auto d = controller_.try_admit(fork_join(1, 1.0, 0.5));
+  const auto d = controller_.try_admit(fork_join(1, 1.0, 0.5), sim_.now());
   EXPECT_FALSE(d.admitted);
   for (std::size_t r = 0; r < 4; ++r) {
     EXPECT_DOUBLE_EQ(tracker_.utilization(r), 0.0);
@@ -85,27 +85,30 @@ TEST_F(GraphAdmissionTest, SharedResourceNodesAccumulate) {
   g.deadline = 1.0;
   g.nodes = {GraphNode{0, demand(0.1)}, GraphNode{0, demand(0.2)}};
   g.edges = {GraphEdge{0, 1}};
-  ASSERT_TRUE(controller_.try_admit(g).admitted);
+  ASSERT_TRUE(controller_.try_admit(g, sim_.now()).admitted);
   EXPECT_NEAR(tracker_.utilization(0), 0.3, 1e-12);
   EXPECT_DOUBLE_EQ(tracker_.utilization(1), 0.0);
 }
 
 TEST_F(GraphAdmissionTest, ExpiryFreesGraphCapacity) {
-  ASSERT_TRUE(controller_.try_admit(fork_join(1, 1.0, 0.2)).admitted);
-  EXPECT_FALSE(controller_.try_admit(fork_join(2, 1.0, 0.2)).admitted);
+  ASSERT_TRUE(controller_.try_admit(fork_join(1, 1.0, 0.2),
+                                    sim_.now()).admitted);
+  EXPECT_FALSE(controller_.try_admit(fork_join(2, 1.0, 0.2),
+                                     sim_.now()).admitted);
   sim_.run_until(1.0);
-  EXPECT_TRUE(controller_.try_admit(fork_join(3, 1.0, 0.2)).admitted);
+  EXPECT_TRUE(controller_.try_admit(fork_join(3, 1.0, 0.2),
+                                    sim_.now()).admitted);
 }
 
 TEST_F(GraphAdmissionTest, DecisionReportsLhsValues) {
-  const auto d = controller_.try_admit(fork_join(1, 1.0, 0.1));
+  const auto d = controller_.try_admit(fork_join(1, 1.0, 0.1), sim_.now());
   EXPECT_DOUBLE_EQ(d.lhs_before, 0.0);
   EXPECT_NEAR(d.lhs_with_task, 3 * stage_delay_factor(0.1), 1e-12);
 }
 
 TEST_F(GraphAdmissionTest, CountsAttempts) {
-  (void)controller_.try_admit(fork_join(1, 1.0, 0.05));
-  (void)controller_.try_admit(fork_join(2, 1.0, 0.9));
+  (void)controller_.try_admit(fork_join(1, 1.0, 0.05), sim_.now());
+  (void)controller_.try_admit(fork_join(2, 1.0, 0.9), sim_.now());
   EXPECT_EQ(controller_.attempts(), 2u);
   EXPECT_EQ(controller_.admitted(), 1u);
 }

@@ -198,7 +198,7 @@ TEST(IntegrationTest, SheddingAtOverloadKeepsSurvivorsSound) {
       spec.stages.resize(2);
       spec.stages[0].compute = rng.exponential(8 * kMilli);
       spec.stages[1].compute = rng.exponential(8 * kMilli);
-      if (shedder.try_admit(spec).admitted) {
+      if (shedder.try_admit(spec, sim.now()).admitted) {
         runtime.start_task(spec, sim.now() + spec.deadline);
       }
       pump();
@@ -245,7 +245,7 @@ TEST(IntegrationTest, UnfilteredSheddingCanMiss) {
       spec.stages.resize(2);
       spec.stages[0].compute = rng.exponential(8 * kMilli);
       spec.stages[1].compute = rng.exponential(8 * kMilli);
-      if (shedder.try_admit(spec).admitted) {
+      if (shedder.try_admit(spec, sim.now()).admitted) {
         runtime.start_task(spec, sim.now() + spec.deadline);
       }
       pump();

@@ -4,7 +4,8 @@
 // — through 12k randomized arrivals and demands bit-identical decisions;
 // the trace itself must then reconstruct every decision: each event's
 // (lhs_with_task, bound) pair re-tested through FeasibleRegion::admits_lhs
-// yields the recorded outcome, and events match the AdmissionAudit to 1e-9.
+// yields the recorded outcome, and events match the AdmissionDecisions that
+// try_admit returned to 1e-9.
 // Also covers the TraceRing single-threaded contracts (conservation,
 // overwrite, meta packing, push vs push_serialized equivalence) and the
 // DecisionSink counters/histograms under a ManualClock.
@@ -17,7 +18,6 @@
 #include <vector>
 
 #include "core/admission.h"
-#include "core/admission_audit.h"
 #include "core/feasible_region.h"
 #include "core/synthetic_utilization.h"
 #include "obs/clock.h"
@@ -32,7 +32,6 @@ namespace frap::obs {
 namespace {
 
 using core::AdmissionController;
-using core::AdmissionAudit;
 using core::AdmissionDecision;
 using core::BatchAdmissionController;
 using core::FeasibleRegion;
@@ -330,8 +329,8 @@ TEST(ObsDifferentialTest, TracingNeverChangesADecisionOver12kArrivals) {
   Observer observer(1, cfg, &clock);
   traced.controller.set_sink(&observer.sink(0));
 
-  AdmissionAudit audit;  // unbounded: every decision retained
-  traced.controller.set_audit(&audit);
+  std::vector<AdmissionDecision> returned;  // every decision, in order
+  returned.reserve(kArrivals);
 
   util::Rng rng(20240805);
   std::uint64_t admitted = 0;
@@ -350,8 +349,9 @@ TEST(ObsDifferentialTest, TracingNeverChangesADecisionOver12kArrivals) {
     plain.sim.run_until(t);
     clock.advance(37);  // latency samples stay deterministic
 
-    const auto dt = traced.controller.try_admit(spec);
-    const auto dp = plain.controller.try_admit(spec);
+    const auto dt = traced.controller.try_admit(spec, traced.sim.now());
+    const auto dp = plain.controller.try_admit(spec, plain.sim.now());
+    returned.push_back(dt);
 
     // Bit-identical: same code path, same arithmetic, tracing is passive.
     EXPECT_EQ(dt.admitted, dp.admitted) << "arrival " << i;
@@ -388,8 +388,7 @@ TEST(ObsDifferentialTest, TracingNeverChangesADecisionOver12kArrivals) {
   const auto events = sink.ring().snapshot();
   ASSERT_EQ(events.size(), sink.ring().pushed() - sink.ring().dropped() -
                                sink.ring().overwritten());
-  EXPECT_EQ(audit.dropped(), 0u);
-  ASSERT_EQ(audit.size(), static_cast<std::size_t>(kArrivals));
+  ASSERT_EQ(returned.size(), static_cast<std::size_t>(kArrivals));
 
   for (const auto& ev : events) {
     // Replaying the recorded (lhs, bound) pair through the ONE sanctioned
@@ -402,11 +401,14 @@ TEST(ObsDifferentialTest, TracingNeverChangesADecisionOver12kArrivals) {
     EXPECT_EQ(ev.touched, expected_touched.at(ev.task_id))
         << "task " << ev.task_id;
 
-    // Each event matches its audit record to 1e-9 (the audit ring is
-    // unbounded here, and tickets are assigned in audit order).
-    const auto& rec = audit[static_cast<std::size_t>(ev.ticket)];
-    EXPECT_EQ(rec.task_id, ev.task_id);
+    // Each event matches the decision try_admit returned to 1e-9 (tickets
+    // are assigned in decision order; task ids are the 1-based arrival
+    // index).
+    const auto& rec = returned[static_cast<std::size_t>(ev.ticket)];
+    EXPECT_EQ(ev.task_id, ev.ticket + 1);
     EXPECT_EQ(rec.admitted, ev.admitted);
+    EXPECT_EQ(rec.reason, ev.reason);
+    EXPECT_NEAR(rec.arrival, ev.arrival, 1e-9);
     EXPECT_NEAR(rec.lhs_before, ev.lhs_before, 1e-9);
     if (std::isfinite(rec.lhs_with_task)) {
       EXPECT_NEAR(rec.lhs_with_task, ev.lhs_with_task, 1e-9);
@@ -414,7 +416,7 @@ TEST(ObsDifferentialTest, TracingNeverChangesADecisionOver12kArrivals) {
       EXPECT_TRUE(std::isinf(ev.lhs_with_task));
     }
     EXPECT_NEAR(rec.bound, ev.bound, 1e-9);
-    EXPECT_NEAR(rec.time, ev.decided_at, 1e-9);
+    EXPECT_NEAR(rec.decided_at, ev.decided_at, 1e-9);
   }
   const SinkSnapshot snap = observer.snapshot().sinks.at(0);
   // Period 16: every 16th decision was latency-sampled (the ManualClock
@@ -462,7 +464,7 @@ TEST(ObsDifferentialTest, TracedBatchMatchesTracedSequential) {
     const auto& decisions = batch.try_admit_burst(specs);
     ASSERT_EQ(decisions.size(), specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
-      const auto d = seq.controller.try_admit(specs[i]);
+      const auto d = seq.controller.try_admit(specs[i], seq.sim.now());
       EXPECT_EQ(decisions[i].admitted, d.admitted)
           << "burst " << burst << " index " << i;
       EXPECT_DOUBLE_EQ(decisions[i].lhs_with_task, d.lhs_with_task);

@@ -17,8 +17,10 @@
 #include <functional>
 #include <memory>
 #include <random>
+#include <type_traits>
 #include <vector>
 
+#include "callback_listener.h"
 #include "metrics/utilization_meter.h"
 #include "sched/job.h"
 #include "sched/pcp.h"
@@ -272,11 +274,18 @@ Observed run_script(const Script& s) {
   Server server(sim, "diff");
   Observed out;
   server.set_timeline(&out.timeline);
-  server.set_on_complete([&](Job& j) {
+  const auto on_complete = [&](Job& j) {
     out.completion_ids.push_back(j.id);
     out.completion_times.push_back(sim.now());
-  });
-  server.set_on_idle([&] { out.idle_times.push_back(sim.now()); });
+  };
+  const auto on_idle = [&] { out.idle_times.push_back(sim.now()); };
+  frap::testing::CallbackListener listener(on_complete, on_idle);
+  if constexpr (std::is_same_v<Server, LegacyStageServer>) {
+    server.set_on_complete(on_complete);
+    server.set_on_idle(on_idle);
+  } else {
+    server.set_listener(&listener);
+  }
 
   std::vector<std::unique_ptr<Job>> jobs;
   jobs.reserve(s.jobs.size());

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "callback_listener.h"
 #include "sched/gantt.h"
 #include "sched/policy.h"
 #include "sched/pooled_stage_server.h"
@@ -17,6 +18,8 @@
 
 namespace frap::sched {
 namespace {
+
+using frap::testing::CallbackListener;
 
 struct Completion {
   std::uint64_t id;
@@ -106,20 +109,21 @@ TEST(StageListenerTest, TypedListenerReceivesTaggedCallbacks) {
   EXPECT_EQ(server.policy().name(), "fixed");
 }
 
-TEST(StageListenerTest, TypedListenerReplacesLegacyShims) {
+TEST(StageListenerTest, SetListenerReplacesPreviousListener) {
   sim::Simulator sim;
-  StageServer server(sim, "shimmed");
-  int legacy_completions = 0;
-  server.set_on_complete([&](Job&) { ++legacy_completions; });
-  RecordingListener listener;
-  server.set_listener(&listener);  // displaces the legacy adapter
+  StageServer server(sim, "replaced");
+  RecordingListener first;
+  server.set_listener(&first);
+  RecordingListener second;
+  server.set_listener(&second);  // displaces the first listener
 
   Job job(1, 5.0, {Segment{1.0, kNoLock}});
   sim.at(0.0, [&] { server.submit(job); });
   sim.run();
 
-  EXPECT_EQ(legacy_completions, 0);
-  EXPECT_EQ(listener.completed_ids.size(), 1u);
+  EXPECT_TRUE(first.completed_ids.empty());
+  EXPECT_TRUE(first.idle_tags.empty());
+  EXPECT_EQ(second.completed_ids.size(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -268,8 +272,9 @@ TEST_F(PolicyScheduleTest, GlobalEdfRunsTopTwoByDeadline) {
   PooledStageServer pool(sim_, 2, "gedf", edf_policy());
   pool.set_timeline(&timeline_);
   std::vector<Completion> completions;
-  pool.set_on_complete(
+  CallbackListener listener(
       [&](Job& j) { completions.push_back({j.id, sim_.now()}); });
+  pool.set_listener(&listener);
   sim_.at(0.0, [&] {
     pool.submit(make_job(1, 4.0, 20.0));
     pool.submit(make_job(2, 4.0, 10.0));
@@ -328,8 +333,9 @@ TEST_F(PolicyScheduleTest, EdfSurvivesSpeedChangeWithBanking) {
   StageServer server(sim_, "edf", edf_policy());
   server.set_timeline(&timeline_);
   std::vector<Completion> completions;
-  server.set_on_complete(
+  CallbackListener listener(
       [&](Job& j) { completions.push_back({j.id, sim_.now()}); });
+  server.set_listener(&listener);
   sim_.at(0.0, [&] { server.submit(make_job(1, 4.0, 20.0)); });
   sim_.at(2.0, [&] { server.set_speed(0.5); });
   sim_.run();

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "callback_listener.h"
 #include "sched/pooled_stage_server.h"
 #include "sched/timeline.h"
 #include "sched/stage_server.h"
@@ -13,6 +14,8 @@
 
 namespace frap::sched {
 namespace {
+
+using frap::testing::CallbackListener;
 
 struct Completion {
   std::uint64_t id;
@@ -23,9 +26,7 @@ class PooledServerTest : public ::testing::Test {
  protected:
   void build(std::size_t m) {
     server_ = std::make_unique<PooledStageServer>(sim_, m, "pool");
-    server_->set_on_complete(
-        [this](Job& j) { completions_.push_back({j.id, sim_.now()}); });
-    server_->set_on_idle([this] { ++idle_transitions_; });
+    server_->set_listener(&listener_);
   }
 
   Job& job(std::uint64_t id, PriorityValue prio, Duration len) {
@@ -35,6 +36,9 @@ class PooledServerTest : public ::testing::Test {
   }
 
   sim::Simulator sim_;
+  CallbackListener listener_{
+      [this](Job& j) { completions_.push_back({j.id, sim_.now()}); },
+      [this] { ++idle_transitions_; }};
   std::unique_ptr<PooledStageServer> server_;
   std::vector<std::unique_ptr<Job>> jobs_;
   std::vector<Completion> completions_;
@@ -209,7 +213,8 @@ TEST_P(PooledVsUniprocessorTest, SingleProcessorPoolMatchesStageServer) {
     sim::Simulator sim;
     StageServer server(sim, "uni");
     std::map<std::uint64_t, Time> done;
-    server.set_on_complete([&](Job& j) { done[j.id] = sim.now(); });
+    CallbackListener listener([&](Job& j) { done[j.id] = sim.now(); });
+    server.set_listener(&listener);
     std::vector<std::unique_ptr<Job>> jobs;
     for (const auto& s : specs) {
       jobs.push_back(std::make_unique<Job>(
@@ -224,7 +229,8 @@ TEST_P(PooledVsUniprocessorTest, SingleProcessorPoolMatchesStageServer) {
     sim::Simulator sim;
     PooledStageServer server(sim, 1, "pool");
     std::map<std::uint64_t, Time> done;
-    server.set_on_complete([&](Job& j) { done[j.id] = sim.now(); });
+    CallbackListener listener([&](Job& j) { done[j.id] = sim.now(); });
+    server.set_listener(&listener);
     std::vector<std::unique_ptr<Job>> jobs;
     for (const auto& s : specs) {
       jobs.push_back(std::make_unique<Job>(
@@ -262,7 +268,8 @@ TEST_F(PooledServerTest, MoreProcessorsNeverHurtMakespan) {
     sim::Simulator sim;
     PooledStageServer server(sim, m);
     Time makespan = 0;
-    server.set_on_complete([&](Job&) { makespan = sim.now(); });
+    CallbackListener listener([&](Job&) { makespan = sim.now(); });
+    server.set_listener(&listener);
     std::vector<std::unique_ptr<Job>> jobs;
     sim.at(0.0, [&] {
       for (std::size_t i = 0; i < specs.size(); ++i) {

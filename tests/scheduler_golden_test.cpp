@@ -14,12 +14,15 @@
 #include <memory>
 #include <vector>
 
+#include "callback_listener.h"
 #include "sched/stage_server.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 
 namespace frap::sched {
 namespace {
+
+using frap::testing::CallbackListener;
 
 struct JobSpec {
   std::uint64_t id;
@@ -105,8 +108,8 @@ TEST_P(SchedulerGoldenTest, ServerMatchesReferenceOnRandomJobSets) {
   sim::Simulator sim;
   StageServer server(sim, "golden");
   std::map<std::uint64_t, Time> actual;
-  server.set_on_complete(
-      [&](Job& j) { actual[j.id] = sim.now(); });
+  CallbackListener listener([&](Job& j) { actual[j.id] = sim.now(); });
+  server.set_listener(&listener);
   std::vector<std::unique_ptr<Job>> storage;
   for (const auto& spec : jobs) {
     storage.push_back(std::make_unique<Job>(

@@ -56,7 +56,7 @@ struct ShedHarness {
   }
 
   void submit(const core::TaskSpec& spec) {
-    if (shedder.try_admit(spec).admitted) {
+    if (shedder.try_admit(spec, sim.now()).admitted) {
       runtime.start_task(spec, sim.now() + spec.deadline);
     }
   }
@@ -118,7 +118,8 @@ TEST(ShedSoundnessTest, ImportantArrivalRejectedWhenOnlyVictimExecuted) {
   bool c_admitted = true;
   h.sim.at(0.1, [&] {
     EXPECT_TRUE(h.runtime.task_started_executing(1));
-    c_admitted = h.shedder.try_admit(make_task(3, 1.0, {0.3, 0.3}, 9.0))
+    c_admitted = h.shedder.try_admit(make_task(3, 1.0, {0.3, 0.3}, 9.0),
+                                     h.sim.now())
                      .admitted;
   });
   h.sim.run();

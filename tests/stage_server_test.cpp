@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "callback_listener.h"
 #include "sched/stage_server.h"
 #include "sched/timeline.h"
 #include "sim/simulator.h"
@@ -12,6 +13,8 @@
 namespace frap::sched {
 namespace {
 
+using frap::testing::CallbackListener;
+
 struct Completion {
   std::uint64_t id;
   Time at;
@@ -19,10 +22,12 @@ struct Completion {
 
 class StageServerTest : public ::testing::Test {
  protected:
-  StageServerTest() : server_(sim_, "test") {
-    server_.set_on_complete(
-        [this](Job& j) { completions_.push_back({j.id, sim_.now()}); });
-    server_.set_on_idle([this] { ++idle_transitions_; });
+  StageServerTest()
+      : listener_(
+            [this](Job& j) { completions_.push_back({j.id, sim_.now()}); },
+            [this] { ++idle_transitions_; }),
+        server_(sim_, "test") {
+    server_.set_listener(&listener_);
   }
 
   Job& make_job(std::uint64_t id, PriorityValue prio,
@@ -36,6 +41,7 @@ class StageServerTest : public ::testing::Test {
   }
 
   sim::Simulator sim_;
+  CallbackListener listener_;  // outlives server_
   StageServer server_;
   std::vector<std::unique_ptr<Job>> jobs_;
   std::vector<Completion> completions_;
@@ -403,7 +409,8 @@ TEST_P(PcpFuzzTest, RandomLockWorkloadsDrainWithInvariants) {
   server.set_timeline(&timeline);
 
   int completions = 0;
-  server.set_on_complete([&](Job&) { ++completions; });
+  CallbackListener listener([&](Job&) { ++completions; });
+  server.set_listener(&listener);
 
   const int num_jobs = 80;
   const int num_locks = 3;

@@ -92,7 +92,7 @@ TEST(StoreDifferentialTest, TwelveKArrivalSweepBitIdentical) {
     sim_a.run_until(t);
     sim_b.run_until(t);
 
-    const auto decision = controller.try_admit(spec);
+    const auto decision = controller.try_admit(spec, sim_a.now());
     const bool ref_ok = reference_admit(ref, region, spec);
     if (decision.admitted != ref_ok) ++mismatches;
     if (decision.admitted) {

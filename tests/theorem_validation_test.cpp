@@ -57,7 +57,7 @@ ValidationRun run(std::size_t stages, double load, double resolution,
     if (t > sim_end) return;
     sim.at(t, [&] {
       const auto spec = gen.next_task();
-      const auto decision = controller.try_admit(spec);
+      const auto decision = controller.try_admit(spec, sim.now());
       if (decision.admitted) {
         // Snapshot AFTER commit: includes this task's contribution.
         const auto u = tracker.utilizations();

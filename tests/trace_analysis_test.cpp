@@ -100,7 +100,7 @@ TEST(TraceAnalysisTest, PerStageResidenceRespectsTheorem1) {
     if (t > 30.0) return;
     sim.at(t, [&] {
       const auto spec = gen.next_task();
-      if (controller.try_admit(spec).admitted) {
+      if (controller.try_admit(spec, sim.now()).admitted) {
         const auto u = tracker.utilizations();
         for (std::size_t j = 0; j < 3; ++j) {
           peak[j] = std::max(peak[j], u[j]);
