@@ -1,11 +1,15 @@
-// DAG admission bound bench (ISSUE 9, docs/dag_bounds.md). Three sweeps
-// over randomized Erdős–Rényi DAGs of 100 / 1k / 10k nodes:
+// DAG admission bound bench (docs/dag_bounds.md). Four sweeps over
+// randomized Erdős–Rényi DAGs of 100 / 1k / 10k nodes:
 //
 //   * DagAdmitIncremental/N: attempts/sec of the interned long-path fast
 //     path — cached per-stage f-terms + profile dot products, O(touched
 //     resources), independent of node count. The probe is rejected at the
 //     measured state (path multiplicity x f(0.25) > 1), so the full
 //     evaluation runs but nothing commits.
+//   * DagAdmitGrayBand/N: evaluations/sec of the same probe with the
+//     background load just under the budget, so both path values land in
+//     the gray band (kept profiles under budget, envelope over it) and the
+//     path-cap tier settles them without the O(V + E) DP.
 //   * DagAdmitRewalk/N: the same decision recomputed the pre-interning way
 //     — snapshot every utilization, walk all N nodes, run the exact
 //     critical-path DP. O(V + E) per attempt; the acceptance criterion is
@@ -13,11 +17,13 @@
 //   * DagAdmittedLoad/N: an overloaded arrival stream committed through the
 //     long-path controller (expiries via the simulator), with the
 //     critical-path test at the worst-case alpha evaluated pointwise on the
-//     same states. Counters pin the admit-count gain and that dominance
-//     violations stay at zero (every crit admit is a long-path admit).
+//     same states. Counters pin the admit-count gain, that dominance
+//     violations stay at zero (every crit admit is a long-path admit), and
+//     which evaluator tier settled each path value.
 //
 // Writes BENCH_dag.json (override with FRAP_BENCH_JSON) with attempts/sec
-// per variant, the incremental speedups, and the per-size admit gains.
+// per variant, the incremental speedups, the per-size admit gains, and the
+// per-size tier shares.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -30,6 +36,7 @@
 #include "core/admission.h"
 #include "core/feasible_region.h"
 #include "core/long_path_bound.h"
+#include "core/stage_delay.h"
 #include "core/synthetic_utilization.h"
 #include "core/task_graph.h"
 #include "core/task_graph_shape.h"
@@ -129,6 +136,43 @@ BENCHMARK(DagAdmitIncremental)
     ->Arg(10000)
     ->Unit(benchmark::kMicrosecond);
 
+// Uniform background load at which the probe's heaviest path sits at 90%
+// of the budget before the probe's own contribution.
+void prefill_gray_band(core::SyntheticUtilizationTracker& tracker,
+                       const core::TaskGraphShape& shape) {
+  const double u = core::stage_delay_factor_inverse(
+      0.9 / static_cast<double>(shape.max_path_nodes()));
+  double add[kResources];
+  for (double& a : add) a = u;
+  tracker.add(1, add, 1e3);
+}
+
+void DagAdmitGrayBand(benchmark::State& state) {
+  const auto nodes = static_cast<std::size_t>(state.range(0));
+  auto& fixture = fixture_for(nodes);
+  sim::Simulator sim;
+  core::SyntheticUtilizationTracker tracker(sim, kResources);
+  core::LongPathEvaluator eval = make_evaluator();
+  prefill_gray_band(tracker, *fixture.probe.shape);
+  const core::GraphTaskSpec& spec = fixture.probe;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(eval.evaluate(spec, tracker));
+  }
+  // Two path values per evaluation; the bench times the path-cap tier only
+  // if that tier settled every one of them.
+  if (eval.tier_counts().path_cap_admit !=
+      2 * static_cast<std::uint64_t>(state.iterations())) {
+    state.SkipWithError("gray-band probe not settled by the path-cap tier");
+    return;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(DagAdmitGrayBand)
+    ->Arg(100)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Unit(benchmark::kMicrosecond);
+
 void DagAdmitRewalk(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
   auto& fixture = fixture_for(nodes);
@@ -145,8 +189,10 @@ void DagAdmitRewalk(benchmark::State& state) {
     // values via the exact all-nodes walk + critical-path DP.
     auto u = tracker.utilizations();
     const double before = rewalk.exact_lhs_from_snapshot(spec, u);
-    for (const auto& n : spec.nodes) {
-      u[n.resource] += n.demand.compute * inv_d;
+    const auto resource = spec.shape->node_resource();
+    const auto compute = spec.shape->node_compute();
+    for (std::size_t v = 0; v < resource.size(); ++v) {
+      u[resource[v]] += compute[v] * inv_d;
     }
     const double with_task = rewalk.exact_lhs_from_snapshot(spec, u);
     benchmark::DoNotOptimize(before);
@@ -205,6 +251,19 @@ void DagAdmittedLoad(benchmark::State& state) {
       crit_admits > 0 ? static_cast<double>(long_admits) /
                             static_cast<double>(crit_admits)
                       : 0.0;
+  // Share of path values each evaluator tier settled.
+  const auto& tiers = controller.long_path_evaluator()->tier_counts();
+  const auto values = static_cast<double>(std::max<std::uint64_t>(
+      1, tiers.complete + tiers.envelope_admit + tiers.kept_reject +
+             tiers.path_cap_admit + tiers.dp));
+  const auto share = [values](std::uint64_t n) {
+    return static_cast<double>(n) / values;
+  };
+  state.counters["complete_share"] = share(tiers.complete);
+  state.counters["envelope_share"] = share(tiers.envelope_admit);
+  state.counters["kept_share"] = share(tiers.kept_reject);
+  state.counters["path_cap_share"] = share(tiers.path_cap_admit);
+  state.counters["dp_share"] = share(tiers.dp);
 }
 BENCHMARK(DagAdmittedLoad)
     ->Arg(100)
@@ -235,6 +294,14 @@ int main(int argc, char** argv) {
         reporter.counter_of("DagAdmittedLoad/" + size, "admit_gain");
     summary["dominance_violations_" + size] =
         reporter.counter_of("DagAdmittedLoad/" + size, "crit_only");
+    summary["gray_band_attempts_per_sec_" + size] = reporter.counter_of(
+        "DagAdmitGrayBand/" + size, "items_per_second");
+    for (const char* tier :
+         {"complete", "envelope", "kept", "path_cap", "dp"}) {
+      const std::string key = std::string(tier) + "_share";
+      summary[key + "_" + size] =
+          reporter.counter_of("DagAdmittedLoad/" + size, key);
+    }
   }
   if (!frap::benchjson::export_json("BENCH_dag.json", reporter, summary)) {
     return 1;

@@ -305,8 +305,9 @@ AdmissionDecision GraphAdmissionController::try_admit_interned(
     const GraphTaskSpec& spec, Time now) {
   const std::uint64_t t0 = sink_ != nullptr ? sink_->begin_decision() : 0;
   // The full spec.valid() walk is the canonicalization precondition
-  // (TaskGraphShapeRegistry interns only valid specs); the attempt hot path
-  // trusts the interned layout and debug-asserts it inside evaluate().
+  // (TaskGraphShapeRegistry interns only valid layouts). A canonical spec
+  // carries no layout of its own, so there is nothing to re-check against
+  // the shape; evaluate() checks that in O(1).
   FRAP_EXPECTS(spec.deadline > 0);
   const LongPathEvaluator::Eval e = long_path_->evaluate(spec, tracker_);
 
@@ -413,19 +414,7 @@ void WaitingAdmission<Inner>::attach() {
 template <class Inner>
 void WaitingAdmission<Inner>::snapshot_gate(Pending& p) const {
   if constexpr (kGraph) {
-    if (p.touched.empty()) {
-      if (p.spec.shape != nullptr) {
-        const auto touched = p.spec.shape->touched_resources();
-        p.touched.assign(touched.begin(), touched.end());
-      } else {
-        for (const auto& n : p.spec.nodes) {
-          p.touched.push_back(static_cast<std::uint32_t>(n.resource));
-        }
-        std::sort(p.touched.begin(), p.touched.end());
-        p.touched.erase(std::unique(p.touched.begin(), p.touched.end()),
-                        p.touched.end());
-      }
-    }
+    if (p.touched.empty()) p.touched = p.spec.touched_resources();
     p.gate_f.resize(p.touched.size());
     for (std::size_t i = 0; i < p.touched.size(); ++i) {
       p.gate_f[i] = inner_.tracker().stage_lhs_term(p.touched[i]);

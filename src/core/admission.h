@@ -260,8 +260,9 @@ class SheddingAdmissionController : public Admitter {
 //     evaluated from a full utilization snapshot (re-walk per attempt).
 //   * LongPathEvaluator — the per-path long-path bound. Canonicalized specs
 //     (spec.shape set) take the incremental fast path: O(touched resources
-//     + cached profile entries) per attempt with an allocation-free sparse
-//     commit; specs without a shape fall back to the snapshot walk.
+//     + cached profile entries) per attempt unless the evaluator's last
+//     tier, the exact DP, runs, with an allocation-free sparse commit;
+//     specs without a shape fall back to the snapshot walk.
 class GraphAdmissionController : public Admitter {
  public:
   GraphAdmissionController(sim::Simulator& sim,

@@ -29,14 +29,13 @@ Duration predict_pipeline_delay(std::span<const double> utilizations,
 Duration predict_graph_delay(const GraphTaskSpec& task,
                              std::span<const double> utilizations,
                              Duration d_max) {
-  std::vector<double> weights(task.nodes.size());
-  for (std::size_t i = 0; i < task.nodes.size(); ++i) {
-    const std::size_t r = task.nodes[i].resource;
+  std::vector<double> weights(utilizations.size());
+  for (std::uint32_t r : task.touched_resources()) {
     FRAP_EXPECTS(r < utilizations.size());
     if (utilizations[r] >= 1.0) return util::kInf;
-    weights[i] = stage_delay_factor(utilizations[r]) * d_max;
+    weights[r] = stage_delay_factor(utilizations[r]) * d_max;
   }
-  return task.critical_path(weights);
+  return task.critical_path_by_resource(weights);
 }
 
 bool provably_meets_deadline(const TaskSpec& spec,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/stage_delay.h"
 #include "util/check.h"
@@ -23,9 +24,9 @@ LongPathEvaluator::LongPathEvaluator(std::vector<double> deadline_ceiling,
 }
 
 bool LongPathEvaluator::respects_ceilings(const GraphTaskSpec& spec) const {
-  for (const auto& n : spec.nodes) {
-    if (n.resource >= ceiling_.size()) return false;
-    if (spec.deadline > ceiling_[n.resource]) return false;
+  for (std::uint32_t k : spec.touched_resources()) {
+    if (k >= ceiling_.size()) return false;
+    if (spec.deadline > ceiling_[k]) return false;
   }
   return true;
 }
@@ -45,9 +46,10 @@ double LongPathEvaluator::weight_of(std::size_t k, double f_term,
   return f_term * (ceiling_[k] * inv_deadline) + beta;
 }
 
-// frap:contract(hotpath) -- profile dot products over cached shape data;
-// the DP gray band lives in longest_path_weight (scratch reused, warm after
-// the first fallback on a shape of this size).
+// frap:contract(hotpath) -- profile dot products and the path-cap bound
+// over cached shape data; only the last tier, the DP, walks the graph
+// (longest_path_weight, scratch reused, warm after the first DP on a shape
+// of this size).
 double LongPathEvaluator::path_value(const TaskGraphShape& shape,
                                      std::span<const double> w_local) {
   double kept = 0;
@@ -58,7 +60,10 @@ double LongPathEvaluator::path_value(const TaskGraphShape& shape,
     }
     kept = std::max(kept, v);
   }
-  if (shape.profiles_complete()) return kept;
+  if (shape.profiles_complete()) {
+    ++tiers_.complete;
+    return kept;
+  }
 
   // Capped profile set: the envelope upper-bounds every dropped path.
   double env = 0;
@@ -66,13 +71,25 @@ double LongPathEvaluator::path_value(const TaskGraphShape& shape,
     env += static_cast<double>(e.mult) * w_local[e.local];
   }
   const double upper = std::max(kept, env);
-  // Admitting on the upper bound is sound and agrees with the exact test
+  // Admitting on an upper bound is sound and agrees with the exact test
   // (true value <= upper <= budget). Rejecting on the kept value is sound
   // and agrees too (true value >= kept > budget).
-  if (FeasibleRegion::admits_lhs(upper, kDelayBudget)) return upper;
-  if (!FeasibleRegion::admits_lhs(kept, kDelayBudget)) return kept;
-  // Gray band: the exact DP settles it.
-  ++dp_fallbacks_;
+  if (FeasibleRegion::admits_lhs(upper, kDelayBudget)) {
+    ++tiers_.envelope_admit;
+    return upper;
+  }
+  if (!FeasibleRegion::admits_lhs(kept, kDelayBudget)) {
+    ++tiers_.kept_reject;
+    return kept;
+  }
+  // Gray band. The path caps give a second, often tighter, upper bound.
+  const double capped = path_cap_bound(shape, w_local);
+  if (FeasibleRegion::admits_lhs(capped, kDelayBudget)) {
+    ++tiers_.path_cap_admit;
+    return capped;
+  }
+  // Still inconclusive: the exact DP settles it.
+  ++tiers_.dp;
   const auto touched = shape.touched_resources();
   if (w_resource_.size() < ceiling_.size()) w_resource_.resize(ceiling_.size());
   for (std::size_t t = 0; t < touched.size(); ++t) {
@@ -81,12 +98,50 @@ double LongPathEvaluator::path_value(const TaskGraphShape& shape,
   return shape.longest_path_weight(w_resource_, dp_dist_);
 }
 
+// Every path profile m satisfies m <= U (path_caps) and sum(m) <= T
+// (max_path_nodes), so the fractional knapsack over those constraints
+// bounds the path maximum. Its optimum fills the largest weights first and
+// is integral, since U and T are integers.
+double LongPathEvaluator::path_cap_bound(const TaskGraphShape& shape,
+                                         std::span<const double> w_local) {
+  const auto caps = shape.path_caps();
+  const std::size_t t_count = w_local.size();
+  if (by_weight_.size() < t_count) by_weight_.resize(t_count);
+  // Insertion sort by weight, largest first: t_count is the shape's
+  // touched-resource count, a handful.
+  for (std::size_t i = 0; i < t_count; ++i) {
+    std::size_t j = i;
+    while (j > 0 && w_local[by_weight_[j - 1]] < w_local[i]) {
+      by_weight_[j] = by_weight_[j - 1];
+      --j;
+    }
+    by_weight_[j] = static_cast<std::uint32_t>(i);
+  }
+  double value = 0;
+  std::uint32_t nodes_left = shape.max_path_nodes();
+  for (std::size_t i = 0; i < t_count && nodes_left > 0; ++i) {
+    const std::uint32_t t = by_weight_[i];
+    const std::uint32_t m = std::min(caps[t], nodes_left);
+    value += static_cast<double>(m) * w_local[t];
+    nodes_left -= m;
+  }
+  // Round up. The DP sums each path left to right in binary64, which can
+  // land up to a factor (1 + T·u) above the real path sum; this sum of
+  // t_count products can land up to (1 + (t_count + 1)·u) below the real
+  // knapsack value (u = epsilon / 2). Inflating by (T + t_count + 2)·epsilon
+  // covers both with room for the inflation's own rounding, and nextafter
+  // breaks a tie upward, so the result is never below the DP's value.
+  const double rel = static_cast<double>(shape.max_path_nodes() + t_count + 2) *
+                     std::numeric_limits<double>::epsilon();
+  return std::nextafter(value + value * rel, util::kInf);
+}
+
 LongPathEvaluator::Eval LongPathEvaluator::evaluate(
     const GraphTaskSpec& spec, const SyntheticUtilizationTracker& tracker) {
   const TaskGraphShape* shape = spec.shape;
   FRAP_EXPECTS(shape != nullptr);
+  FRAP_EXPECTS(spec.nodes.empty() && spec.edges.empty());
   FRAP_EXPECTS(spec.deadline > 0);
-  FRAP_ASSERT(shape->layout_matches(spec));
   const double inv_d = util::safe_inv(spec.deadline);
   const auto touched = shape->touched_resources();
   const auto compute = shape->resource_compute();
@@ -113,7 +168,9 @@ LongPathEvaluator::Eval LongPathEvaluator::evaluate(
     // Recompute-from-snapshot cross-check, mirroring the tracker's own
     // incremental-LHS verification (docs/incremental_lhs.md). Bit-exact:
     // the tracker's cached f-term IS stage_delay_factor(utilization(k)),
-    // and lhs_from_snapshot runs the identical profile logic.
+    // and lhs_from_snapshot runs the identical profile logic. The check
+    // leaves the tier counts as the release build would.
+    const TierCounts tiers = tiers_;
     if (dbg_u_.size() != tracker.num_stages()) {
       dbg_u_.resize(tracker.num_stages());
     }
@@ -128,6 +185,7 @@ LongPathEvaluator::Eval LongPathEvaluator::evaluate(
                 (std::isinf(before) && std::isinf(e.lhs_before)));
     FRAP_ASSERT(with_task == e.lhs_with_task ||
                 (std::isinf(with_task) && std::isinf(e.lhs_with_task)));
+    tiers_ = tiers;
   }
 #endif
   return e;
@@ -139,7 +197,7 @@ double LongPathEvaluator::lhs_from_snapshot(
   const double inv_d = util::safe_inv(spec.deadline);
   if (spec.shape != nullptr) {
     const TaskGraphShape& shape = *spec.shape;
-    FRAP_ASSERT(shape.layout_matches(spec));
+    FRAP_EXPECTS(spec.nodes.empty() && spec.edges.empty());
     const auto touched = shape.touched_resources();
     const std::size_t t_count = touched.size();
     if (w_with_.size() < t_count) w_with_.resize(t_count);
@@ -160,15 +218,14 @@ double LongPathEvaluator::exact_lhs_from_snapshot(
     const GraphTaskSpec& spec, std::span<const double> utilizations) {
   FRAP_EXPECTS(spec.deadline > 0);
   const double inv_d = util::safe_inv(spec.deadline);
-  std::vector<double> w(spec.nodes.size());
-  for (std::size_t i = 0; i < spec.nodes.size(); ++i) {
-    const std::size_t k = spec.nodes[i].resource;
+  std::vector<double> w(utilizations.size());
+  for (std::uint32_t k : spec.touched_resources()) {
     FRAP_EXPECTS(k < utilizations.size());
     if (utilizations[k] >= 1.0) return util::kInf;
-    w[i] = weight_of(k, stage_delay_factor(utilizations[k]),
-                     spec.deadline, inv_d);
+    w[k] = weight_of(k, stage_delay_factor(utilizations[k]), spec.deadline,
+                     inv_d);
   }
-  return spec.critical_path(w);
+  return spec.critical_path_by_resource(w);
 }
 
 }  // namespace frap::core

@@ -23,12 +23,14 @@
 //
 // Evaluation cost: with an interned shape (core/task_graph_shape.h) the
 // per-path maximum is taken over the shape's cached dominant path profiles
-// in O(touched resources + profile entries), INDEPENDENT of graph size, and
-// the "before" value reuses the tracker's cached per-stage f-terms. When
-// the profile set is capped the envelope gives a sound admit fast path and
-// the exact DP runs only in the gray band — decisions always equal the
-// exact all-paths test. Without a shape the evaluator falls back to the
-// exact per-node DP (reference path).
+// in O(touched resources + profile entries), and the "before" value reuses
+// the tracker's cached per-stage f-terms. When the profile set is capped,
+// three more O(touched) tiers settle most values: the envelope admits, a
+// kept profile over budget rejects, and the path-cap knapsack bound admits.
+// Only when all three are inconclusive does the exact DP run, and that tier
+// alone walks the graph (O(V + E)). Decisions always equal the exact
+// all-paths test. Without a shape the evaluator runs the exact per-node DP
+// (reference path).
 #pragma once
 
 #include <limits>
@@ -85,10 +87,10 @@ class LongPathEvaluator {
     bool admitted = false;     // admits_lhs(lhs_with_task, kDelayBudget)
   };
 
-  // Incremental admission evaluation: requires spec.shape (a canonicalized
-  // spec). Reads the tracker's cached per-stage f-terms for the "before"
-  // weights and recomputes f only at the touched resources for the "with
-  // task" weights; O(touched + profile entries), no graph walk, and no heap
+  // Incremental admission evaluation: requires a canonical spec (shape set,
+  // nodes and edges empty; an O(1) precondition). Reads the tracker's
+  // cached per-stage f-terms for the "before" weights and recomputes f only
+  // at the touched resources for the "with task" weights. No heap
   // allocation once the evaluator's scratch is warm. Debug builds cross-
   // check both values bit-exactly against recompute-from-snapshot.
   [[nodiscard]] Eval evaluate(const GraphTaskSpec& spec,
@@ -112,8 +114,16 @@ class LongPathEvaluator {
   [[nodiscard]] double exact_lhs_from_snapshot(
       const GraphTaskSpec& spec, std::span<const double> utilizations);
 
-  // Gray-band fallbacks taken (profile value inconclusive, exact DP ran).
-  std::uint64_t dp_fallbacks() const { return dp_fallbacks_; }
+  // Which tier settled each path value (path_value, below). A value is
+  // counted once per call, so one evaluate() adds two.
+  struct TierCounts {
+    std::uint64_t complete = 0;        // exact over a complete profile set
+    std::uint64_t envelope_admit = 0;  // max(kept, envelope) within budget
+    std::uint64_t kept_reject = 0;     // a kept profile over budget
+    std::uint64_t path_cap_admit = 0;  // path-cap bound within budget
+    std::uint64_t dp = 0;              // exact DP over the shape's CSR
+  };
+  const TierCounts& tier_counts() const { return tiers_; }
 
  private:
   // Per-resource weight at touched position t of `shape`, given that
@@ -122,10 +132,17 @@ class LongPathEvaluator {
                    double inv_deadline) const;
 
   // Max path value over the shape's cached profiles; exact when the profile
-  // set is complete, else envelope admit / kept reject / DP gray band.
-  // w_local holds one weight per touched resource of the shape.
+  // set is complete, else envelope admit / kept reject / path-cap admit /
+  // exact DP. w_local holds one weight per touched resource of the shape.
+  // An admitting tier may report a bound at or above the exact value.
   double path_value(const TaskGraphShape& shape,
                     std::span<const double> w_local);
+
+  // max{w·m : 0 <= m <= path_caps, sum(m) <= max_path_nodes}, rounded up
+  // past the DP's own floating-point error (docs/dag_bounds.md): a sound
+  // upper bound on the exact DP value.
+  double path_cap_bound(const TaskGraphShape& shape,
+                        std::span<const double> w_local);
 
   std::vector<double> ceiling_;
   std::vector<double> beta_;
@@ -136,8 +153,9 @@ class LongPathEvaluator {
   std::vector<double> w_with_;
   std::vector<double> w_resource_;  // dense per-resource weights for the DP
   std::vector<double> dp_dist_;
+  std::vector<std::uint32_t> by_weight_;  // touched positions, path-cap order
   std::vector<double> dbg_u_;  // debug cross-check snapshot (kept heap-free)
-  std::uint64_t dp_fallbacks_ = 0;
+  TierCounts tiers_;
 };
 
 }  // namespace frap::core

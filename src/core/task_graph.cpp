@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/stage_delay.h"
+#include "core/task_graph_shape.h"
 #include "util/check.h"
 #include "util/math.h"
 
@@ -48,7 +49,16 @@ std::vector<std::size_t> topo_sort(std::size_t n,
 
 }  // namespace
 
+std::size_t GraphTaskSpec::num_nodes() const {
+  return shape != nullptr ? shape->num_nodes() : nodes.size();
+}
+
 bool GraphTaskSpec::valid(std::size_t num_resources) const {
+  if (shape != nullptr) {
+    return deadline > 0 && nodes.empty() && edges.empty() &&
+           shape->num_nodes() > 0 &&
+           shape->touched_resources().back() < num_resources;
+  }
   if (deadline <= 0 || nodes.empty()) return false;
   for (const auto& n : nodes) {
     if (n.resource >= num_resources) return false;
@@ -62,12 +72,14 @@ bool GraphTaskSpec::valid(std::size_t num_resources) const {
 }
 
 std::vector<std::size_t> GraphTaskSpec::topological_order() const {
+  FRAP_EXPECTS(shape == nullptr);
   auto order = topo_sort(nodes.size(), edges);
   FRAP_EXPECTS(!order.empty() || nodes.empty());
   return order;
 }
 
 std::vector<std::size_t> GraphTaskSpec::sources() const {
+  FRAP_EXPECTS(shape == nullptr);
   std::vector<bool> has_pred(nodes.size(), false);
   for (const auto& e : edges) has_pred[e.to] = true;
   std::vector<std::size_t> result;
@@ -78,6 +90,7 @@ std::vector<std::size_t> GraphTaskSpec::sources() const {
 }
 
 std::vector<std::size_t> GraphTaskSpec::sinks() const {
+  FRAP_EXPECTS(shape == nullptr);
   std::vector<bool> has_succ(nodes.size(), false);
   for (const auto& e : edges) has_succ[e.from] = true;
   std::vector<std::size_t> result;
@@ -106,10 +119,48 @@ double GraphTaskSpec::critical_path(
   return best;
 }
 
+double GraphTaskSpec::critical_path_by_resource(
+    std::span<const double> weight_by_resource) const {
+  if (shape != nullptr) {
+    std::vector<double> scratch;
+    return shape->longest_path_weight(weight_by_resource, scratch);
+  }
+  std::vector<double> w(nodes.size());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    FRAP_EXPECTS(nodes[i].resource < weight_by_resource.size());
+    w[i] = weight_by_resource[nodes[i].resource];
+  }
+  return critical_path(w);
+}
+
+std::vector<std::uint32_t> GraphTaskSpec::touched_resources() const {
+  if (shape != nullptr) {
+    const auto touched = shape->touched_resources();
+    return {touched.begin(), touched.end()};
+  }
+  std::vector<std::uint32_t> touched;
+  touched.reserve(nodes.size());
+  for (const auto& n : nodes) {
+    touched.push_back(static_cast<std::uint32_t>(n.resource));
+  }
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  return touched;
+}
+
 std::vector<double> GraphTaskSpec::resource_contributions(
     std::size_t num_resources) const {
   FRAP_EXPECTS(deadline > 0);
   std::vector<double> c(num_resources, 0);
+  if (shape != nullptr) {
+    const auto touched = shape->touched_resources();
+    const auto compute = shape->resource_compute();
+    for (std::size_t t = 0; t < touched.size(); ++t) {
+      FRAP_EXPECTS(touched[t] < num_resources);
+      c[touched[t]] = util::safe_div(compute[t], deadline);
+    }
+    return c;
+  }
   for (const auto& n : nodes) {
     FRAP_EXPECTS(n.resource < num_resources);
     c[n.resource] += util::safe_div(n.demand.compute, deadline);
@@ -139,24 +190,21 @@ GraphRegionEvaluator::GraphRegionEvaluator(double alpha,
 
 double GraphRegionEvaluator::lhs(const GraphTaskSpec& task,
                                  std::span<const double> utilizations) const {
-  std::vector<double> w(task.nodes.size());
-  for (std::size_t i = 0; i < task.nodes.size(); ++i) {
-    const std::size_t r = task.nodes[i].resource;
+  std::vector<double> w(utilizations.size());
+  for (std::uint32_t r : task.touched_resources()) {
     FRAP_EXPECTS(r < utilizations.size());
     if (utilizations[r] >= 1.0) return util::kInf;
-    w[i] = stage_delay_factor(utilizations[r]);
+    w[r] = stage_delay_factor(utilizations[r]);
   }
-  return task.critical_path(w);
+  return task.critical_path_by_resource(w);
 }
 
 double GraphRegionEvaluator::bound(const GraphTaskSpec& task) const {
   if (beta_.empty()) return alpha_;
-  std::vector<double> w(task.nodes.size());
-  for (std::size_t i = 0; i < task.nodes.size(); ++i) {
-    const std::size_t r = task.nodes[i].resource;
-    w[i] = r < beta_.size() ? beta_[r] : 0.0;
-  }
-  const double blocking_path = task.critical_path(w);
+  const auto touched = task.touched_resources();
+  std::vector<double> w(touched.empty() ? 0 : touched.back() + 1);
+  for (std::uint32_t r : touched) w[r] = r < beta_.size() ? beta_[r] : 0.0;
+  const double blocking_path = task.critical_path_by_resource(w);
   return alpha_ * (1.0 - blocking_path);
 }
 

@@ -42,18 +42,22 @@ struct GraphTaskSpec {
   std::vector<GraphNode> nodes;
   std::vector<GraphEdge> edges;
 
-  // Interned shape (set by TaskGraphShapeRegistry; non-owning, the registry
-  // must outlive every spec that points at it). When set AND the spec is in
-  // canonical layout (TaskGraphShapeRegistry::canonicalize), admission and
-  // the DAG runtime reuse the shape's cached path structure instead of
-  // re-walking the graph per task. nullptr keeps every legacy path working.
+  // Interned shape (set by TaskGraphShapeRegistry::canonicalize; non-
+  // owning, the registry must outlive every spec that points at it). An
+  // interned spec is layout-free: `nodes` and `edges` stay empty and the
+  // shape is the only copy of the layout, so admission and the DAG runtime
+  // reuse its cached path structure without re-walking the graph per task.
+  // nullptr keeps every un-interned path working.
   const TaskGraphShape* shape = nullptr;
 
-  std::size_t num_nodes() const { return nodes.size(); }
+  std::size_t num_nodes() const;
 
-  // True when edges reference valid nodes and the graph is acyclic.
+  // True when edges reference valid nodes and the graph is acyclic. O(1)
+  // for an interned spec: the registry validated its layout.
   [[nodiscard]] bool valid(std::size_t num_resources) const;
 
+  // Per-node views of the spec's own layout. An interned spec has none;
+  // read its shape instead.
   // Topological order of node indices. Requires valid().
   std::vector<std::size_t> topological_order() const;
 
@@ -70,6 +74,15 @@ struct GraphTaskSpec {
   Duration end_to_end_delay(std::span<const Duration> node_delays) const {
     return critical_path(node_delays);
   }
+
+  // Critical path with node i weighted weight_by_resource[resource(i)]:
+  // over the shape's CSR when interned, else over the spec's own layout.
+  // Bit-identical either way (each path sums in source-to-sink order).
+  double critical_path_by_resource(
+      std::span<const double> weight_by_resource) const;
+
+  // Resources the task touches, sorted and unique.
+  std::vector<std::uint32_t> touched_resources() const;
 
   // Synthetic-utilization contribution per resource: sum of C on that
   // resource divided by D (subtasks sharing a resource accumulate).

@@ -28,6 +28,25 @@ std::uint64_t duration_bits(Duration d) {
   return std::bit_cast<std::uint64_t>(static_cast<double>(d));
 }
 
+std::uint64_t lock_word(int lock) { return static_cast<std::uint32_t>(lock); }
+
+// Appends a node's critical-section layout as encoding words: the segment
+// count, then (length, lock) per segment. A demand without explicit
+// segments encodes as its one lock-free segment, the layout it runs with.
+void encode_segments(const StageDemand& demand,
+                     std::vector<std::uint64_t>& out) {
+  const sched::Segment one{demand.compute, sched::kNoLock};
+  const std::span<const sched::Segment> segments =
+      demand.segments.empty() ? std::span<const sched::Segment>(&one, 1)
+                              : std::span<const sched::Segment>(
+                                    demand.segments);
+  out.push_back(segments.size());
+  for (const sched::Segment& seg : segments) {
+    out.push_back(duration_bits(seg.length));
+    out.push_back(lock_word(seg.lock));
+  }
+}
+
 // Dense multiplicity vector over touched-resource positions.
 using Mvec = std::vector<std::uint32_t>;
 
@@ -97,25 +116,6 @@ bool prune_profiles(std::vector<Mvec>& set, std::size_t cap, Mvec& envelope) {
 
 }  // namespace
 
-bool TaskGraphShape::layout_matches(const GraphTaskSpec& spec) const {
-  if (spec.nodes.size() != node_resource_.size()) return false;
-  if (spec.edges.size() != edge_to_.size()) return false;
-  for (std::size_t i = 0; i < spec.nodes.size(); ++i) {
-    if (spec.nodes[i].resource != node_resource_[i]) return false;
-    if (spec.nodes[i].demand.compute != node_compute_[i]) return false;
-  }
-  // Canonicalized specs carry their edges in the shape's (sorted) canonical
-  // order, so an exact positional compare suffices — and keeps this check,
-  // which runs inside every hot-path FRAP_ASSERT, allocation-free.
-  for (std::size_t i = 0; i < spec.edges.size(); ++i) {
-    if (spec.edges[i].from != edge_from_[i] ||
-        spec.edges[i].to != edge_to_[i]) {
-      return false;
-    }
-  }
-  return true;
-}
-
 double TaskGraphShape::longest_path_weight(
     std::span<const double> weight_by_resource,
     std::vector<double>& scratch_dist) const {
@@ -139,12 +139,17 @@ TaskGraphShapeRegistry::CanonicalForm TaskGraphShapeRegistry::canonical_form(
     const GraphTaskSpec& spec) {
   // n == 0 is allowed: the empty graph canonicalizes to a benign shape with
   // no touched resources and no profiles (its path maximum is 0). valid()
-  // still rejects empty specs before they reach a runtime.
+  // still rejects empty specs before they reach a runtime. An interned spec
+  // has no layout of its own to canonicalize.
+  FRAP_EXPECTS(spec.shape == nullptr);
   const std::size_t n = spec.nodes.size();
   std::vector<std::vector<std::uint32_t>> succ(n);
   std::vector<std::vector<std::uint32_t>> pred(n);
   std::vector<std::uint32_t> indeg(n, 0);
+  // The layout checks valid() makes: a canonical spec's valid() trusts them.
+  for (const auto& node : spec.nodes) FRAP_EXPECTS(node.demand.valid());
   for (const auto& e : spec.edges) {
+    FRAP_EXPECTS(e.from < n && e.to < n);
     succ[e.from].push_back(static_cast<std::uint32_t>(e.to));
     pred[e.to].push_back(static_cast<std::uint32_t>(e.from));
     ++indeg[e.to];
@@ -168,14 +173,26 @@ TaskGraphShapeRegistry::CanonicalForm TaskGraphShapeRegistry::canonical_form(
       if (--remaining[s] == 0) queue.push_back(s);
     }
   }
-  FRAP_EXPECTS(queue.size() == n);  // acyclic (spec.valid() guarantees it)
+  FRAP_EXPECTS(queue.size() == n);  // acyclic, no self-loops
 
   // Weisfeiler-Leman color refinement seeded with the node attributes.
   std::vector<std::uint64_t> color(n);
+  std::vector<std::uint64_t> words;
   for (std::size_t v = 0; v < n; ++v) {
     std::uint64_t c = mix(depth[v]);
     c = combine(c, spec.nodes[v].resource);
     c = combine(c, duration_bits(spec.nodes[v].demand.compute));
+    // A lock-free node's segment words repeat its compute; only an
+    // explicit critical-section layout refines the color.
+    const StageDemand& demand = spec.nodes[v].demand;
+    words.clear();
+    encode_segments(demand, words);
+    const bool lock_free = words.size() == 3 &&
+                           words[1] == duration_bits(demand.compute) &&
+                           words[2] == lock_word(sched::kNoLock);
+    if (!lock_free) {
+      for (std::uint64_t w : words) c = combine(c, w);
+    }
     c = combine(c, pred[v].size());
     c = combine(c, succ[v].size());
     color[v] = c;
@@ -227,13 +244,14 @@ TaskGraphShapeRegistry::CanonicalForm TaskGraphShapeRegistry::canonical_form(
     form.canon_of_original[order[pos]] = static_cast<std::uint32_t>(pos);
   }
 
-  form.encoding.reserve(2 + 2 * n + spec.edges.size());
+  form.encoding.reserve(2 + 3 * n + spec.edges.size());
   form.encoding.push_back(n);
   form.encoding.push_back(spec.edges.size());
   for (std::size_t pos = 0; pos < n; ++pos) {
     const auto& node = spec.nodes[order[pos]];
     form.encoding.push_back(node.resource);
     form.encoding.push_back(duration_bits(node.demand.compute));
+    encode_segments(node.demand, form.encoding);
   }
   std::vector<std::uint64_t> edges;
   edges.reserve(spec.edges.size());
@@ -243,6 +261,7 @@ TaskGraphShapeRegistry::CanonicalForm TaskGraphShapeRegistry::canonical_form(
         form.canon_of_original[e.to]);
   }
   std::sort(edges.begin(), edges.end());
+  // Last, so build_shape can read the sorted edges back from the tail.
   form.encoding.insert(form.encoding.end(), edges.begin(), edges.end());
 
   std::uint64_t h = 0x646167u;
@@ -258,46 +277,41 @@ std::unique_ptr<TaskGraphShape> TaskGraphShapeRegistry::build_shape(
   shape->hash_ = form.hash;
   shape->encoding_ = std::move(form.encoding);
 
+  std::vector<std::size_t> original_of(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    original_of[form.canon_of_original[v]] = v;
+  }
   shape->node_resource_.resize(n);
   shape->node_compute_.resize(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    const std::uint32_t c = form.canon_of_original[v];
-    shape->node_resource_[c] =
-        static_cast<std::uint32_t>(spec.nodes[v].resource);
-    shape->node_compute_[c] = spec.nodes[v].demand.compute;
+  shape->segment_offset_.push_back(0);
+  for (std::size_t c = 0; c < n; ++c) {
+    const GraphNode& node = spec.nodes[original_of[c]];
+    shape->node_resource_[c] = static_cast<std::uint32_t>(node.resource);
+    shape->node_compute_[c] = node.demand.compute;
+    for (const sched::Segment& seg : node.demand.make_segments()) {
+      shape->segments_.push_back(seg);
+    }
+    shape->segment_offset_.push_back(
+        static_cast<std::uint32_t>(shape->segments_.size()));
   }
 
-  std::vector<std::uint64_t> edges;
-  edges.reserve(spec.edges.size());
-  for (const auto& e : spec.edges) {
-    edges.push_back(
-        (static_cast<std::uint64_t>(form.canon_of_original[e.from]) << 32) |
-        form.canon_of_original[e.to]);
-  }
-  std::sort(edges.begin(), edges.end());
-  shape->edge_from_.reserve(edges.size());
-  shape->edge_to_.reserve(edges.size());
+  // The encoding ends with the canonical edges, (from << 32 | to) sorted:
+  // each node's successors form one run, in CSR order already.
+  const auto edges =
+      std::span<const std::uint64_t>(shape->encoding_).last(spec.edges.size());
   shape->indegree_.assign(n, 0);
-  std::vector<std::uint32_t> outdeg(n, 0);
+  shape->succ_offset_.assign(n + 1, 0);
+  shape->succ_.reserve(edges.size());
   for (std::uint64_t e : edges) {
     const auto from = static_cast<std::uint32_t>(e >> 32);
     const auto to = static_cast<std::uint32_t>(e & 0xffffffffu);
     FRAP_ASSERT(from < to);  // canonical order is topological
-    shape->edge_from_.push_back(from);
-    shape->edge_to_.push_back(to);
-    ++outdeg[from];
+    shape->succ_.push_back(to);
+    ++shape->succ_offset_[from + 1];
     ++shape->indegree_[to];
   }
-  shape->succ_offset_.resize(n + 1);
-  shape->succ_offset_[0] = 0;
   for (std::size_t v = 0; v < n; ++v) {
-    shape->succ_offset_[v + 1] = shape->succ_offset_[v] + outdeg[v];
-  }
-  shape->succ_.resize(edges.size());
-  std::vector<std::uint32_t> cursor(shape->succ_offset_.begin(),
-                                    shape->succ_offset_.end() - 1);
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    shape->succ_[cursor[shape->edge_from_[i]]++] = shape->edge_to_[i];
+    shape->succ_offset_[v + 1] += shape->succ_offset_[v];
   }
 
   // Touched resources + per-resource compute sums (sorted by resource).
@@ -334,6 +348,10 @@ void TaskGraphShapeRegistry::enumerate_profiles(TaskGraphShape& shape) {
 
   std::vector<std::vector<Mvec>> paths(n);   // Pareto sets per node
   std::vector<Mvec> env(n);                  // dropped-path envelope per node
+  // Path caps per node over the paths ending there: most visits to each
+  // resource, and most nodes. Exact (a componentwise max, no capping).
+  std::vector<Mvec> caps(n);
+  std::vector<std::uint32_t> hops(n, 0);
   std::vector<std::uint32_t> uses_left(n, 0);  // successors not yet consumed
   for (std::size_t v = 0; v < n; ++v) {
     uses_left[v] = static_cast<std::uint32_t>(shape.successors(v).size());
@@ -349,32 +367,43 @@ void TaskGraphShapeRegistry::enumerate_profiles(TaskGraphShape& shape) {
   bool complete = true;
   std::vector<Mvec> finals;
   Mvec final_env;
+  Mvec final_caps(width, 0u);
   for (std::size_t v = 0; v < n; ++v) {
     const std::size_t lv = local_of(shape.node_resource_[v]);
     std::vector<Mvec> cand;
+    caps[v].assign(width, 0u);
     if (pred[v].empty()) {
       cand.emplace_back(width, 0u);
     } else {
       for (std::uint32_t u : pred[v]) {
         for (const Mvec& p : paths[u]) cand.push_back(p);
         if (!env[u].empty()) fold_max(env[v], env[u]);
+        fold_max(caps[v], caps[u]);
+        hops[v] = std::max(hops[v], hops[u]);
       }
     }
     for (Mvec& p : cand) ++p[lv];
     if (!env[v].empty()) ++env[v][lv];
+    ++caps[v][lv];
+    ++hops[v];
     if (prune_profiles(cand, kNodeProfileCap, env[v])) complete = false;
     paths[v] = std::move(cand);
     for (std::uint32_t u : pred[v]) {
       if (--uses_left[u] == 0) {
         paths[u].clear();
         paths[u].shrink_to_fit();
+        caps[u].clear();
+        caps[u].shrink_to_fit();
       }
     }
     if (shape.successors(v).empty()) {  // sink: collect
       for (const Mvec& p : paths[v]) finals.push_back(p);
       if (!env[v].empty()) fold_max(final_env, env[v]);
+      fold_max(final_caps, caps[v]);
+      shape.max_path_nodes_ = std::max(shape.max_path_nodes_, hops[v]);
     }
   }
+  shape.path_caps_ = std::move(final_caps);
   if (prune_profiles(finals, kFinalProfileCap, final_env)) complete = false;
 
   shape.profiles_complete_ = complete;
@@ -419,40 +448,11 @@ const TaskGraphShape* TaskGraphShapeRegistry::intern(
 }
 
 GraphTaskSpec TaskGraphShapeRegistry::canonicalize(const GraphTaskSpec& spec) {
-  const CanonicalForm form = canonical_form(spec);
-  const TaskGraphShape* shape = nullptr;
-  auto it = by_hash_.find(form.hash);
-  if (it != by_hash_.end()) {
-    for (std::uint32_t idx : it->second) {
-      if (shapes_[idx]->encoding_ == form.encoding) {
-        ++hits_;
-        shape = shapes_[idx].get();
-        break;
-      }
-    }
-  }
-  if (shape == nullptr) {
-    ++misses_;
-    auto built = build_shape(spec, form);
-    built->id_ = shapes_.size();
-    by_hash_[form.hash].push_back(static_cast<std::uint32_t>(shapes_.size()));
-    shapes_.push_back(std::move(built));
-    shape = shapes_.back().get();
-  }
-
   GraphTaskSpec out;
   out.id = spec.id;
   out.deadline = spec.deadline;
   out.importance = spec.importance;
-  out.shape = shape;
-  out.nodes.resize(spec.nodes.size());
-  for (std::size_t v = 0; v < spec.nodes.size(); ++v) {
-    out.nodes[form.canon_of_original[v]] = spec.nodes[v];
-  }
-  out.edges.reserve(spec.edges.size());
-  for (std::size_t i = 0; i < shape->num_edges(); ++i) {
-    out.edges.push_back(GraphEdge{shape->edge_from_[i], shape->edge_to_[i]});
-  }
+  out.shape = intern(spec);
   return out;
 }
 

@@ -10,14 +10,21 @@
 // registration, not per admission.
 //
 // Canonicalization: two GraphTaskSpecs intern to the same shape when they
-// are isomorphic INCLUDING node attributes (resource and demand): permuting
-// node ids must alias, changing a demand must not. Node order is
-// canonicalized by (longest-path depth, Weisfeiler-Leman refinement color);
-// equality on a hash hit compares the full canonical encoding, so a hash
-// collision can never alias two distinct shapes. Graphs whose WL colors
-// stay non-discrete (large non-trivial automorphism-like tie classes) may
-// intern two isomorphic presentations as separate shapes — a cache miss,
-// never a correctness issue.
+// are isomorphic INCLUDING node attributes (resource, demand, and the
+// critical-section segment list): permuting node ids must alias, changing a
+// demand or a lock layout must not. Node order is canonicalized by
+// (longest-path depth, Weisfeiler-Leman refinement color); equality on a
+// hash hit compares the full canonical encoding, so a hash collision can
+// never alias two distinct shapes. Graphs whose WL colors stay non-discrete
+// (large non-trivial automorphism-like tie classes) may intern two
+// isomorphic presentations as separate shapes — a cache miss, never a
+// correctness issue.
+//
+// Canonical specs are layout-free: canonicalize() returns a spec whose
+// `shape` is set and whose `nodes`/`edges` are empty, so the shape is the
+// ONLY copy of the per-node layout and a spec that disagrees with its shape
+// cannot be represented. Every reader of an interned spec's layout reads
+// the shape.
 //
 // Dominant path profiles: the long-path bound needs, for nonnegative
 // per-resource weights w, the value max over source->sink paths P of
@@ -28,8 +35,10 @@
 // (capped; overflow folds into a componentwise-max envelope that stays an
 // upper bound on every dropped path). When `profiles_complete()` the kept
 // profiles evaluate the path maximum EXACTLY in O(profiles * nnz),
-// independent of graph size; otherwise the envelope gives a sound admit
-// fast path and the evaluator falls back to the exact DP in the gray band
+// independent of graph size. Otherwise the evaluator settles a value from
+// the envelope, the kept profiles, or the path caps (the most visits any
+// path makes to each resource, and the most nodes on any path), and runs
+// the exact DP only when all three are inconclusive
 // (core/long_path_bound.h).
 #pragma once
 
@@ -51,7 +60,7 @@ class TaskGraphShape {
   std::uint64_t hash() const { return hash_; }
 
   std::size_t num_nodes() const { return node_resource_.size(); }
-  std::size_t num_edges() const { return edge_to_.size(); }
+  std::size_t num_edges() const { return succ_.size(); }
 
   // Canonical per-node layout. Canonical order is topological: every edge
   // goes from a lower to a higher canonical index.
@@ -59,6 +68,12 @@ class TaskGraphShape {
     return node_resource_;
   }
   std::span<const Duration> node_compute() const { return node_compute_; }
+  // Materialized critical-section segments of `node` (never empty: a node
+  // without explicit segments holds one lock-free segment of its compute).
+  std::span<const sched::Segment> node_segments(std::size_t node) const {
+    return {segments_.data() + segment_offset_[node],
+            segment_offset_[node + 1] - segment_offset_[node]};
+  }
 
   // CSR successor adjacency over canonical node ids.
   std::span<const std::uint32_t> successors(std::size_t node) const {
@@ -101,10 +116,12 @@ class TaskGraphShape {
   // upper bound on the true path maximum.
   std::span<const ProfileEntry> envelope() const { return envelope_; }
 
-  // True when `spec`'s node/edge layout equals this shape verbatim (same
-  // order — i.e. the spec is already in canonical form). O(V + E); the DAG
-  // runtime uses it as a debug-mode guard before borrowing the CSR.
-  [[nodiscard]] bool layout_matches(const GraphTaskSpec& spec) const;
+  // Path caps, one pass at registration: path_caps()[t] is the most visits
+  // any source->sink path makes to touched resource t, and
+  // max_path_nodes() the most nodes on any path. Every path profile m
+  // satisfies m <= path_caps() and sum(m) <= max_path_nodes().
+  std::span<const std::uint32_t> path_caps() const { return path_caps_; }
+  std::uint32_t max_path_nodes() const { return max_path_nodes_; }
 
   // Longest source->sink path with per-node weights w[resource(node)],
   // computed by the exact DP over the canonical CSR into caller scratch
@@ -123,8 +140,8 @@ class TaskGraphShape {
 
   std::vector<std::uint32_t> node_resource_;
   std::vector<Duration> node_compute_;
-  std::vector<std::uint32_t> edge_from_;  // canonical, lexicographic
-  std::vector<std::uint32_t> edge_to_;
+  std::vector<std::uint32_t> segment_offset_;
+  std::vector<sched::Segment> segments_;
   std::vector<std::uint32_t> succ_offset_;
   std::vector<std::uint32_t> succ_;
   std::vector<std::uint32_t> indegree_;
@@ -136,6 +153,8 @@ class TaskGraphShape {
   std::vector<std::uint32_t> profile_offset_;
   std::vector<ProfileEntry> envelope_;
   bool profiles_complete_ = true;
+  std::vector<std::uint32_t> path_caps_;
+  std::uint32_t max_path_nodes_ = 0;
 };
 
 // Hash-consing registry. Owns the shapes; pointers remain stable for the
@@ -156,13 +175,15 @@ class TaskGraphShapeRegistry {
 
   // Interns the spec's shape: returns the existing shape when an
   // attribute-isomorphic one is registered, otherwise canonicalizes,
-  // enumerates profiles, and registers a new one. Requires
-  // spec.valid(num_resources) for any num_resources > max node resource.
+  // enumerates profiles, and registers a new one. Requires an un-interned
+  // spec whose layout valid() accepts (edges in range, acyclic, valid
+  // demands); the empty graph is allowed. Aborts otherwise.
   const TaskGraphShape* intern(const GraphTaskSpec& spec);
 
-  // Canonicalized copy of `spec` (nodes permuted into the shape's canonical
-  // order, edges rewritten) with its `shape` pointer set — the form the DAG
-  // runtime executes without rebuilding adjacency per task.
+  // Canonical spec for `spec`: id, deadline and importance copied, `shape`
+  // set to the interned shape, `nodes`/`edges` left empty (the shape owns
+  // the layout). O(1) to copy; the form admission and the DAG runtime take
+  // without re-walking the graph per task.
   [[nodiscard]] GraphTaskSpec canonicalize(const GraphTaskSpec& spec);
 
   std::size_t size() const { return shapes_.size(); }

@@ -47,46 +47,45 @@ void DagRuntime::set_stage_observer(obs::StageObserver* observer) {
   stage_obs_ = observer;
 }
 
+std::size_t DagRuntime::node_resource(const Exec& exec, std::size_t node) {
+  return exec.spec.shape != nullptr ? exec.spec.shape->node_resource()[node]
+                                    : exec.spec.nodes[node].resource;
+}
+
 void DagRuntime::start_task(const core::GraphTaskSpec& spec,
                             Time absolute_deadline) {
+  // A canonical spec carries no layout of its own: the shape holds it all
+  // (resources, segments, indegrees, CSR adjacency), and the registry
+  // validated it at intern time, so valid() is O(1), the per-edge
+  // successor lists are never rebuilt, and the Exec's copy is O(1).
   const bool interned = spec.shape != nullptr;
-  if (interned) {
-    // Canonicalized spec: the registry validated the graph at intern time
-    // and the shape carries indegrees + CSR adjacency, so the per-task
-    // validity re-walk (a topological sort per release) is skipped and the
-    // per-edge successor lists are never rebuilt — on_node_complete walks
-    // the shape's CSR directly.
-    FRAP_ASSERT(spec.shape->layout_matches(spec));
-    FRAP_EXPECTS(spec.deadline > 0);
-    FRAP_EXPECTS(spec.shape->num_nodes() == spec.nodes.size());
-  } else {
-    FRAP_EXPECTS(spec.valid(servers_.size()));
-  }
+  if (interned) FRAP_EXPECTS(spec.nodes.empty() && spec.edges.empty());
+  FRAP_EXPECTS(spec.valid(servers_.size()));
   FRAP_EXPECTS(execs_.find(spec.id) == execs_.end());
 
+  const std::size_t n = spec.num_nodes();
   Exec exec;
   exec.spec = spec;
   exec.release = sim_.now();
   exec.absolute_deadline = absolute_deadline;
   exec.priority = policy_(spec);
-  exec.nodes_remaining = spec.nodes.size();
-  exec.jobs.resize(spec.nodes.size());
-  exec.node_release.assign(spec.nodes.size(), kTimeZero);
+  exec.nodes_remaining = n;
+  exec.jobs.resize(n);
+  exec.node_release.assign(n, kTimeZero);
   exec.nodes_left_on_resource.assign(servers_.size(), 0);
   if (interned) {
     const auto indeg = spec.shape->indegree();
     exec.pending_preds.assign(indeg.begin(), indeg.end());
   } else {
-    exec.pending_preds.assign(spec.nodes.size(), 0);
-    exec.successors.assign(spec.nodes.size(), {});
+    exec.pending_preds.assign(n, 0);
+    exec.successors.assign(n, {});
     for (const auto& e : spec.edges) {
       ++exec.pending_preds[e.to];
       exec.successors[e.from].push_back(e.to);
     }
   }
-  for (const auto& n : spec.nodes) {
-    FRAP_EXPECTS(n.resource < servers_.size());
-    ++exec.nodes_left_on_resource[n.resource];
+  for (std::size_t v = 0; v < n; ++v) {
+    ++exec.nodes_left_on_resource[node_resource(exec, v)];
   }
 
   auto [it, inserted] = execs_.emplace(spec.id, std::move(exec));
@@ -99,22 +98,28 @@ void DagRuntime::start_task(const core::GraphTaskSpec& spec,
   // Release all sources. Collect first: release_node submits to servers,
   // which can complete zero-length nodes synchronously-in-time via events,
   // but never re-enters this Exec during the loop.
-  for (std::size_t i = 0; i < it->second.spec.nodes.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     if (it->second.pending_preds[i] == 0) release_node(it->second, i);
   }
 }
 
 void DagRuntime::release_node(Exec& exec, std::size_t node) {
   const std::uint64_t job_id = next_job_id_++;
-  exec.jobs[node] = std::make_unique<sched::Job>(
-      job_id, exec.priority, exec.spec.nodes[node].demand.make_segments());
+  std::vector<sched::Segment> segments;
+  if (exec.spec.shape != nullptr) {
+    const auto segs = exec.spec.shape->node_segments(node);
+    segments.assign(segs.begin(), segs.end());
+  } else {
+    segments = exec.spec.nodes[node].demand.make_segments();
+  }
+  exec.jobs[node] =
+      std::make_unique<sched::Job>(job_id, exec.priority, std::move(segments));
   exec.jobs[node]->absolute_deadline = exec.absolute_deadline;
   job_context_.emplace(job_id, JobContext{exec.spec.id, node});
   exec.node_release[node] = sim_.now();
-  if (stage_obs_ != nullptr) {
-    stage_obs_->on_enqueue(exec.spec.nodes[node].resource, sim_.now());
-  }
-  servers_[exec.spec.nodes[node].resource]->submit(*exec.jobs[node]);
+  const std::size_t resource = node_resource(exec, node);
+  if (stage_obs_ != nullptr) stage_obs_->on_enqueue(resource, sim_.now());
+  servers_[resource]->submit(*exec.jobs[node]);
 }
 
 void DagRuntime::on_node_complete(sched::Job& job) {
@@ -127,7 +132,7 @@ void DagRuntime::on_node_complete(sched::Job& job) {
   FRAP_ASSERT(et != execs_.end());
   Exec& exec = et->second;
 
-  const std::size_t resource = exec.spec.nodes[ctx.node].resource;
+  const std::size_t resource = node_resource(exec, ctx.node);
   if (stage_obs_ != nullptr) {
     stage_obs_->on_depart(resource, exec.node_release[ctx.node], sim_.now());
   }
@@ -182,10 +187,10 @@ void DagRuntime::abort_task(std::uint64_t task_id) {
     auto& job = exec.jobs[node];
     if (job == nullptr) continue;  // node never released
     if (job->on_server) {
-      servers_[exec.spec.nodes[node].resource]->abort(*job);
+      const std::size_t resource = node_resource(exec, node);
+      servers_[resource]->abort(*job);
       if (stage_obs_ != nullptr) {
-        stage_obs_->on_depart(exec.spec.nodes[node].resource,
-                              exec.node_release[node], sim_.now());
+        stage_obs_->on_depart(resource, exec.node_release[node], sim_.now());
       }
     }
     job_context_.erase(job->id);
@@ -198,7 +203,7 @@ bool DagRuntime::task_started_executing(std::uint64_t task_id) const {
   auto et = execs_.find(task_id);
   if (et == execs_.end()) return true;  // conservative
   const Exec& exec = et->second;
-  if (exec.nodes_remaining < exec.spec.nodes.size()) return true;
+  if (exec.nodes_remaining < exec.spec.num_nodes()) return true;
   for (const auto& job : exec.jobs) {
     if (job != nullptr && job->has_started) return true;
   }

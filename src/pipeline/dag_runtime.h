@@ -117,6 +117,8 @@ class DagRuntime : private sched::StageListener {
 
   void on_node_complete(sched::Job& job);
   void release_node(Exec& exec, std::size_t node);
+  // Resource of `node`: read from the shape when the spec is interned.
+  static std::size_t node_resource(const Exec& exec, std::size_t node);
 
   sim::Simulator& sim_;
   core::SyntheticUtilizationTracker* tracker_;

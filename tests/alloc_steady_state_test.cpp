@@ -23,12 +23,15 @@
 
 #include "core/admission.h"
 #include "core/feasible_region.h"
+#include "core/stage_delay.h"
 #include "core/synthetic_utilization.h"
 #include "core/task.h"
 #include "ingest/ingest_session.h"
 #include "ingest/wire_decoder.h"
 #include "ingest/wire_encoder.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
+#include "workload/random_dag.h"
 
 namespace {
 
@@ -177,6 +180,66 @@ TEST(AllocSteadyStateTest, LongPathGraphAdmitCycleIsAllocationFree) {
       << "steady-state long-path graph admits must not allocate";
   EXPECT_EQ(controller.admitted(), controller.attempts());
   EXPECT_EQ(controller.evaluations(), 2 * kLiveTarget + 2000);
+  tracker.verify_lhs_cache(1e-9);
+}
+
+// The gray band of a capped shape (profile set incomplete): background load
+// puts the heaviest path at 90% of the budget, so every attempt's two path
+// values fall between the kept profiles and the envelope and the path-cap
+// tier settles them. That tier must not allocate, and must keep the exact
+// DP from running at all.
+TEST(AllocSteadyStateTest, LongPathGrayBandAdmitCycleIsAllocationFree) {
+  constexpr std::uint64_t kLiveTarget = 2000;
+  constexpr Duration kSpacing = 1.0 / static_cast<double>(kLiveTarget);
+  constexpr std::uint64_t kBackgroundId = 1ull << 40;
+
+  sim::Simulator sim;
+  SyntheticUtilizationTracker tracker(sim, kStages);
+  GraphAdmissionController controller(
+      sim, tracker,
+      LongPathEvaluator(std::vector<double>(kStages, 1.0), {}, 0.5));
+
+  TaskGraphShapeRegistry registry;
+  util::Rng rng(9);
+  workload::RandomDagConfig cfg;
+  cfg.kind = workload::RandomDagConfig::Kind::kErdosRenyi;
+  cfg.num_nodes = 300;
+  cfg.num_resources = kStages;
+  cfg.edge_prob = 4.0 / 300.0;
+  cfg.min_compute = 1e-9;
+  cfg.max_compute = 2e-9;
+  GraphTaskSpec spec =
+      registry.canonicalize(workload::random_dag(rng, cfg, 0, 1.0));
+  ASSERT_FALSE(spec.shape->profiles_complete());
+  const std::vector<double> background(
+      kStages, stage_delay_factor_inverse(
+                   0.9 / static_cast<double>(spec.shape->max_path_nodes())));
+  tracker.add(kBackgroundId, background, 1e6);
+
+  std::uint64_t id = 1;
+  for (std::uint64_t i = 0; i < 2 * kLiveTarget; ++i) {
+    sim.run_until(sim.now() + kSpacing);
+    spec.id = id++;
+    ASSERT_TRUE(controller.try_admit(spec, sim.now()).admitted);
+  }
+  ASSERT_GE(tracker.live_tasks(), kLiveTarget - 1);
+  const auto tiers = controller.long_path_evaluator()->tier_counts();
+
+  g_allocs.store(0);
+  g_counting.store(true);
+  for (int i = 0; i < 2000; ++i) {
+    sim.run_until(sim.now() + kSpacing);
+    spec.id = id++;
+    if (!controller.try_admit(spec, sim.now()).admitted) break;
+  }
+  g_counting.store(false);
+
+  EXPECT_EQ(g_allocs.load(), 0u)
+      << "steady-state gray-band graph admits must not allocate";
+  EXPECT_EQ(controller.admitted(), controller.attempts());
+  const auto& after = controller.long_path_evaluator()->tier_counts();
+  EXPECT_EQ(after.path_cap_admit - tiers.path_cap_admit, 2u * 2000u);
+  EXPECT_EQ(after.dp, tiers.dp);
   tracker.verify_lhs_cache(1e-9);
 }
 
