@@ -358,7 +358,8 @@ void setup_fallback_path(const benchmark::State& /*state*/) {
 
 void MtShardedFallbackPath(benchmark::State& state) {
   // A probe too large for any slice OR the whole region: rejected on the
-  // home shard, retried (and rejected again) under the global lock.
+  // home shard, retried under the global lock and rejected there by the
+  // global precheck (no quota is stolen).
   std::vector<double> c(kStages, 2.0);
   const auto probe = contribution_task(
       static_cast<std::uint64_t>(state.thread_index()), c);
@@ -371,6 +372,7 @@ BENCHMARK(MtShardedFallbackPath)
     ->Setup(setup_fallback_path)
     ->Teardown(drop_service)
     ->Threads(1)
+    ->Threads(2)
     ->Threads(4)
     ->UseRealTime();
 
@@ -396,6 +398,11 @@ int main(int argc, char** argv) {
   for (int t : {1, 2, 4, 8}) {
     summary["atomic_" + std::to_string(t) + "t_attempts_per_sec"] =
         rate(("MtShardedAtomicHotPath/real_time/threads:" + std::to_string(t))
+                 .c_str());
+  }
+  for (int t : {1, 2, 4}) {
+    summary["fallback_reject_" + std::to_string(t) + "t_attempts_per_sec"] =
+        rate(("MtShardedFallbackPath/real_time/threads:" + std::to_string(t))
                  .c_str());
   }
   // Atomic-over-mutex ratio at 8 threads, and the atomic path's own thread

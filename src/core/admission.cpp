@@ -37,11 +37,6 @@ void AdmissionController::set_approximate_means(
   mean_compute_ = std::move(mean_compute);
 }
 
-void AdmissionController::set_contribution_scale(double scale) {
-  FRAP_EXPECTS(scale > 0 && std::isfinite(scale));
-  contribution_scale_ = scale;
-}
-
 std::vector<double> AdmissionController::contributions_for(
     const TaskSpec& spec) const {
   FRAP_EXPECTS(spec.valid());
@@ -54,9 +49,6 @@ std::vector<double> AdmissionController::contributions_for(
     for (Duration m : mean_compute_)
       c.push_back(util::safe_div(m, spec.deadline));
   }
-  if (!util::almost_equal(contribution_scale_, 1.0)) {
-    for (double& x : c) x *= contribution_scale_;
-  }
   return c;
 }
 
@@ -65,6 +57,7 @@ double AdmissionController::incremental_lhs_with(
     const TaskSpec& spec, double lhs_before,
     std::uint16_t* touched_out) const {
   const double inv_d = util::safe_inv(spec.deadline);
+  const double scale = tracker_.view_scale();
   const std::size_t n = region_.num_stages();
   double delta = 0;
   std::uint16_t touched = 0;
@@ -74,7 +67,7 @@ double AdmissionController::incremental_lhs_with(
     if (c <= 0) continue;  // sparse task: untouched stage, no delta
     ++touched;
     if (saturated) continue;  // only the touched count still matters
-    const double u_new = tracker_.utilization(j) + c;
+    const double u_new = tracker_.utilization(j) + c * scale;
     if (u_new >= 1.0) {  // the task saturates stage j
       if (touched_out == nullptr) return util::kInf;
       saturated = true;  // keep scanning so the count covers every stage
@@ -185,6 +178,7 @@ const std::vector<AdmissionDecision>& BatchAdmissionController::try_admit_burst(
     f_[j] = tracker.stage_lhs_term(j);
   }
   double lhs = tracker.cached_lhs();
+  const double scale = tracker.view_scale();
 
   decisions_.clear();
   for (const TaskSpec& spec : specs) {
@@ -205,7 +199,7 @@ const std::vector<AdmissionDecision>& BatchAdmissionController::try_admit_burst(
     for (std::size_t j = 0; j < n; ++j) {
       const double c = inner_.contribution(spec, j, inv_d);
       if (c <= 0) continue;
-      const double u_new = u_[j] + c;
+      const double u_new = u_[j] + c * scale;
       if (u_new >= 1.0) {
         saturates = true;
         break;

@@ -76,18 +76,6 @@ class AdmissionController : public Admitter {
   void set_approximate_means(std::vector<Duration> mean_compute);
   [[nodiscard]] bool approximate() const { return !mean_compute_.empty(); }
 
-  // Quota-capped region view (docs/admission_service.md): every per-stage
-  // contribution is multiplied by `scale` before it is tested or committed.
-  // With scale = 1/w an unmodified controller enforces the w-slice of the
-  // region budget — Jensen's inequality on the convex f makes the per-shard
-  // tests globally sound. Must be set while no tasks are live (the tracker's
-  // committed contributions are not retroactively rescaled here; the sharded
-  // service uses SyntheticUtilizationTracker::rescale_dynamic for that).
-  void set_contribution_scale(double scale);
-  [[nodiscard]] double contribution_scale() const {
-    return contribution_scale_;
-  }
-
   // Canonical admission (Admitter): tests the task arriving at `now`; on
   // admission its contribution is committed with expiry at
   // now + spec.deadline (which must not precede the simulation clock).
@@ -137,13 +125,14 @@ class AdmissionController : public Admitter {
 
   std::vector<double> contributions_for(const TaskSpec& spec) const;
 
-  // Per-stage contribution of the task (exact C_ij/D_i or mean_j/D_i),
-  // scaled by the quota view.
+  // Per-stage contribution of the task (exact C_ij/D_i or mean_j/D_i), as
+  // committed: unscaled. Tests multiply it by the tracker's view scale
+  // (docs/admission_service.md).
   double contribution(const TaskSpec& spec, std::size_t j,
                       double inv_deadline) const {
     return (mean_compute_.empty() ? spec.stages[j].compute
                                   : mean_compute_[j]) *
-           inv_deadline * contribution_scale_;
+           inv_deadline;
   }
 
   // LHS including the task, computed incrementally from the tracker's
@@ -171,7 +160,6 @@ class AdmissionController : public Admitter {
   // num_stages() up front so the hot path never grows them.
   std::vector<std::uint32_t> commit_stages_;
   std::vector<double> commit_values_;
-  double contribution_scale_ = 1.0;     // 1/w under a quota plan
   obs::DecisionSink* sink_ = nullptr;
   std::uint64_t attempts_ = 0;
   std::uint64_t admitted_ = 0;

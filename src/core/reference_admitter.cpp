@@ -16,7 +16,8 @@ core::AdmissionDecision ReferenceAdmitter::try_admit(
   d.decided_at = c.sim_.now();
   d.bound = c.region_.bound();
   d.lhs_before = c.region_.lhs(u);
-  for (std::size_t j = 0; j < u.size(); ++j) u[j] += add[j];
+  const double scale = c.tracker_.view_scale();
+  for (std::size_t j = 0; j < u.size(); ++j) u[j] += add[j] * scale;
   d.lhs_with_task = c.region_.lhs(u);
   d.admitted = c.region_.admits(d.lhs_with_task);
   d.reason = d.admitted

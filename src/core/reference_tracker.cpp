@@ -5,7 +5,6 @@
 
 #include "core/stage_delay.h"
 #include "util/check.h"
-#include "util/math.h"
 
 namespace frap::testing {
 
@@ -123,24 +122,21 @@ void ReferenceUtilizationTracker::remove_task(std::uint64_t task_id) {
   if (decreased) notify_decrease();
 }
 
-void ReferenceUtilizationTracker::rescale_dynamic(double factor) {
-  FRAP_EXPECTS(factor > 0 && std::isfinite(factor));
-  if (util::almost_equal(factor, 1.0)) return;
-  for (auto& [id, rec] : tasks_) {
-    for (double& c : rec.contribution) c *= factor;
-  }
-  for (StageState& s : stage_) s.dynamic *= factor;
+void ReferenceUtilizationTracker::set_view_scale(double scale) {
+  FRAP_EXPECTS(scale > 0 && std::isfinite(scale));
+  if (scale == view_scale_) return;
+  const bool decreased = scale < view_scale_;
+  view_scale_ = scale;
   rebuild_lhs_cache();
 #ifndef NDEBUG
   verify_lhs_cache();
 #endif
-  if (factor < 1.0) notify_decrease();
+  if (decreased) notify_decrease();
 }
 
 void ReferenceUtilizationTracker::refresh_stage_lhs(std::size_t stage) {
   StageState& s = stage_[stage];
-  const double f_new =
-      core::stage_delay_factor(s.reserved + std::max(0.0, s.dynamic));
+  const double f_new = core::stage_delay_factor(utilization(stage));
   if (std::isinf(s.f_term)) {
     --saturated_stages_;
   } else {

@@ -66,8 +66,10 @@ class ReferenceUtilizationTracker {
   double utilization(std::size_t stage) const {
     FRAP_EXPECTS(stage < stage_.size());
     const StageState& s = stage_[stage];
-    return s.reserved + std::max(0.0, s.dynamic);
+    return s.reserved + std::max(0.0, s.dynamic) * view_scale_;
   }
+
+  double view_scale() const { return view_scale_; }
 
   std::vector<double> utilizations() const;
 
@@ -80,7 +82,7 @@ class ReferenceUtilizationTracker {
 
   void remove_task(std::uint64_t task_id);
 
-  void rescale_dynamic(double factor);
+  void set_view_scale(double scale);
 
   void set_on_decrease(std::function<void()> cb) {
     on_decrease_ = std::move(cb);
@@ -139,6 +141,7 @@ class ReferenceUtilizationTracker {
   IdReuse id_reuse_ = IdReuse::kFaithful;
   std::uint64_t next_epoch_ = 0;
   bool idle_reset_ = true;
+  double view_scale_ = 1.0;
   std::function<void()> on_decrease_;
 
   double finite_lhs_ = 0;

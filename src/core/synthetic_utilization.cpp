@@ -5,7 +5,6 @@
 
 #include "core/stage_delay.h"
 #include "util/check.h"
-#include "util/math.h"
 
 namespace frap::core {
 
@@ -168,27 +167,22 @@ void SyntheticUtilizationTracker::remove_task(std::uint64_t task_id) {
   if (decreased) notify_decrease();
 }
 
-void SyntheticUtilizationTracker::rescale_dynamic(double factor) {
-  FRAP_EXPECTS(factor > 0 && std::isfinite(factor));
-  if (util::almost_equal(factor, 1.0)) return;
-  store_.for_each([&](TaskHandle h) {
-    const std::uint32_t n = store_.touched(h);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      store_.set_entry_value(h, i, store_.entry_value(h, i) * factor);
-    }
-  });
-  for (StageState& s : stage_) s.dynamic *= factor;
+void SyntheticUtilizationTracker::set_view_scale(double scale) {
+  FRAP_EXPECTS(scale > 0 && std::isfinite(scale));
+  if (scale == view_scale_) return;
+  const bool decreased = scale < view_scale_;
+  view_scale_ = scale;
   // One from-scratch pass refreshes every cached f-term coherently.
   rebuild_lhs_cache();
 #ifndef NDEBUG
   verify_lhs_cache();
 #endif
-  if (factor < 1.0) notify_decrease();
+  if (decreased) notify_decrease();
 }
 
 void SyntheticUtilizationTracker::refresh_stage_lhs(std::size_t stage) {
   StageState& s = stage_[stage];
-  const double f_new = stage_delay_factor(s.reserved + std::max(0.0, s.dynamic));
+  const double f_new = stage_delay_factor(utilization(stage));
   if (std::isinf(s.f_term)) {
     --saturated_stages_;
   } else {

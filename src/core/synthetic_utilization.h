@@ -15,6 +15,12 @@
 // capacity set aside for critical tasks; the reported utilization never
 // drops below the floor.
 //
+// View scale: contributions are stored as given (unscaled) and the tracker
+// reports U_j = reserved + s * dynamic_j for one scalar s (1 by default).
+// The sharded admission service (src/service/) sets s = 1/w_k on shard k,
+// so a quota-weight move is one O(stages) cache rebuild instead of a pass
+// over every live task (docs/admission_service.md).
+//
 // Incremental region-LHS cache: alongside U_j the tracker maintains the
 // per-stage stage-delay term f(U_j) and the running sum over stages, updated
 // in O(changed stages) on every mutation. Admission controllers test an
@@ -65,15 +71,28 @@ class SyntheticUtilizationTracker : public sim::TimerClient {
   void set_reservation(std::size_t stage, double value);
   double reservation(std::size_t stage) const;
 
-  // Current synthetic utilization of one stage (includes the reserved
-  // floor). Inline: called per touched stage on the admission fast path.
+  // Current synthetic utilization of one stage in the scaled view
+  // (reserved floor + view_scale() * unscaled load). Inline: called per
+  // touched stage on the admission fast path. At the default scale 1 the
+  // product is exact.
   double utilization(std::size_t stage) const {
     FRAP_EXPECTS(stage < stage_.size());
-    const StageState& s = stage_[stage];
+    return stage_[stage].reserved + unscaled_load(stage) * view_scale_;
+  }
+
+  // Sum of the stage's live contributions as they were added, without the
+  // reserved floor and without the view scale.
+  double unscaled_load(std::size_t stage) const {
+    FRAP_EXPECTS(stage < stage_.size());
     // Floating-point cancellation can leave a tiny negative residue after
     // many add/remove cycles; clamp so region tests never see U < reserved.
-    return s.reserved + std::max(0.0, s.dynamic);
+    return std::max(0.0, stage_[stage].dynamic);
   }
+
+  // Factor utilization() applies to every stored contribution. Admission
+  // controllers scale an arrival's contributions by it when they test it
+  // and commit them unscaled.
+  double view_scale() const { return view_scale_; }
 
   // Snapshot across stages, in stage order.
   std::vector<double> utilizations() const;
@@ -111,14 +130,10 @@ class SyntheticUtilizationTracker : public sim::TimerClient {
   // the wheel cell immediately. No-op for unknown ids.
   void remove_task(std::uint64_t task_id);
 
-  // Multiplies every live task contribution and per-stage dynamic
-  // utilization by `factor` (> 0, finite) and rebuilds the LHS cache.
-  // Reservation floors are unaffected. The sharded admission service
-  // (src/service/) uses this when a shard's quota weight changes: tracked
-  // contributions are stored pre-divided by the weight, so a weight move
-  // w_old -> w_new rescales the tracked view by w_old / w_new. Fires the
-  // on-decrease notification when factor < 1.
-  void rescale_dynamic(double factor);
+  // Sets the view scale (> 0, finite) and rebuilds the LHS cache in
+  // O(stages); no task record is touched. Reservation floors are not
+  // scaled. Fires the on-decrease notification when the scale falls.
+  void set_view_scale(double scale);
 
   // Callback fired after any utilization decrease (expiry, idle reset,
   // removal); waiting admission controllers retry from here.
@@ -180,7 +195,7 @@ class SyntheticUtilizationTracker : public sim::TimerClient {
 
  private:
   struct StageState {
-    double dynamic = 0;  // sum of live contributions
+    double dynamic = 0;  // sum of live contributions, unscaled
     double reserved = 0; // floor
     double f_term = 0;   // cached stage_delay_factor(utilization)
     // Tasks that departed this stage since it last went idle; drained (and
@@ -205,6 +220,7 @@ class SyntheticUtilizationTracker : public sim::TimerClient {
   TaskStore store_;
   util::IdMap id_map_;  // task id -> slot index
   bool idle_reset_ = true;
+  double view_scale_ = 1.0;
   std::function<void()> on_decrease_;
 
   // Reused compaction buffers for add(); capacity is retained across calls.

@@ -136,15 +136,6 @@ class TaskStore {
 
   [[nodiscard]] std::size_t size() const { return live_; }
 
-  // Visits every live handle (rescale path). Order is slot order, which is
-  // arbitrary — callers must not derive decisions from it.
-  template <typename F>
-  void for_each(F&& fn) const {
-    for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-      if ((slots_[i].gen & 1u) != 0) fn(pack(i, slots_[i].gen));
-    }
-  }
-
   // Observability for the allocation tests: arena words currently pooled.
   [[nodiscard]] std::size_t arena_capacity_words() const {
     return arena_words_.size();

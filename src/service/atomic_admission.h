@@ -100,7 +100,7 @@ class AtomicAdmissionGuard {
 
   // Republishes the exact committed state. Call under the owning shard's
   // mutex after EVERY mutation batch (admission commit, expiry-advancing
-  // run_until, rescale), passing the tracker's exact LHS, the simulator's
+  // run_until, weight move), passing the tracker's exact LHS, the simulator's
   // earliest pending event (+inf when idle), and the quanta of the
   // reservation being retired by this call (0 when none). The quantized
   // LHS is adjusted by fetch_add of the floor delta minus the released

@@ -1,9 +1,10 @@
 // Quota plans for the sharded admission service.
 //
 // The region budget Σ_j f(U_j) ≤ B is partitioned across K shards by
-// WEIGHTS w_k with Σ w_k = 1, not by splitting B itself: shard k tracks its
-// tasks' contributions pre-divided by w_k and tests them against the FULL
-// bound B. Because f is convex with f(0) = 0 (so f(w·x) ≤ w·f(x)),
+// WEIGHTS w_k with Σ w_k = 1, not by splitting B itself: shard k stores its
+// tasks' contributions unscaled, views them through one scale 1/w_k
+// (Ũ_jk = U_jk / w_k) and tests them against the FULL bound B. Because
+// f is convex with f(0) = 0 (so f(w·x) ≤ w·f(x)),
 //
 //   f(Σ_k U_jk) = f(Σ_k w_k · Ũ_jk) ≤ Σ_k w_k f(Ũ_jk)
 //

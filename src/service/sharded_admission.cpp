@@ -18,7 +18,8 @@ using core::AdmissionDecision;
 // bisection away from f's pole).
 constexpr double kMaxScaledUtil = 0.999;
 
-// Weight moves smaller than this are not worth a rescale pass.
+// Weight moves smaller than this are not worth a rebalance (a move rebuilds
+// every shard's LHS cache and republishes its guard).
 constexpr double kRebalanceDeadband = 0.02;
 
 }  // namespace
@@ -30,7 +31,7 @@ ShardedAdmissionService::Shard::Shard(const core::FeasibleRegion& region,
       weight(w),
       guard(region),
       inv_weight(1.0 / w) {
-  controller.set_contribution_scale(1.0 / w);
+  tracker.set_view_scale(1.0 / w);
 }
 
 ShardedAdmissionService::ShardedAdmissionService(core::FeasibleRegion region,
@@ -188,7 +189,7 @@ std::vector<double> ShardedAdmissionService::true_utilizations_locked() const {
   std::vector<double> u(region_.num_stages(), 0.0);
   for (const auto& sh : shards_) {
     for (std::size_t j = 0; j < u.size(); ++j) {
-      u[j] += sh->weight * sh->tracker.utilization(j);
+      u[j] += sh->tracker.unscaled_load(j);
     }
   }
   return u;
@@ -198,13 +199,15 @@ double ShardedAdmissionService::min_feasible_weight_locked(
     const Shard& sh) const {
   const std::size_t n = region_.num_stages();
   std::vector<double> x(n);  // true per-stage load of this shard
-  for (std::size_t j = 0; j < n; ++j) {
-    x[j] = sh.weight * sh.tracker.utilization(j);
-  }
+  for (std::size_t j = 0; j < n; ++j) x[j] = sh.tracker.unscaled_load(j);
+  // Evaluates exactly what the tracker's LHS cache holds once the shard
+  // is viewed at weight w (same products, same summation order), so a
+  // donor shrunk to the returned weight stays inside its own bound.
   const auto feasible = [&](double w) {
+    const double scale = 1.0 / w;
     double scaled_lhs = 0;
     for (double xj : x) {
-      const double u = xj / w;
+      const double u = xj * scale;
       if (u >= kMaxScaledUtil) return false;
       scaled_lhs += core::stage_delay_factor(u);
     }
@@ -229,7 +232,7 @@ bool ShardedAdmissionService::fits_at_weight_locked(
     const Shard& sh, const std::vector<double>& add, double w) const {
   double scaled_lhs = 0;
   for (std::size_t j = 0; j < add.size(); ++j) {
-    const double u = (sh.weight * sh.tracker.utilization(j) + add[j]) / w;
+    const double u = (sh.tracker.unscaled_load(j) + add[j]) / w;
     if (u >= kMaxScaledUtil) return false;
     scaled_lhs += core::stage_delay_factor(u);
   }
@@ -238,10 +241,9 @@ bool ShardedAdmissionService::fits_at_weight_locked(
 
 void ShardedAdmissionService::apply_weight_locked(Shard& sh, double w_new) {
   if (util::almost_equal(sh.weight, w_new)) return;
-  // Tracked contributions are stored pre-divided by the weight, so a move
-  // w_old -> w_new multiplies the scaled view by w_old / w_new.
-  sh.tracker.rescale_dynamic(sh.weight / w_new);
-  sh.controller.set_contribution_scale(1.0 / w_new);
+  // Tracked contributions are stored unscaled; the move only changes the
+  // tracker's view scale (an O(stages) cache rebuild, no task record).
+  sh.tracker.set_view_scale(1.0 / w_new);
   sh.weight = w_new;
   // frap:contract(order: relaxed; sync_guard_locked republishes the guard
   // right after, which is what makes the new weight authoritative)
@@ -264,7 +266,8 @@ core::AdmissionDecision ShardedAdmissionService::fallback(
   const Time eff = advance_all_locked(now);
   AdmissionDecision d = fallback_decide_locked(origin, spec, now, eff);
   // advance_all may have drained expiries and the decide pass may have
-  // admitted / rescaled; republish every guard before dropping the locks.
+  // admitted / moved weights; republish every guard before dropping the
+  // locks.
   sync_all_guards_locked();
   if (observer_ != nullptr) {
     // The admitting shard's sink already recorded the local decision (with
@@ -296,9 +299,32 @@ core::AdmissionDecision ShardedAdmissionService::fallback_decide_locked(
     return d;
   }
 
+  // A task that fails the TRUE global test is rejected here. Every sharded
+  // admit is a global admit (Jensen, docs/admission_service.md), so pass 2
+  // could never admit it; this skips its weight bisections. The same pair
+  // is reported if pass 2 fails: quota moves leave the stored loads as
+  // they are.
+  const std::vector<double> add = spec.contributions();
+  std::vector<double> u = true_utilizations_locked();
+  const double lhs_before = region_.lhs(u);
+  for (std::size_t j = 0; j < u.size(); ++j) u[j] += add[j];
+  const double lhs_with_task = region_.lhs(u);
+  const auto reject = [&] {
+    AdmissionDecision d;
+    d.admitted = false;
+    d.reason = AdmissionDecision::Reason::kQuotaFallbackRejected;
+    d.bound = region_.bound();
+    d.arrival = now;
+    d.decided_at = eff;
+    d.lhs_before = lhs_before;
+    d.lhs_with_task = lhs_with_task;
+    shards_[origin]->fallback_rejects.increment();
+    return d;
+  };
+  if (!region_.admits(lhs_with_task)) return reject();
+
   // Pass 2: steal unused quota — shrink every donor to its minimum feasible
   // weight and grow one receiver until the task fits in its slice.
-  const std::vector<double> add = spec.contributions();
   std::vector<double> minw(shards_.size());
   double total_minw = 0;
   for (std::size_t k = 0; k < shards_.size(); ++k) {
@@ -323,24 +349,13 @@ core::AdmissionDecision ShardedAdmissionService::fallback_decide_locked(
       return d;
     }
     // The arithmetic precheck and the controller's cached view disagreed at
-    // the boundary (FP); the rescale is harmless — fall through to reject.
+    // the boundary (FP); the weight move is harmless — fall through to
+    // reject.
     break;
   }
 
-  // Rejected even globally. Report the TRUE global LHS pair so operators
-  // see how far outside the region the task actually was.
-  AdmissionDecision d;
-  d.admitted = false;
-  d.reason = AdmissionDecision::Reason::kQuotaFallbackRejected;
-  d.bound = region_.bound();
-  d.arrival = now;
-  d.decided_at = eff;
-  std::vector<double> u = true_utilizations_locked();
-  d.lhs_before = region_.lhs(u);
-  for (std::size_t j = 0; j < u.size(); ++j) u[j] += add[j];
-  d.lhs_with_task = region_.lhs(u);
-  shards_[origin]->fallback_rejects.increment();
-  return d;
+  // No weight split fits the task; report the TRUE global LHS pair.
+  return reject();
 }
 
 void ShardedAdmissionService::rebalance(Time now) {
@@ -358,7 +373,7 @@ void ShardedAdmissionService::rebalance(Time now) {
   for (std::size_t k = 0; k < shards_.size(); ++k) {
     const Shard& sh = *shards_[k];
     for (std::size_t j = 0; j < region_.num_stages(); ++j) {
-      demand[k] += sh.weight * sh.tracker.utilization(j);
+      demand[k] += sh.tracker.unscaled_load(j);
     }
     floor[k] = min_feasible_weight_locked(sh);
   }

@@ -2,8 +2,9 @@
 //
 // Partitions the region budget Σ_j f(U_j) ≤ B across K shards by quota
 // WEIGHTS (service/quota.h): shard k holds weight w_k, Σ w_k = 1, and runs
-// an unmodified single-threaded core::AdmissionController whose per-task
-// contributions are scaled by 1/w_k but tested against the full bound B.
+// an unmodified single-threaded core::AdmissionController over a tracker
+// that stores contributions unscaled and views them at scale 1/w_k, tested
+// against the full bound B. A weight move changes only that view scale.
 // Convexity of f (Jensen) makes every purely local admission globally
 // sound, so the hot path takes exactly one uncontended shard mutex and
 // never synchronizes across shards (docs/admission_service.md derives the
@@ -25,8 +26,9 @@
 //     the global mutex (all shard locks, fixed order): first against every
 //     other shard's existing headroom, then by shrinking donor shards to
 //     their minimum feasible weights and growing one receiver so the task
-//     fits (work-stealing of unused quota). A task rejected even here is
-//     reported with the TRUE global LHS pair and
+//     fits (work-stealing of unused quota). A task the TRUE global region
+//     rejects skips the stealing: no weight split could admit it. A task
+//     rejected here is reported with the TRUE global LHS pair and
 //     Reason::kQuotaFallbackRejected. The weight partition makes per-shard
 //     tests conservative, so the fallback can only ever admit MORE than
 //     pure-local quotas — never a task the unsharded region test rejects.

@@ -332,8 +332,8 @@ TEST(AtomicStressTest, MirrorReplayFindsNoUnsoundAdmits) {
   for (std::size_t k = 0; k < kShards; ++k) {
     sim::Simulator sim;
     core::SyntheticUtilizationTracker tracker(sim, kStages);
+    tracker.set_view_scale(static_cast<double>(kShards));
     core::AdmissionController controller(sim, tracker, region);
-    controller.set_contribution_scale(static_cast<double>(kShards));
     frap::testing::ReferenceAdmitter mirror(controller);
     for (const auto& v : per_thread) {
       for (const auto& rec : v) {

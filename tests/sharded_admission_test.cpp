@@ -14,6 +14,7 @@
 #include "service/quota.h"
 #include "service/sharded_admission.h"
 #include "sim/simulator.h"
+#include "util/math.h"
 #include "util/rng.h"
 
 namespace frap::service {
@@ -166,6 +167,85 @@ TEST(ShardedAdmissionTest, GlobalRejectionReportsTrueLhs) {
   EXPECT_NEAR(d.lhs_before, svc.region().lhs(u), 1e-9);
   EXPECT_GT(d.lhs_with_task, d.lhs_before);
   EXPECT_DOUBLE_EQ(d.bound, svc.region().bound());
+}
+
+// A quota move changes only each shard's view scale: the stored (true)
+// loads stay bit-identical across a rebalance and across a quota steal.
+// Rescaling the stored entries on each move would round them.
+TEST(ShardedAdmissionTest, QuotaMovesLeaveTrueLoadBitIdentical) {
+  constexpr std::size_t kStages = 8;
+  ShardedAdmissionService svc(
+      core::FeasibleRegion::deadline_monotonic(kStages),
+      {.num_shards = 4, .rebalance_interval = 0});
+  util::Rng rng(97);
+  const Time now = 0.0;
+  // Skew: every task on shard 0, long deadlines so nothing expires.
+  for (std::uint64_t i = 1; i <= 40; ++i) {
+    std::vector<double> computes(kStages);
+    for (double& c : computes) c = rng.uniform(0.01, 0.03);
+    ASSERT_TRUE(svc.try_admit(make_task(4 * i, 100.0, computes), now).admitted);
+  }
+
+  // Quota steal: the task fails any quarter slice, so it is admitted only
+  // after the donors shrink. Shards 1-3 were empty, so the true load gains
+  // exactly the task's contributions.
+  const auto steal =
+      make_task(5, 1.0, std::vector<double>(kStages, 0.05));
+  const auto u_before_steal = svc.global_utilizations(now);
+  const auto d = svc.try_admit(steal, now);
+  ASSERT_TRUE(d.admitted);
+  EXPECT_EQ(d.reason, core::AdmissionDecision::Reason::kQuotaFallback);
+  auto expected = u_before_steal;
+  for (std::size_t j = 0; j < kStages; ++j) {
+    expected[j] += steal.stages[j].compute * util::safe_inv(steal.deadline);
+  }
+  EXPECT_EQ(svc.global_utilizations(now), expected);
+  const auto after_steal = svc.stats();
+  EXPECT_NE(after_steal.shards[0].weight, 0.25);
+
+  // Rebalance toward demand moves the weights again.
+  const auto u_before_rebalance = svc.global_utilizations(now);
+  svc.rebalance(now);
+  const auto after_rebalance = svc.stats();
+  ASSERT_EQ(after_rebalance.rebalances, 1u);
+  EXPECT_NE(after_rebalance.shards[0].weight, after_steal.shards[0].weight);
+  EXPECT_EQ(svc.global_utilizations(now), u_before_rebalance);
+}
+
+// A task the unsharded region rejects is rejected before any quota is
+// stolen: no weight moves, and the decision carries the true global pair.
+TEST(ShardedAdmissionTest, GlobalPrecheckRejectsWithoutMovingWeights) {
+  const auto region = core::FeasibleRegion::deadline_monotonic(2);
+  ShardedAdmissionService svc(region,
+                              {.num_shards = 4, .rebalance_interval = 0});
+  const Time now = 0.0;
+  for (std::uint64_t i = 1; i <= 8; ++i) {
+    ASSERT_TRUE(
+        svc.try_admit(make_task(i, 10.0, {0.3, 0.25}), now).admitted);
+  }
+  const auto weights_before = svc.stats();
+  auto u = svc.global_utilizations(now);
+
+  const auto spec = make_task(9, 1.0, {0.15, 0.2});
+  const double lhs_before = region.lhs(u);
+  const auto add = spec.contributions();
+  for (std::size_t j = 0; j < u.size(); ++j) u[j] += add[j];
+  const double lhs_with_task = region.lhs(u);
+  ASSERT_FALSE(region.admits(lhs_with_task));
+  ASSERT_TRUE(std::isfinite(lhs_with_task));
+
+  const auto d = svc.try_admit(spec, now);
+  EXPECT_FALSE(d.admitted);
+  EXPECT_EQ(d.reason,
+            core::AdmissionDecision::Reason::kQuotaFallbackRejected);
+  EXPECT_EQ(d.lhs_before, lhs_before);
+  EXPECT_EQ(d.lhs_with_task, lhs_with_task);
+  const auto weights_after = svc.stats();
+  for (std::size_t k = 0; k < svc.num_shards(); ++k) {
+    EXPECT_EQ(weights_after.shards[k].weight, weights_before.shards[k].weight)
+        << "shard " << k;
+  }
+  EXPECT_EQ(weights_after.shards[svc.route(9)].fallback_rejects, 1u);
 }
 
 // ------------------------------------------------------ soundness (12k) ---

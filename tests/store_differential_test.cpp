@@ -2,7 +2,7 @@
 // (ISSUE 5 acceptance criterion): the production SyntheticUtilizationTracker
 // and the preserved PR-1 ReferenceUtilizationTracker are driven through
 // identical randomized mutation histories — >= 12k arrivals interleaved with
-// expiries, departures, idle resets, shedding removals, and quota rescales —
+// expiries, departures, idle resets, shedding removals, and view-scale moves —
 // and must produce bit-identical admission decisions and utilizations that
 // agree to <= 1e-6 at every step.
 //
@@ -53,8 +53,10 @@ bool reference_admit(const testing::ReferenceUtilizationTracker& tracker,
                      const FeasibleRegion& region, const TaskSpec& spec) {
   double lhs = 0;
   for (std::size_t j = 0; j < kStages; ++j) {
-    const double u = tracker.utilization(j) +
-                     util::safe_div(spec.stages[j].compute, spec.deadline);
+    const double u =
+        tracker.utilization(j) +
+        util::safe_div(spec.stages[j].compute, spec.deadline) *
+            tracker.view_scale();
     lhs += stage_delay_factor(u);
   }
   return FeasibleRegion::admits_lhs(lhs, region.bound());
@@ -132,9 +134,9 @@ TEST(StoreDifferentialTest, TwelveKArrivalSweepBitIdentical) {
     }
     if (rng.bernoulli(0.002)) {
       // Quota-weight move (sharded service path).
-      const double factor = rng.uniform(0.6, 1.5);
-      store.rescale_dynamic(factor);
-      ref.rescale_dynamic(factor);
+      const double scale = rng.uniform(0.6, 1.5);
+      store.set_view_scale(scale);
+      ref.set_view_scale(scale);
       ++rescales;
     }
 

@@ -255,5 +255,37 @@ TEST_F(TrackerTest, ExplicitRebuildReturnsCachedLhs) {
   EXPECT_DOUBLE_EQ(t.cached_lhs(), cached);
 }
 
+TEST_F(TrackerTest, ViewScaleScalesLoadButNotStorageOrFloor) {
+  SyntheticUtilizationTracker t(sim_, 2);
+  int decreases = 0;
+  t.set_on_decrease([&] { ++decreases; });
+  t.set_reservation(1, 0.1);
+  t.add(1, std::vector<double>{0.1, 0.05}, 100.0);
+  EXPECT_EQ(t.view_scale(), 1.0);
+
+  t.set_view_scale(4.0);
+  EXPECT_EQ(decreases, 0);  // a rising scale only adds load
+  EXPECT_EQ(t.unscaled_load(0), 0.1);
+  EXPECT_EQ(t.utilization(0), 0.1 * 4.0);
+  EXPECT_EQ(t.utilization(1), 0.1 + 0.05 * 4.0);  // the floor is not scaled
+  EXPECT_NEAR(t.cached_lhs(), recomputed_lhs(t), 1e-12);
+
+  // Contributions added under the scale are stored as given.
+  t.add(2, std::vector<double>{0.02, 0.0}, 100.0);
+  EXPECT_EQ(t.unscaled_load(0), 0.1 + 0.02);
+  EXPECT_NEAR(t.cached_lhs(), recomputed_lhs(t), 1e-12);
+
+  t.set_view_scale(2.0);
+  EXPECT_EQ(decreases, 1);
+  EXPECT_EQ(t.utilization(0), (0.1 + 0.02) * 2.0);
+  EXPECT_NEAR(t.cached_lhs(), recomputed_lhs(t), 1e-12);
+  t.verify_lhs_cache(1e-12);
+
+  // Expiry strips the stored (unscaled) value: the load returns to zero.
+  sim_.run_until(100.0);
+  EXPECT_NEAR(t.unscaled_load(0), 0.0, 1e-15);
+  EXPECT_EQ(t.utilization(1), 0.1);
+}
+
 }  // namespace
 }  // namespace frap::core

@@ -101,21 +101,6 @@ TEST(TaskStoreTest, DepartedMaskIndependentPerEntry) {
   EXPECT_TRUE(store.entry_departed(h, 3));
 }
 
-TEST(TaskStoreTest, ForEachVisitsExactlyLiveSlots) {
-  TaskStore store;
-  const std::uint32_t stages[] = {0};
-  const double values[] = {0.1};
-  std::vector<TaskHandle> hs;
-  for (std::uint64_t id = 1; id <= 10; ++id) {
-    hs.push_back(store.create(id, stages, values, 1));
-  }
-  for (std::size_t i = 0; i < hs.size(); i += 2) store.destroy(hs[i]);
-  std::vector<std::uint64_t> seen;
-  store.for_each([&](TaskHandle h) { seen.push_back(store.task_id(h)); });
-  EXPECT_EQ(seen.size(), 5u);
-  for (std::uint64_t id : seen) EXPECT_EQ(id % 2, 0u);
-}
-
 // ------------------------------------------------------------ IdMap ------
 
 TEST(IdMapTest, InsertFindErase) {
