@@ -11,17 +11,17 @@
 //     incremental allocation-free fast path vs the shared-snapshot batch
 //     path, on the acceptance-criteria scenario — a 5-stage pipeline with
 //     sparse tasks (one touched stage) rejected right at the boundary;
-//   * AdmissionChurnSlotMapStore / AdmissionChurnReferenceStore: the ISSUE 5
+//   * AdmissionChurnSlotMapStore / AdmissionChurnReferenceStore: the
 //     storage A/B — full admit -> commit -> expire steady-state cycles at
-//     10k live tasks, slot-map/timer-wheel store vs the preserved PR-1
+//     10k live tasks, slot-map/typed-timer store vs the preserved PR-1
 //     store (unordered_map records + closure expiries) behind the identical
 //     incremental predicate. The issue targeted >= 3x attempts/sec; the
 //     measured ratio saturates near 1.1x because the PR-1 cycle was never
 //     allocation-dominated — docs/perf_internals.md ("Measuring it") has
 //     the decomposition.
 //   * AdmissionShedChurn{SlotMapStore,ReferenceStore}: same population but
-//     tasks leave by explicit removal mid-deadline — eager wheel-cell
-//     cancellation vs the PR-1 dead heap closures parked to the deadline.
+//     tasks leave by explicit removal mid-deadline, so every departure is
+//     an eager event-heap cancel on both stores.
 //
 // Writes BENCH_admission.json (override the path with FRAP_BENCH_JSON) with
 // attempts/sec per variant, the live-task count, and the churn speedup.
@@ -192,8 +192,9 @@ BENCHMARK(AdmissionBatchPath)->Arg(16)->Arg(64)->Arg(256);
 // schedule the expiry, and retire ~one expired task per arrival. 10k tasks
 // stay live throughout (deadline 1 s, spacing 100 us). The two variants
 // run the IDENTICAL incremental predicate; only the storage and expiry
-// machinery differ — slot map + timer wheel vs the PR-1 unordered_map +
-// heap-closure store preserved in ReferenceUtilizationTracker.
+// machinery differ — slot map + typed-timer expiries vs the PR-1
+// unordered_map + closure-expiry store preserved in
+// ReferenceUtilizationTracker. Both schedule on the same event heap.
 
 constexpr Duration kChurnSpacing = 1e-4;
 constexpr std::uint64_t kChurnWarmup = 20000;  // 2x the steady population
@@ -311,11 +312,9 @@ BENCHMARK(AdmissionChurnReferenceStore);
 // ------------------------------------------- shed churn A/B (ISSUE 5a) ---
 // Same steady-state population, but tasks leave by explicit removal (shed)
 // after a 1 s dwell instead of by expiry — deadline 2 s, so the expiry
-// timer is still pending at removal time. This is where the two designs
-// diverge hardest: the slot-map store cancels the wheel timer eagerly and
-// reclaims the cell on the spot, while the PR-1 store leaves the dead heap
-// closure parked until its deadline tick, doubling the heap population and
-// paying a dead pop per cycle.
+// timer is still pending at removal time. Each removal cancels the
+// earliest pending expiry, an O(log n) re-sift of the event heap on both
+// stores.
 
 constexpr std::uint64_t kShedLive = 10000;    // 1 s dwell / 100 us spacing
 constexpr std::uint64_t kShedWarmup = 30000;  // past one full 2 s deadline

@@ -4,8 +4,8 @@
 // implementation preserved verbatim: task records in an
 // `unordered_map<id, TaskRecord>` with dense per-stage contribution vectors
 // and `vector<bool>` departed flags, expiries as type-erased closures on the
-// simulator's binary-heap EventQueue, departed queues keyed by raw task id.
-// It exists so the slot-map/timer-wheel store (core/synthetic_utilization.h)
+// simulator's event queue, departed queues keyed by raw task id. It exists
+// so the slot-map/typed-timer store (core/synthetic_utilization.h)
 // can be proven bit-compatible: the differential A/B sweep
 // (tests/store_differential_test.cpp) drives both stores through identical
 // mutation sequences and asserts identical decisions and utilizations, and

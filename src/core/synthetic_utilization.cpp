@@ -96,7 +96,7 @@ double SyntheticUtilizationTracker::strip_entry(TaskHandle h,
 }
 
 void SyntheticUtilizationTracker::on_timer(std::uint64_t payload) {
-  // Expiry: the wheel only fires timers that were never cancelled, and
+  // Expiry: the queue only fires timers that were never cancelled, and
   // remove_task cancels eagerly, so the handle must still be live.
   const TaskHandle h = payload;
   FRAP_ASSERT(store_.live(h));
@@ -159,9 +159,8 @@ void SyntheticUtilizationTracker::remove_task(std::uint64_t task_id) {
     refresh_stage_lhs(stage);
     decreased = true;
   });
-  // Eager cancellation reclaims the wheel cell now instead of leaving a
-  // dead entry parked until the deadline tick.
-  (void)sim_.cancel_timer(store_.expiry(h));
+  // Cancel eagerly: the expiry leaves the event heap at once.
+  (void)sim_.cancel(store_.expiry(h));
   id_map_.erase(task_id);
   store_.destroy(h);
   if (decreased) notify_decrease();

@@ -30,12 +30,12 @@
 // Storage and expiry (docs/perf_internals.md): task records live in a
 // generation-checked slot map with pooled contribution storage (TaskStore),
 // ids resolve through a flat open-addressing map, and expiries are typed
-// timers on the simulator's hierarchical wheel — the tracker IS the
-// TimerClient, the payload is the task's slot-map handle. The steady-state
+// timers on the simulator's event heap — the tracker IS the TimerClient,
+// the payload is the task's slot-map handle. The steady-state
 // admit -> expire cycle performs zero heap allocations once the pools are
 // warm (tests/alloc_steady_state_test.cpp pins this), and remove_task/shed
-// cancellation reclaims the timer cell immediately instead of leaving a
-// lazily-dead heap entry until the deadline. Departed-task queues carry
+// cancellation removes the timer from the heap immediately instead of
+// leaving a dead entry until the deadline. Departed-task queues carry
 // generation-checked handles, so a task id reused after removal can no
 // longer alias a stale queue entry onto the new task's contribution (a
 // latent defect of the id-keyed map this store replaced).
@@ -126,8 +126,8 @@ class SyntheticUtilizationTracker : public sim::TimerClient {
   void on_stage_idle(std::size_t stage);
 
   // Removes the task's remaining contributions everywhere (used by load
-  // shedding and by aborted tasks) and cancels its expiry timer, reclaiming
-  // the wheel cell immediately. No-op for unknown ids.
+  // shedding and by aborted tasks) and cancels its expiry timer, removing
+  // it from the event heap immediately. No-op for unknown ids.
   void remove_task(std::uint64_t task_id);
 
   // Sets the view scale (> 0, finite) and rebuilds the LHS cache in
@@ -189,8 +189,9 @@ class SyntheticUtilizationTracker : public sim::TimerClient {
     return id_map_.find(task_id) != util::IdMap::kNotFound;
   }
 
-  // Typed expiry dispatch from the timer wheel; payload is the task's
-  // slot-map handle. Public only because the wheel calls it — not an API.
+  // Typed expiry dispatch from the simulator; payload is the task's
+  // slot-map handle. Public only because the simulator calls it — not an
+  // API.
   void on_timer(std::uint64_t payload) override;
 
  private:

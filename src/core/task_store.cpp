@@ -56,7 +56,7 @@ TaskHandle TaskStore::create(std::uint64_t task_id,
   ++s.gen;  // even (dead) -> odd (live)
   FRAP_ASSERT((s.gen & 1u) != 0);
   s.task_id = task_id;
-  s.expiry = sim::kInvalidTimerId;
+  s.expiry = sim::kInvalidEventId;
   s.touched = count;
   s.inline_mask = 0;
   if (count <= kInlineEntries) {
@@ -85,7 +85,7 @@ void TaskStore::destroy(TaskHandle h) {
   Slot& s = slot(h);
   if (!is_inline(s)) arena_free(s.arena_off, s.arena_class);
   ++s.gen;  // odd (live) -> even (dead); stale handles now mismatch
-  s.expiry = sim::kInvalidTimerId;
+  s.expiry = sim::kInvalidEventId;
   s.touched = 0;
   free_slots_.push_back(index_of(h));
   --live_;

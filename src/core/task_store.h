@@ -25,15 +25,15 @@
 // bit. Inline tasks keep the mask word in the slot.
 //
 // The store knows nothing about utilization accounting or timers beyond
-// stashing the expiry TimerId; SyntheticUtilizationTracker composes it with
-// the per-stage state and the wheel (docs/perf_internals.md).
+// stashing the expiry EventId; SyntheticUtilizationTracker composes it with
+// the per-stage state and the simulator (docs/perf_internals.md).
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <vector>
 
-#include "sim/timer_wheel.h"
+#include "sim/event_queue.h"
 #include "util/check.h"
 
 namespace frap::core {
@@ -88,10 +88,10 @@ class TaskStore {
   [[nodiscard]] std::uint32_t touched(TaskHandle h) const {
     return slot(h).touched;
   }
-  [[nodiscard]] sim::TimerId expiry(TaskHandle h) const {
+  [[nodiscard]] sim::EventId expiry(TaskHandle h) const {
     return slot(h).expiry;
   }
-  void set_expiry(TaskHandle h, sim::TimerId id) { slot(h).expiry = id; }
+  void set_expiry(TaskHandle h, sim::EventId id) { slot(h).expiry = id; }
 
   // Entry accessors; `i` indexes the task's touched entries in ascending
   // stage order, i < touched(h).
@@ -144,7 +144,7 @@ class TaskStore {
  private:
   struct Slot {
     std::uint64_t task_id = 0;
-    sim::TimerId expiry = sim::kInvalidTimerId;
+    sim::EventId expiry = sim::kInvalidEventId;
     std::uint32_t gen = 0;       // odd = live
     std::uint32_t touched = 0;   // number of (stage, value) entries
     std::uint32_t arena_off = 0; // word offset of the arena block

@@ -197,6 +197,9 @@ void DagRuntime::abort_task(std::uint64_t task_id) {
   }
   execs_.erase(et);
   ++aborted_;
+  if (trace_ != nullptr) {
+    trace_->record(sim_.now(), TraceEventKind::kShed, task_id);
+  }
 }
 
 bool DagRuntime::task_started_executing(std::uint64_t task_id) const {

@@ -54,7 +54,7 @@ class DagRuntime : private sched::StageListener {
       std::function<sched::PriorityValue(const core::GraphTaskSpec&)> policy);
 
   // Optional lifecycle tracing (Release / StageDeparture(resource) /
-  // Complete). The log must outlive the runtime; nullptr detaches.
+  // Complete / Shed). The log must outlive the runtime; nullptr detaches.
   void set_trace(TraceLog* trace) { trace_ = trace; }
 
   // Optional per-resource gauges (queue depth, node sojourn histograms; one

@@ -1,9 +1,10 @@
 // Execution trace capture: a typed, queryable log of task lifecycle events.
 //
 // Used for debugging schedules, validating timelines in tests, and
-// exporting runs for offline analysis. The runtime emits Release /
-// StageDeparture / Complete; admission-side events (Arrival, Admit, Reject,
-// Shed) are recorded by whichever controller the experiment wires up.
+// exporting runs for offline analysis. The runtimes emit Release /
+// StageDeparture / Complete, and Shed from abort_task; admission-side
+// events (Arrival, Admit, Reject) are recorded by whichever controller the
+// experiment wires up.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,6 @@
 #include "sim/simulator.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "util/check.h"
 #include "util/math.h"
@@ -9,94 +9,45 @@ namespace frap::sim {
 
 EventId Simulator::at(Time t, std::function<void()> fn) {
   FRAP_EXPECTS(t >= now_);
-  return queue_.push_with_seq(t, next_seq_++, std::move(fn));
+  return queue_.push(t, std::move(fn));
 }
 
 EventId Simulator::after(Duration d, std::function<void()> fn) {
   FRAP_EXPECTS(d >= 0);
-  return queue_.push_with_seq(now_ + d, next_seq_++, std::move(fn));
+  return queue_.push(now_ + d, std::move(fn));
 }
 
-TimerId Simulator::timer_at(Time t, TimerClient* client,
+EventId Simulator::timer_at(Time t, TimerClient* client,
                             std::uint64_t payload) {
   FRAP_EXPECTS(t >= now_);
-  return wheel_.schedule(t, next_seq_++, client, payload);
+  return queue_.push_timer(t, client, payload);
 }
 
 void Simulator::dispatch_next() {
-  Time qt = kTimeZero;
-  std::uint64_t qseq = 0;
-  const bool have_q = queue_.peek(qt, qseq);
-  Time wt = kTimeZero;
-  std::uint64_t wseq = 0;
-  const bool have_w = wheel_.peek(wt, wseq);
-  FRAP_ASSERT(have_q || have_w);
-  const bool wheel_first =
-      have_w && (!have_q || wt < qt || (wt == qt && wseq < qseq));
-  if (wheel_first) {
-    Time t = kTimeZero;
-    TimerClient* client = nullptr;
-    std::uint64_t payload = 0;
-    wheel_.pop(t, client, payload);
-    FRAP_ASSERT(t >= now_);
-    now_ = t;
-    ++executed_;
-    client->on_timer(payload);
-  } else {
-    Time t = kTimeZero;
-    auto fn = queue_.pop(t);
-    FRAP_ASSERT(t >= now_);
-    now_ = t;
-    ++executed_;
-    fn();
-  }
+  EventQueue::Event e = queue_.pop();
+  FRAP_ASSERT(e.time >= now_);
+  now_ = e.time;
+  ++executed_;
+  e.fire();
 }
 
-bool Simulator::next_event_time(Time& t) {
-  Time qt = kTimeZero;
-  std::uint64_t qseq = 0;
-  const bool have_q = queue_.peek(qt, qseq);
-  Time wt = kTimeZero;
-  std::uint64_t wseq = 0;
-  const bool have_w = wheel_.peek(wt, wseq);
-  if (!have_q && !have_w) return false;
-  t = have_q && have_w ? std::min(qt, wt) : (have_q ? qt : wt);
-  return true;
-}
-
-Time Simulator::next_event_at() {
-  Time t = kTimeZero;
-  if (!next_event_time(t)) return util::kInf;
-  return t;
+Time Simulator::next_event_at() const {
+  return queue_.empty() ? util::kInf : queue_.next_time();
 }
 
 void Simulator::run() {
-  while (!queue_.empty() || !wheel_.empty()) dispatch_next();
+  while (!queue_.empty()) dispatch_next();
 }
 
 void Simulator::run_until(Time t) {
   FRAP_EXPECTS(t >= now_);
-  // Same loop condition as `while (next_event_time(next) && next <= t)`,
-  // but probing the wheel through its cheap quiescence test instead of
-  // forcing the exact earliest-timer scan on every advance: when nothing
-  // is due by t (the common case under cancel-heavy shedding, where the
-  // memo dies every cycle), the wheel answers from its occupancy bits.
-  while (true) {
-    Time qt = kTimeZero;
-    std::uint64_t qseq = 0;
-    const bool queue_due = queue_.peek(qt, qseq) && qt <= t;
-    if (!queue_due && wheel_.none_at_or_before(t)) break;
-    dispatch_next();
-  }
+  while (!queue_.empty() && queue_.next_time() <= t) dispatch_next();
   now_ = t;
-  // Quiescent up to t: drag the wheel clock along so pending timers stay
-  // in low levels relative to the cursor (see TimerWheel::advance_clock).
-  wheel_.advance_clock(t);
 }
 
 std::size_t Simulator::step(std::size_t n) {
   std::size_t ran = 0;
-  while (ran < n && (!queue_.empty() || !wheel_.empty())) {
+  while (ran < n && !queue_.empty()) {
     dispatch_next();
     ++ran;
   }

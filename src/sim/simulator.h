@@ -2,25 +2,21 @@
 //
 // The simulator advances a virtual clock from event to event. Components
 // (stage servers, workload generators, admission controllers) interact only
-// through scheduled callbacks, so a whole experiment is a single-threaded,
+// through scheduled events, so a whole experiment is a single-threaded,
 // perfectly reproducible computation.
 //
-// Two scheduling surfaces share one clock and one sequence counter:
-//   * at()/after() — arbitrary closures on a binary-heap EventQueue
-//     (O(log n), lazy cancel);
-//   * timer_at() — typed, allocation-free timers on a hierarchical
-//     TimerWheel (O(1) schedule, O(1) cancel with immediate reclamation),
-//     used for the dominant deadline-expiry traffic.
-// Because both draw sequence numbers from the same counter and dispatch
-// merges them by (time, seq), the firing order is exactly what a single
-// queue would produce (docs/perf_internals.md).
+// Every event lives on one EventQueue, an indexed (time, seq) heap:
+//   * at()/after() schedule arbitrary closures;
+//   * timer_at() schedules a typed, closure-free TimerClient event, used
+//     for the dominant deadline-expiry traffic.
+// Both kinds share one sequence counter, so same-time events fire in
+// scheduling order whatever their kind (docs/perf_internals.md).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 
 #include "sim/event_queue.h"
-#include "sim/timer_wheel.h"
 #include "util/time.h"
 
 namespace frap::sim {
@@ -28,8 +24,6 @@ namespace frap::sim {
 class Simulator {
  public:
   Simulator() = default;
-  // Overrides the timer-wheel tick (tests exercising wheel granularity).
-  explicit Simulator(Duration timer_tick) : wheel_(timer_tick) {}
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -42,26 +36,18 @@ class Simulator {
   // Schedules fn after a non-negative delay.
   EventId after(Duration d, std::function<void()> fn);
 
-  // Cancels a pending event (no-op if it already fired or was cancelled).
-  void cancel(EventId id) { queue_.cancel(id); }
+  // Schedules a typed timer at absolute time t (>= now()). Allocation-free
+  // once the queue has grown to the live set.
+  EventId timer_at(Time t, TimerClient* client, std::uint64_t payload);
 
-  // Schedules a typed timer at absolute time t (>= now()). O(1) and
-  // allocation-free once the wheel's cell pool is warm.
-  TimerId timer_at(Time t, TimerClient* client, std::uint64_t payload);
+  // Cancels a pending event or timer at once. Returns false for fired,
+  // cancelled, stale and invalid handles.
+  bool cancel(EventId id) { return queue_.cancel(id); }
 
-  // Cancels a pending timer, reclaiming its wheel cell immediately.
-  // Returns false for already-fired / already-cancelled / stale handles.
-  bool cancel_timer(TimerId id) { return wheel_.cancel(id); }
+  // True while the event or timer is still pending.
+  [[nodiscard]] bool pending(EventId id) const { return queue_.pending(id); }
 
-  // True while the timer is still pending.
-  [[nodiscard]] bool timer_pending(TimerId id) const {
-    return wheel_.pending(id);
-  }
-
-  // Read-only wheel access (tests pin overflow/occupancy behavior).
-  const TimerWheel& timer_wheel() const { return wheel_; }
-
-  // Runs until both the event queue and the timer wheel drain.
+  // Runs until the queue drains.
   void run();
 
   // Runs events with time <= t, then sets the clock to exactly t.
@@ -71,31 +57,24 @@ class Simulator {
   // Executes at most `n` further events (for tests); returns how many ran.
   std::size_t step(std::size_t n = 1);
 
-  // Earliest pending event/timer time, or +infinity when both surfaces are
-  // idle. Always > now() right after run_until(now()). Not const: peeking
-  // the heap prunes lazily-cancelled entries and the wheel memoizes its
-  // scan. Used by the sharded service's lock-free fast path to publish a
-  // staleness horizon: a decision taken strictly before this instant sees
-  // exactly the state the exact path would (no expiry can fire in between).
-  Time next_event_at();
+  // Earliest pending event time, or +infinity when idle. Always > now()
+  // right after run_until(now()). Used by the sharded service's lock-free
+  // fast path to publish a staleness horizon: a decision taken strictly
+  // before this instant sees exactly the state the exact path would (no
+  // expiry can fire in between).
+  [[nodiscard]] Time next_event_at() const;
 
   // Events executed since construction (closures and timers).
-  std::uint64_t events_executed() const { return executed_; }
+  [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
 
-  std::size_t pending_events() { return queue_.size() + wheel_.size(); }
+  [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
 
  private:
   void dispatch_next();
-  // Earliest pending (time) across the queue and the wheel; false if both
-  // are empty.
-  bool next_event_time(Time& t);
 
   EventQueue queue_;
-  TimerWheel wheel_;
   Time now_ = kTimeZero;
   std::uint64_t executed_ = 0;
-  // Shared sequence counter across the heap and the wheel (see file header).
-  std::uint64_t next_seq_ = 1;
 };
 
 }  // namespace frap::sim

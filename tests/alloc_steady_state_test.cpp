@@ -1,6 +1,6 @@
-// The ISSUE 5 zero-allocation invariant: once the pools are warm, the
-// steady-state admit -> expire cycle — admission test, tracker add, expiry
-// timer schedule, departures, idle resets, wheel advance, typed expiry
+// The zero-allocation invariant: once the pools are warm, the steady-state
+// admit -> expire cycle — admission test, tracker add, expiry timer
+// schedule, departures, idle resets, event-heap advance, typed expiry
 // dispatch — performs ZERO heap allocations. Pinned with a per-binary
 // operator new/delete replacement that counts while a flag is set.
 //
@@ -89,8 +89,8 @@ TEST(AllocSteadyStateTest, AdmitExpireCycleIsAllocationFree) {
   AdmissionController controller(sim, tracker,
                                  FeasibleRegion::deadline_monotonic(kStages));
 
-  // Warm-up: reach the steady live count and warm every pool (wheel cells,
-  // slot map, arena, id map, departed queues, due buffers, scratch).
+  // Warm-up: reach the steady live count and warm every pool (event heap
+  // and nodes, slot map, arena, id map, departed queues, scratch).
   std::uint64_t id = 1;
   TaskSpec spec = tiny_spec(0);
   for (std::uint64_t i = 0; i < 2 * kLiveTarget; ++i) {
@@ -274,7 +274,7 @@ TEST(AllocSteadyStateTest, IngestDecodeAdmitCycleIsAllocationFree) {
                                  FeasibleRegion::deadline_monotonic(kStages));
   ingest::IngestSession session(kStages);
 
-  // Warm: a few epochs fill the session scratch, tracker pools, and wheel.
+  // Warm: a few epochs fill the session scratch, tracker pools, and heap.
   Time t = 0;
   for (int i = 0; i < 5; ++i) {
     const auto st = session.replay(view, controller, sim, nullptr, t);
@@ -299,7 +299,7 @@ TEST(AllocSteadyStateTest, IngestDecodeAdmitCycleIsAllocationFree) {
 }
 
 // remove_task (the shed path) must also be allocation-free in steady state,
-// including the immediate wheel-cell reclamation.
+// including the immediate removal of the expiry from the event heap.
 TEST(AllocSteadyStateTest, RemoveTaskIsAllocationFree) {
   sim::Simulator sim;
   SyntheticUtilizationTracker tracker(sim, kStages);
@@ -323,8 +323,8 @@ TEST(AllocSteadyStateTest, RemoveTaskIsAllocationFree) {
   g_counting.store(false);
   EXPECT_EQ(g_allocs.load(), 0u);
   EXPECT_EQ(tracker.live_tasks(), 0u);
-  EXPECT_EQ(sim.timer_wheel().size(), 0u)
-      << "cancelled expiries must reclaim their wheel cells";
+  EXPECT_EQ(sim.pending_events(), 0u)
+      << "cancelled expiries must leave the event heap at once";
 }
 
 }  // namespace

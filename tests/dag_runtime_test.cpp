@@ -215,6 +215,8 @@ TEST_F(DagRuntimeTest, TraceRecordsLifecycle) {
 
 TEST_F(DagRuntimeTest, AbortRemovesAllNodes) {
   build(4);
+  TraceLog log;
+  runtime_->set_trace(&log);
   sim_.at(0.0, [&] {
     runtime_->start_task(fig3(1, 100.0, {1.0, 2.0, 5.0, 1.0}), 100.0);
   });
@@ -223,6 +225,12 @@ TEST_F(DagRuntimeTest, AbortRemovesAllNodes) {
   EXPECT_TRUE(done_.empty());
   EXPECT_EQ(runtime_->aborted(), 1u);
   EXPECT_FALSE(runtime_->task_in_flight(1));
+  // The trace closes the task's lifecycle with a Shed record at the abort.
+  const auto events = log.for_task(1);
+  ASSERT_FALSE(events.empty());
+  EXPECT_EQ(events.back().kind, TraceEventKind::kShed);
+  EXPECT_DOUBLE_EQ(events.back().time, 1.5);
+  EXPECT_EQ(log.count(TraceEventKind::kShed), 1u);
   // Node 3 (the join) never ran.
   EXPECT_DOUBLE_EQ(runtime_->resource(3).meter().busy_time(0.0, 100.0), 0.0);
 }

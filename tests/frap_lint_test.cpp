@@ -168,12 +168,11 @@ TEST(FrapLintRules, R5ObsMayUseConcurrencyButNotClocksOrEntropy) {
 }
 
 TEST(FrapLintRules, R5PassesTimerWheelIdioms) {
-  // The timer wheel's internals are saturated with temporal-looking
-  // identifiers (Timer::time members, tick arithmetic, steady_state
-  // counters). They must all lint clean under src/sim/ without any new
-  // carve-out: member access and value uses never match the wall-clock
-  // patterns.
-  auto all = lint_source("src/sim/timer_wheel.cpp",
+  // Timer code is saturated with temporal-looking identifiers
+  // (Timer::time members, tick arithmetic, steady_state counters). They
+  // must all lint clean under src/sim/ without any new carve-out: member
+  // access and value uses never match the wall-clock patterns.
+  auto all = lint_source("src/sim/event_queue.cpp",
                          read_fixture("r5_wheel_pass.cpp"));
   EXPECT_TRUE(all.empty()) << all.size() << " unexpected finding(s), first: "
                            << (all.empty() ? "" : all.front().message);
@@ -183,7 +182,7 @@ TEST(FrapLintRules, R5SimGetsNoCarveOut) {
   // Conversely src/sim/ earns no exemption: real entropy, wall clocks,
   // stdout, and concurrency primitives all still flag there, exactly as
   // in any other library directory.
-  auto fs = findings_for("r5_flag.cpp", "src/sim/timer_wheel.cpp",
+  auto fs = findings_for("r5_flag.cpp", "src/sim/event_queue.cpp",
                          "nondeterminism");
   EXPECT_EQ(lines_of(fs), (std::vector<int>{5, 10, 12, 16, 20, 21, 23, 27}));
 }

@@ -1,5 +1,5 @@
-// Differential A/B sweep for the slot-map/timer-wheel tracker store
-// (ISSUE 5 acceptance criterion): the production SyntheticUtilizationTracker
+// Differential A/B sweep for the slot-map/typed-timer tracker store: the
+// production SyntheticUtilizationTracker
 // and the preserved PR-1 ReferenceUtilizationTracker are driven through
 // identical randomized mutation histories — >= 12k arrivals interleaved with
 // expiries, departures, idle resets, shedding removals, and view-scale moves —

@@ -1,9 +1,9 @@
-// R5 must-pass: timer-wheel internals. Tick arithmetic, Timer::time member
+// R5 must-pass: timer-wheel-style code. Tick arithmetic, Timer::time member
 // reads, and occupancy bit-scans merely *look* temporal — none of them
-// touch a wall clock, entropy, stdout, or a concurrency primitive, so the
-// wheel sits entirely inside the existing determinism carve-outs (no new
+// touch a wall clock, entropy, stdout, or a concurrency primitive, so such
+// code sits entirely inside the existing determinism carve-outs (no new
 // exemption needed for src/sim/). Linted under a pretend path of
-// src/sim/timer_wheel.cpp. (Fixtures are lexed, not compiled, so called
+// src/sim/event_queue.cpp. (Fixtures are lexed, not compiled, so called
 // members need no declarations here.)
 struct Timer {
   double time = 0;  // exact fire time carried alongside the coarse tick
