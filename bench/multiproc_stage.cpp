@@ -21,7 +21,7 @@
 
 #include "core/synthetic_utilization.h"
 #include "core/task.h"
-#include "sched/pooled_stage_server.h"
+#include "sched/stage_server.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -43,7 +43,7 @@ struct Live {
   std::uint64_t id;
 };
 
-// Typed listener (sched/stage_executor.h): departure bookkeeping + deadline
+// Typed listener (sched/stage_server.h): departure bookkeeping + deadline
 // check on completion, idle reset on drain.
 struct PoolObserver final : sched::StageListener {
   sim::Simulator* sim = nullptr;
@@ -51,7 +51,7 @@ struct PoolObserver final : sched::StageListener {
   std::vector<std::unique_ptr<Live>>* live = nullptr;
   PoolRun* result = nullptr;
 
-  void on_job_complete(sched::StageExecutor&, sched::Job& j) override {
+  void on_job_complete(sched::StageServer&, sched::Job& j) override {
     tracker->mark_departed(j.id, 0);
     // Find the live record to check the deadline.
     for (auto it = live->begin(); it != live->end(); ++it) {
@@ -63,14 +63,14 @@ struct PoolObserver final : sched::StageListener {
     }
   }
 
-  void on_stage_idle(sched::StageExecutor&) override {
+  void on_stage_idle(sched::StageServer&) override {
     tracker->on_stage_idle(0);
   }
 };
 
 PoolRun run_pool(std::size_t m, double theta, std::uint64_t seed) {
   sim::Simulator sim;
-  sched::PooledStageServer pool(sim, m);
+  sched::StageServer pool(sim, "pool", sched::fixed_priority_policy(), m);
   core::SyntheticUtilizationTracker tracker(sim, 1);
 
   auto live = std::make_shared<std::vector<std::unique_ptr<Live>>>();
@@ -115,7 +115,7 @@ PoolRun run_pool(std::size_t m, double theta, std::uint64_t seed) {
       });
   sim.run();
 
-  result.pool_util = pool.pool_utilization(5.0, sim_end);
+  result.pool_util = pool.utilization(5.0, sim_end);
   result.accept = offered ? static_cast<double>(admitted) /
                                 static_cast<double>(offered)
                           : 0;

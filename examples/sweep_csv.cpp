@@ -3,8 +3,8 @@
 // per (load, seed-replication) cell, ready for plotting.
 //
 //   ./sweep_csv --stages=3 --resolution=50 > sweep.csv
-//   ./sweep_csv --admission=approx --load-from=60 --load-to=200 \
-//               --load-step=20 --reps=5 > sweep.csv
+//   ./sweep_csv --admission=approx --load-from=60 --load-to=200
+//               --load-step=20 --reps=5 > sweep.csv     (one command line)
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>

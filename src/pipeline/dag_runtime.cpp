@@ -26,12 +26,12 @@ DagRuntime::DagRuntime(sim::Simulator& sim, std::size_t num_resources,
   }
 }
 
-void DagRuntime::on_job_complete(sched::StageExecutor& /*stage*/,
+void DagRuntime::on_job_complete(sched::StageServer& /*stage*/,
                                  sched::Job& job) {
   on_node_complete(job);
 }
 
-void DagRuntime::on_stage_idle(sched::StageExecutor& stage) {
+void DagRuntime::on_stage_idle(sched::StageServer& stage) {
   if (tracker_ != nullptr) tracker_->on_stage_idle(stage.tag());
 }
 

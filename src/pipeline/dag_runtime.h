@@ -112,8 +112,8 @@ class DagRuntime : private sched::StageListener {
 
   // StageListener: resources report completion/idle with their index in the
   // tag (set at construction).
-  void on_job_complete(sched::StageExecutor& stage, sched::Job& job) override;
-  void on_stage_idle(sched::StageExecutor& stage) override;
+  void on_job_complete(sched::StageServer& stage, sched::Job& job) override;
+  void on_stage_idle(sched::StageServer& stage) override;
 
   void on_node_complete(sched::Job& job);
   void release_node(Exec& exec, std::size_t node);

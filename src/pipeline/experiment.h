@@ -47,11 +47,10 @@ struct ExperimentConfig {
   bool idle_reset = true;       // ablation A1
   Duration patience = 0;        // >0: waiting admission (Sec. 5 style)
 
-  // Processors backing each stage. 1 (the paper's model) uses a
-  // single-resource StageServer; > 1 uses a PooledStageServer under global
-  // scheduling (kEdf then means gEDF). The admission region still charges
-  // each stage as a single resource, so admission is conservative for
-  // pooled stages.
+  // Processors backing each stage's StageServer. 1 is the paper's
+  // single-resource model; > 1 schedules the pool globally (kEdf then means
+  // gEDF). The admission region still charges each stage as a single
+  // resource, so admission is conservative for pooled stages.
   std::size_t procs_per_stage = 1;
 
   // Optional decision/stage tracing (docs/observability.md): sink 0 feeds

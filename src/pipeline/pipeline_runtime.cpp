@@ -2,8 +2,6 @@
 
 #include <string>
 
-#include "sched/pooled_stage_server.h"
-#include "sched/stage_server.h"
 #include "util/check.h"
 
 namespace frap::pipeline {
@@ -22,26 +20,20 @@ PipelineRuntime::PipelineRuntime(sim::Simulator& sim, std::size_t stages,
   FRAP_EXPECTS(tracker_ == nullptr || tracker_->num_stages() == stages);
   servers_.reserve(stages);
   for (std::size_t j = 0; j < stages; ++j) {
-    std::unique_ptr<sched::StageExecutor> server;
-    if (procs_per_stage == 1) {
-      server = std::make_unique<sched::StageServer>(
-          sim_, "stage-" + std::to_string(j), sched_policy);
-    } else {
-      server = std::make_unique<sched::PooledStageServer>(
-          sim_, procs_per_stage, "stage-" + std::to_string(j), sched_policy);
-    }
+    auto server = std::make_unique<sched::StageServer>(
+        sim_, "stage-" + std::to_string(j), sched_policy, procs_per_stage);
     server->set_tag(j);
     server->set_listener(this);
     servers_.push_back(std::move(server));
   }
 }
 
-void PipelineRuntime::on_job_complete(sched::StageExecutor& stage,
+void PipelineRuntime::on_job_complete(sched::StageServer& stage,
                                       sched::Job& job) {
   on_stage_complete(stage.tag(), job);
 }
 
-void PipelineRuntime::on_stage_idle(sched::StageExecutor& stage) {
+void PipelineRuntime::on_stage_idle(sched::StageServer& stage) {
   if (tracker_ != nullptr) tracker_->on_stage_idle(stage.tag());
 }
 
@@ -174,7 +166,7 @@ void PipelineRuntime::stage_utilizations(Time from, Time to,
                                          std::span<double> out) const {
   FRAP_EXPECTS(out.size() == servers_.size());
   for (std::size_t j = 0; j < servers_.size(); ++j) {
-    out[j] = servers_[j]->meter().utilization(from, to);
+    out[j] = servers_[j]->utilization(from, to);
   }
 }
 

@@ -20,7 +20,7 @@
 #include "metrics/counters.h"
 #include "obs/stage_observer.h"
 #include "pipeline/trace.h"
-#include "sched/stage_executor.h"
+#include "sched/stage_server.h"
 #include "sim/simulator.h"
 
 namespace frap::pipeline {
@@ -40,9 +40,9 @@ class PipelineRuntime : private sched::StageListener {
   // `tracker` may be null (no admission bookkeeping, e.g. no-admission
   // baselines). If given, it must have num_stages() == `stages`.
   // `policy` selects the dispatch discipline for every stage executor
-  // (sched/policy.h); `procs_per_stage` > 1 backs each stage with a
-  // PooledStageServer of that many processors (global scheduling — with
-  // edf_policy() this is gEDF) instead of a single-processor StageServer.
+  // (sched/policy.h); `procs_per_stage` is each StageServer's processor
+  // count (> 1: global scheduling over the pool — with edf_policy() this
+  // is gEDF).
   PipelineRuntime(
       sim::Simulator& sim, std::size_t stages,
       core::SyntheticUtilizationTracker* tracker,
@@ -53,10 +53,8 @@ class PipelineRuntime : private sched::StageListener {
   PipelineRuntime& operator=(const PipelineRuntime&) = delete;
 
   std::size_t num_stages() const { return servers_.size(); }
-  sched::StageExecutor& stage(std::size_t j) { return *servers_[j]; }
-  const sched::StageExecutor& stage(std::size_t j) const {
-    return *servers_[j];
-  }
+  sched::StageServer& stage(std::size_t j) { return *servers_[j]; }
+  const sched::StageServer& stage(std::size_t j) const { return *servers_[j]; }
 
   // The scheduling policy every stage dispatches through.
   const sched::SchedulingPolicy& scheduling_policy() const {
@@ -111,7 +109,8 @@ class PipelineRuntime : private sched::StageListener {
   const metrics::RatioTracker& misses() const { return misses_; }
   const metrics::RunningStats& response_times() const { return response_; }
 
-  // Real utilization of each stage over [from, to].
+  // Real utilization of each stage over [from, to]: the busy fraction of
+  // the whole stage (all its processors) — StageServer::utilization.
   std::vector<double> stage_utilizations(Time from, Time to) const;
 
   // Allocation-free overload into a caller-owned buffer of exactly
@@ -129,17 +128,17 @@ class PipelineRuntime : private sched::StageListener {
     std::unique_ptr<sched::Job> job;  // job on the current stage
   };
 
-  // StageListener: executors report completion/idle with their stage index
+  // StageListener: servers report completion/idle with their stage index
   // in the tag (set at construction).
-  void on_job_complete(sched::StageExecutor& stage, sched::Job& job) override;
-  void on_stage_idle(sched::StageExecutor& stage) override;
+  void on_job_complete(sched::StageServer& stage, sched::Job& job) override;
+  void on_stage_idle(sched::StageServer& stage) override;
 
   void on_stage_complete(std::size_t stage, sched::Job& job);
   void submit_to_stage(Exec& exec, std::size_t stage);
 
   sim::Simulator& sim_;
   core::SyntheticUtilizationTracker* tracker_;
-  std::vector<std::unique_ptr<sched::StageExecutor>> servers_;
+  std::vector<std::unique_ptr<sched::StageServer>> servers_;
   PriorityPolicy policy_;
   CompletionCallback on_complete_;
   TraceLog* trace_ = nullptr;

@@ -5,9 +5,9 @@
 // dispatch key from (job, remaining work, now), declares whether keys are
 // static (fixed-priority: assigned once at submit) or dynamic (EDF/LLF:
 // re-evaluated at every dispatch event), and names itself for config and
-// observability. StageServer / PooledStageServer dispatch through the
-// policy; the fixed-priority default reproduces the pre-redesign behavior
-// bit-identically (pinned by tests/policy_differential_test).
+// observability. StageServer dispatches through the policy at any
+// processor count; the fixed-priority default reproduces the pre-redesign
+// behavior bit-identically (pinned by tests/policy_differential_test).
 //
 // Dynamic policies are *event-driven*: keys are re-evaluated at scheduling
 // events only (submit, segment completion, abort, speed change), which is

@@ -62,7 +62,6 @@ double BoundedParetoSampler::mean() const {
     return std::log(hi_ / lo_) / (1.0 / lo_ - 1.0 / hi_);
   }
   const double la = std::pow(lo_, alpha_);
-  const double ha = std::pow(hi_, alpha_);
   // frap-lint: allow(unsafe-division) -- lo_ < hi_ (ctor precondition), so
   // pow(lo_/hi_, alpha_) < 1 and the denominator is strictly positive.
   return (la / (1.0 - std::pow(lo_ / hi_, alpha_))) *

@@ -12,7 +12,9 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <vector>
 
 // GCC pairs our replacement operator new (malloc-backed) with the library
 // operator delete and flags the free() as mismatched; the replacement pair
@@ -29,6 +31,7 @@
 #include "ingest/ingest_session.h"
 #include "ingest/wire_decoder.h"
 #include "ingest/wire_encoder.h"
+#include "sched/stage_server.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 #include "workload/random_dag.h"
@@ -325,6 +328,50 @@ TEST(AllocSteadyStateTest, RemoveTaskIsAllocationFree) {
   EXPECT_EQ(tracker.live_tasks(), 0u);
   EXPECT_EQ(sim.pending_events(), 0u)
       << "cancelled expiries must leave the event heap at once";
+}
+
+// Stage dispatch on a processor pool: choosing the top-m jobs, preempting,
+// starting and completing them on an m = 2 stage must not allocate. Four
+// reused jobs keep the pool saturated: each completion resubmits its job,
+// so both processors stay busy (the meters record no new busy intervals)
+// and the urgent resubmissions preempt less urgent runners.
+TEST(AllocSteadyStateTest, PooledDispatchCycleIsAllocationFree) {
+  struct Resubmitter final : sched::StageListener {
+    std::uint64_t completions = 0;
+    void on_job_complete(sched::StageServer& stage, sched::Job& job) override {
+      ++completions;
+      stage.submit(job);
+    }
+    void on_stage_idle(sched::StageServer& /*stage*/) override {}
+  };
+
+  sim::Simulator sim;
+  sched::StageServer server(sim, "pool", sched::fixed_priority_policy(), 2);
+  Resubmitter resubmitter;
+  server.set_listener(&resubmitter);
+  std::vector<std::unique_ptr<sched::Job>> jobs;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    jobs.push_back(std::make_unique<sched::Job>(
+        i + 1, static_cast<double>(i),
+        std::vector<sched::Segment>{
+            sched::Segment{0.5 + 0.25 * static_cast<double>(i),
+                           sched::kNoLock}}));
+    server.submit(*jobs.back());
+  }
+  sim.run_until(100.0);  // warm the event heap and the scratch buffers
+  const std::uint64_t warm_completions = resubmitter.completions;
+  const std::uint64_t warm_preemptions = server.preemptions();
+
+  g_allocs.store(0);
+  g_counting.store(true);
+  sim.run_until(200.0);
+  g_counting.store(false);
+
+  EXPECT_EQ(g_allocs.load(), 0u)
+      << "steady-state pooled dispatch must not allocate";
+  EXPECT_GT(resubmitter.completions - warm_completions, 100u);
+  EXPECT_GT(server.preemptions() - warm_preemptions, 10u);
+  EXPECT_EQ(server.active_jobs(), 4u);
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 #include <functional>
 #include <utility>
 
-#include "sched/stage_executor.h"
+#include "sched/stage_server.h"
 
 namespace frap::testing {
 
@@ -16,11 +16,11 @@ class CallbackListener final : public sched::StageListener {
                             std::function<void()> on_idle = {})
       : on_complete_(std::move(on_complete)), on_idle_(std::move(on_idle)) {}
 
-  void on_job_complete(sched::StageExecutor& /*stage*/,
+  void on_job_complete(sched::StageServer& /*stage*/,
                        sched::Job& job) override {
     if (on_complete_) on_complete_(job);
   }
-  void on_stage_idle(sched::StageExecutor& /*stage*/) override {
+  void on_stage_idle(sched::StageServer& /*stage*/) override {
     if (on_idle_) on_idle_();
   }
 

@@ -114,7 +114,7 @@ TEST(ExperimentTest, EdfAndLlfPoliciesRunAndStaySound) {
 }
 
 TEST(ExperimentTest, PooledStagesRunUnderEveryPolicy) {
-  // procs_per_stage > 1 swaps StageServer for PooledStageServer (gEDF when
+  // procs_per_stage > 1 gives each StageServer a processor pool (gEDF when
   // combined with kEdf). Admission charges each stage as a single resource,
   // so the region stays conservative and nothing should miss.
   for (const auto mode :

@@ -185,6 +185,25 @@ TEST_F(PipelineRuntimeTest, StageUtilizationsMeasureBusyFractions) {
   EXPECT_DOUBLE_EQ(u[1], 0.1);
 }
 
+TEST(PipelineRuntimePoolTest, StageUtilizationCountsEveryProcessor) {
+  // Two processors per stage with unequal loads: 4 s on the first, 2 s on
+  // the second. The stage's busy fraction over [0, 10] is 6 / (2 * 10),
+  // not the first processor's 0.4.
+  sim::Simulator sim;
+  PipelineRuntime runtime(sim, 1, nullptr, sched::fixed_priority_policy(), 2);
+  sim.at(0.0, [&] {
+    runtime.start_task(make_task(1, 100.0, {4.0}), 100.0);
+    runtime.start_task(make_task(2, 100.0, {2.0}), 100.0);
+  });
+  sim.run();
+  sim.run_until(10.0);
+  const auto u = runtime.stage_utilizations(0.0, 10.0);
+  ASSERT_EQ(u.size(), 1u);
+  EXPECT_DOUBLE_EQ(u[0], 0.3);
+  EXPECT_DOUBLE_EQ(runtime.stage(0).meter(0).busy_time(0.0, 10.0), 4.0);
+  EXPECT_DOUBLE_EQ(runtime.stage(0).meter(1).busy_time(0.0, 10.0), 2.0);
+}
+
 TEST_F(PipelineRuntimeTest, ManyConcurrentTasksAllComplete) {
   build(3);
   for (int i = 0; i < 100; ++i) {

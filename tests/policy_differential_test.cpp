@@ -10,20 +10,28 @@
 // times, preemption counts, and meter busy time. The admission controller
 // consumes exactly these signals (departure times and idle transitions), so
 // identical sequences imply identical admission decisions.
+//
+// The same comparison pins the m-processor path: StageServer at m = 1..4
+// under the fixed-priority, EDF and LLF policies against a frozen copy of
+// the pool executor it absorbed, including each processor's busy time.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <random>
+#include <string>
 #include <type_traits>
 #include <vector>
 
 #include "callback_listener.h"
+#include "legacy_pooled_stage_server.h"
 #include "metrics/utilization_meter.h"
 #include "sched/job.h"
 #include "sched/pcp.h"
+#include "sched/policy.h"
 #include "sched/stage_server.h"
 #include "sched/timeline.h"
 #include "sim/simulator.h"
@@ -343,60 +351,132 @@ TEST(PolicyDifferentialTest, DefaultPolicyBitIdenticalToLegacyOver1kSeeds) {
   }
 }
 
-// The pre-redesign executor took callbacks through std::function setters;
-// the frozen copy and the deprecated shims must agree too (the shims are
-// what keeps one-PR-migration callers compiling).
-TEST(PolicyDifferentialTest, LegacyShimsMatchTypedListenerPath) {
-  const Script s = make_script(424242);
-  const Observed via_shims = run_script<StageServer>(s);
+// ---------------------------------------------------------------------------
+// The m-processor path: StageServer at m = 1..4 against the frozen
+// pre-merge pool executor (tests/legacy_pooled_stage_server.h). Pools are
+// lock-free, so the scripts are make_script's with the critical sections
+// dropped; deadlines sit on an integer grid so EDF ties (FIFO tie-break)
+// are common.
 
-  // Same script, typed listener instead of the shims.
-  sim::Simulator sim;
-  StageServer server(sim, "typed");
-  struct Recorder : StageListener {
-    std::vector<std::uint64_t> ids;
-    std::vector<Time> times;
-    std::vector<Time> idles;
-    sim::Simulator* sim = nullptr;
-    void on_job_complete(StageExecutor&, Job& j) override {
-      ids.push_back(j.id);
-      times.push_back(sim->now());
-    }
-    void on_stage_idle(StageExecutor&) override {
-      idles.push_back(sim->now());
-    }
-  } recorder;
-  recorder.sim = &sim;
-  server.set_listener(&recorder);
+Script make_lock_free_script(std::uint64_t seed) {
+  Script s = make_script(seed);
+  for (auto& job : s.jobs) {
+    for (auto& seg : job.segments) seg.lock = kNoLock;
+  }
+  return s;
+}
+
+struct PoolObserved {
   Timeline timeline;
-  server.set_timeline(&timeline);
+  std::vector<std::uint64_t> completion_ids;
+  std::vector<Time> completion_times;
+  std::vector<Time> idle_times;
+  std::uint64_t preemptions = 0;
+  std::vector<Duration> busy_times;  // per processor
+  double utilization = 0;
+  Time finished_at = kTimeZero;
+};
+
+template <typename Server>
+PoolObserved run_pool_script(const Script& s, std::size_t m,
+                             const SchedulingPolicy& policy) {
+  sim::Simulator sim;
+  PoolObserved out;
+  const auto on_complete = [&](Job& j) {
+    out.completion_ids.push_back(j.id);
+    out.completion_times.push_back(sim.now());
+  };
+  const auto on_idle = [&] { out.idle_times.push_back(sim.now()); };
+  frap::testing::CallbackListener listener(on_complete, on_idle);
+  std::unique_ptr<Server> server;
+  if constexpr (std::is_same_v<Server, LegacyPooledStageServer>) {
+    server = std::make_unique<Server>(sim, m, "diff", policy);
+    server->set_on_complete(on_complete);
+    server->set_on_idle(on_idle);
+  } else {
+    server = std::make_unique<Server>(sim, "diff", policy, m);
+    server->set_listener(&listener);
+  }
+  server->set_timeline(&out.timeline);
 
   std::vector<std::unique_ptr<Job>> jobs;
+  jobs.reserve(s.jobs.size());
   for (std::size_t i = 0; i < s.jobs.size(); ++i) {
     jobs.push_back(std::make_unique<Job>(static_cast<std::uint64_t>(i + 1),
                                          s.jobs[i].priority,
                                          s.jobs[i].segments));
     Job* job = jobs.back().get();
-    sim.at(s.jobs[i].submit_at, [&server, job] { server.submit(*job); });
+    job->absolute_deadline =
+        std::ceil(s.jobs[i].submit_at) + 5.0 * s.jobs[i].priority;
+    Server* srv = server.get();
+    sim.at(s.jobs[i].submit_at, [srv, job] { srv->submit(*job); });
   }
   if (s.has_abort) {
     Job* victim = jobs[s.abort_index].get();
-    sim.at(s.abort_at, [&server, victim] { server.abort(*victim); });
+    Server* srv = server.get();
+    sim.at(s.abort_at, [srv, victim] { srv->abort(*victim); });
   }
   if (s.has_speed_change) {
-    sim.at(s.speed_change_at,
-           [&server, &s] { server.set_speed(s.new_speed); });
+    Server* srv = server.get();
+    sim.at(s.speed_change_at, [srv, &s] { srv->set_speed(s.new_speed); });
   }
   sim.run();
-
-  EXPECT_EQ(recorder.ids, via_shims.completion_ids);
-  EXPECT_EQ(recorder.times, via_shims.completion_times);
-  EXPECT_EQ(recorder.idles, via_shims.idle_times);
-  ASSERT_EQ(timeline.size(), via_shims.timeline.size());
-  for (std::size_t i = 0; i < timeline.size(); ++i) {
-    EXPECT_EQ(timeline[i].start, via_shims.timeline[i].start);
-    EXPECT_EQ(timeline[i].end, via_shims.timeline[i].end);
+  out.preemptions = server->preemptions();
+  out.finished_at = sim.now();
+  for (std::size_t p = 0; p < m; ++p) {
+    out.busy_times.push_back(
+        server->meter(p).busy_time(kTimeZero, out.finished_at + 1.0));
   }
+  if constexpr (std::is_same_v<Server, LegacyPooledStageServer>) {
+    out.utilization = server->pool_utilization(kTimeZero, out.finished_at + 1.0);
+  } else {
+    out.utilization = server->utilization(kTimeZero, out.finished_at + 1.0);
+  }
+  return out;
+}
+
+void expect_identical(const PoolObserved& legacy, const PoolObserved& fresh,
+                      const std::string& where) {
+  ASSERT_EQ(legacy.timeline.size(), fresh.timeline.size()) << where;
+  for (std::size_t i = 0; i < legacy.timeline.size(); ++i) {
+    const RunInterval& a = legacy.timeline[i];
+    const RunInterval& b = fresh.timeline[i];
+    EXPECT_EQ(a.job_id, b.job_id) << where << " interval " << i;
+    EXPECT_EQ(a.start, b.start) << where << " interval " << i;
+    EXPECT_EQ(a.end, b.end) << where << " interval " << i;
+    EXPECT_EQ(a.segment, b.segment) << where << " interval " << i;
+  }
+  EXPECT_EQ(legacy.completion_ids, fresh.completion_ids) << where;
+  EXPECT_EQ(legacy.completion_times, fresh.completion_times) << where;
+  EXPECT_EQ(legacy.idle_times, fresh.idle_times) << where;
+  EXPECT_EQ(legacy.preemptions, fresh.preemptions) << where;
+  EXPECT_EQ(legacy.busy_times, fresh.busy_times) << where;
+  EXPECT_EQ(legacy.utilization, fresh.utilization) << where;
+  EXPECT_EQ(legacy.finished_at, fresh.finished_at) << where;
+}
+
+TEST(PolicyDifferentialTest, PoolBitIdenticalToLegacyPoolOver1kSeeds) {
+  const SchedulingPolicy* policies[] = {&fixed_priority_policy(),
+                                        &edf_policy(), &llf_policy()};
+  std::uint64_t preemptions = 0;
+  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+    const Script s = make_lock_free_script(seed);
+    for (std::size_t m = 1; m <= 4; ++m) {
+      for (const SchedulingPolicy* policy : policies) {
+        const std::string where = "seed " + std::to_string(seed) + " m " +
+                                  std::to_string(m) + " " +
+                                  std::string(policy->name());
+        const PoolObserved legacy =
+            run_pool_script<LegacyPooledStageServer>(s, m, *policy);
+        const PoolObserved fresh = run_pool_script<StageServer>(s, m, *policy);
+        expect_identical(legacy, fresh, where);
+        if (::testing::Test::HasFailure()) return;
+        preemptions += fresh.preemptions;
+      }
+    }
+  }
+  // The scripts must exercise preemption, not just run jobs to completion.
+  EXPECT_GT(preemptions, 1000u);
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include "callback_listener.h"
 #include "sched/gantt.h"
 #include "sched/policy.h"
-#include "sched/pooled_stage_server.h"
 #include "sched/stage_server.h"
 #include "sched/timeline.h"
 #include "sim/simulator.h"
@@ -76,11 +75,11 @@ TEST(PolicyKeyTest, DispatchKeyValues) {
 
 class RecordingListener : public StageListener {
  public:
-  void on_job_complete(StageExecutor& stage, Job& job) override {
+  void on_job_complete(StageServer& stage, Job& job) override {
     completed_ids.push_back(job.id);
     completion_tags.push_back(stage.tag());
   }
-  void on_stage_idle(StageExecutor& stage) override {
+  void on_stage_idle(StageServer& stage) override {
     idle_tags.push_back(stage.tag());
   }
 
@@ -269,7 +268,7 @@ TEST_F(PolicyScheduleTest, GlobalEdfRunsTopTwoByDeadline) {
   // Two processors, three jobs at t=0: J1 (4s, d=20), J2 (4s, d=10),
   // J3 (2s, d=5). gEDF: J2 and J3 occupy the pool, J1 waits for J3's
   // completion at t=2, then runs [2,6).
-  PooledStageServer pool(sim_, 2, "gedf", edf_policy());
+  StageServer pool(sim_, "gedf", edf_policy(), 2);
   pool.set_timeline(&timeline_);
   std::vector<Completion> completions;
   CallbackListener listener(
@@ -299,7 +298,7 @@ TEST_F(PolicyScheduleTest, GlobalEdfPreemptsAcrossThePool) {
   // Two processors. J1 (10s, d=30) and J2 (10s, d=25) start at t=0; at t=1
   // J3 (2s, d=5) arrives and must displace J1 (the latest deadline), which
   // resumes once J3 finishes at t=3.
-  PooledStageServer pool(sim_, 2, "gedf", edf_policy());
+  StageServer pool(sim_, "gedf", edf_policy(), 2);
   pool.set_timeline(&timeline_);
   sim_.at(0.0, [&] {
     pool.submit(make_job(1, 10.0, 30.0));

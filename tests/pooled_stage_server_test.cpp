@@ -6,9 +6,9 @@
 #include <vector>
 
 #include "callback_listener.h"
-#include "sched/pooled_stage_server.h"
-#include "sched/timeline.h"
+#include "legacy_pooled_stage_server.h"
 #include "sched/stage_server.h"
+#include "sched/timeline.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 
@@ -25,7 +25,8 @@ struct Completion {
 class PooledServerTest : public ::testing::Test {
  protected:
   void build(std::size_t m) {
-    server_ = std::make_unique<PooledStageServer>(sim_, m, "pool");
+    server_ = std::make_unique<StageServer>(sim_, "pool",
+                                            fixed_priority_policy(), m);
     server_->set_listener(&listener_);
   }
 
@@ -39,7 +40,7 @@ class PooledServerTest : public ::testing::Test {
   CallbackListener listener_{
       [this](Job& j) { completions_.push_back({j.id, sim_.now()}); },
       [this] { ++idle_transitions_; }};
-  std::unique_ptr<PooledStageServer> server_;
+  std::unique_ptr<StageServer> server_;
   std::vector<std::unique_ptr<Job>> jobs_;
   std::vector<Completion> completions_;
   int idle_transitions_ = 0;
@@ -97,7 +98,7 @@ TEST_F(PooledServerTest, PoolUtilizationAveragesProcessors) {
   sim_.run();
   sim_.run_until(6.0);
   // One processor busy 3 of 6 seconds, the other idle: pool = 0.25.
-  EXPECT_DOUBLE_EQ(server_->pool_utilization(0.0, 6.0), 0.25);
+  EXPECT_DOUBLE_EQ(server_->utilization(0.0, 6.0), 0.25);
 }
 
 TEST_F(PooledServerTest, AbortFreesProcessor) {
@@ -188,7 +189,8 @@ TEST_F(PooledServerTest, SpeedChangeMidRunBanksAllProcessors) {
   EXPECT_DOUBLE_EQ(completions_[1].at, 3.0);
 }
 
-// m = 1 must reproduce the uniprocessor StageServer exactly.
+// The pool semantics at m = 1 (the frozen pre-merge pool executor) must
+// reproduce StageServer's single-processor schedule exactly.
 class PooledVsUniprocessorTest
     : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -227,10 +229,9 @@ TEST_P(PooledVsUniprocessorTest, SingleProcessorPoolMatchesStageServer) {
   };
   auto run_pool = [&] {
     sim::Simulator sim;
-    PooledStageServer server(sim, 1, "pool");
+    LegacyPooledStageServer server(sim, 1, "pool");
     std::map<std::uint64_t, Time> done;
-    CallbackListener listener([&](Job& j) { done[j.id] = sim.now(); });
-    server.set_listener(&listener);
+    server.set_on_complete([&](Job& j) { done[j.id] = sim.now(); });
     std::vector<std::unique_ptr<Job>> jobs;
     for (const auto& s : specs) {
       jobs.push_back(std::make_unique<Job>(
@@ -246,7 +247,7 @@ TEST_P(PooledVsUniprocessorTest, SingleProcessorPoolMatchesStageServer) {
   const auto pool = run_pool();
   ASSERT_EQ(uni.size(), pool.size());
   for (const auto& [id, at] : uni) {
-    EXPECT_NEAR(pool.at(id), at, 1e-9) << "job " << id;
+    EXPECT_EQ(pool.at(id), at) << "job " << id;
   }
 }
 
@@ -266,7 +267,7 @@ TEST_F(PooledServerTest, MoreProcessorsNeverHurtMakespan) {
   Time last_makespan = 1e18;
   for (std::size_t m : {1u, 2u, 4u}) {
     sim::Simulator sim;
-    PooledStageServer server(sim, m);
+    StageServer server(sim, "pool", fixed_priority_policy(), m);
     Time makespan = 0;
     CallbackListener listener([&](Job&) { makespan = sim.now(); });
     server.set_listener(&listener);
