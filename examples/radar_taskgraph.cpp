@@ -13,7 +13,7 @@
 #include "core/admission.h"
 #include "core/task_graph.h"
 #include "core/synthetic_utilization.h"
-#include "pipeline/dag_runtime.h"
+#include "pipeline/pipeline_runtime.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 #include "workload/arrival_scheduler.h"
@@ -82,7 +82,7 @@ int main() {
               static_cast<unsigned long long>(runtime.completed()));
   std::printf("deadline misses:   %llu (Theorem 2 guarantee)\n",
               static_cast<unsigned long long>(runtime.misses().hits()));
-  const auto u = runtime.resource_utilizations(5.0, horizon);
+  const auto u = runtime.stage_utilizations(5.0, horizon);
   std::printf("\nutilization: ingest %.1f%%, correlator %.1f%%, classifier "
               "%.1f%%, display %.1f%%\n",
               100 * u[kIngest], 100 * u[kCorrelator], 100 * u[kClassifier],
@@ -90,5 +90,13 @@ int main() {
   std::printf("mean contact latency: %.0f ms (critical path through the "
               "fork/join)\n",
               runtime.response_times().mean() / kMilli);
+  // Every admitted contact must meet its deadline (Theorem 2); a miss means
+  // the admission or the runtime is broken, so the run fails.
+  if (runtime.misses().hits() > 0) {
+    std::fprintf(stderr, "error: %llu admitted contacts missed their "
+                         "deadline\n",
+                 static_cast<unsigned long long>(runtime.misses().hits()));
+    return 1;
+  }
   return 0;
 }

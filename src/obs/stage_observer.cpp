@@ -23,7 +23,9 @@ void StageObserver::on_depart(std::size_t stage, Time entered, Time now) {
   FRAP_EXPECTS(stage < stages_.size());
   Stage& s = stages_[stage];
   ++s.departed;
-  s.sojourn.add(now - entered);
+  const Duration sojourn = now - entered;
+  s.sojourn.add(sojourn);
+  if (sojourn > s.max_sojourn) s.max_sojourn = sojourn;
 }
 
 std::vector<StageSnapshot> StageObserver::snapshot() const {
@@ -33,7 +35,7 @@ std::vector<StageSnapshot> StageObserver::snapshot() const {
     const Stage& s = stages_[j];
     out.push_back(StageSnapshot{j, s.enqueued, s.departed,
                                 s.enqueued - s.departed, s.peak_depth,
-                                s.sojourn});
+                                s.sojourn, s.max_sojourn});
   }
   return out;
 }

@@ -1,10 +1,15 @@
-// Per-stage pipeline gauges: queue depth (current / peak), departures, and
-// a sojourn-time histogram (enqueue -> departure, in simulated seconds).
+// Per-stage pipeline gauges: queue depth (current / peak), departures, a
+// sojourn-time histogram (enqueue -> departure, in simulated seconds) and
+// the running maximum sojourn.
 //
-// Fed by PipelineRuntime / DagRuntime, which are single-threaded event
-// simulators, so the observer is deliberately plain data — no atomics, no
-// locks. Times are SIMULATED seconds (frap::Time), not wall clock: stage
-// sojourn is a property of the modelled pipeline, not of the host machine.
+// Together with the completion callback and aborted() count, this is the
+// runtime's lifecycle feed. Fed by the task runtime (pipeline/
+// pipeline_runtime.h), a single-threaded event simulator, so the observer
+// is deliberately plain data — no atomics, no locks. Times are SIMULATED
+// seconds (frap::Time), not wall clock: stage sojourn is a property of the
+// modelled pipeline, not of the host machine. For a pipeline a stage
+// sojourn is exactly the Theorem 1 residence L_j, so max_sojourn checks the
+// per-stage bound L_j <= f(U_j) * D_max directly.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +34,7 @@ struct StageSnapshot {
   std::uint64_t queue_depth = 0;  // enqueued - departed
   std::uint64_t peak_depth = 0;
   metrics::Histogram sojourn;
+  Duration max_sojourn = 0;  // longest enqueue -> departure seen
 };
 
 class StageObserver {
@@ -54,6 +60,7 @@ class StageObserver {
     std::uint64_t departed = 0;
     std::uint64_t peak_depth = 0;
     metrics::Histogram sojourn;
+    Duration max_sojourn = 0;
     explicit Stage(const StageConfig& cfg)
         : sojourn(cfg.sojourn_lo, cfg.sojourn_hi, cfg.sojourn_buckets) {}
   };

@@ -1,20 +1,33 @@
 #include "pipeline/pipeline_runtime.h"
 
+#include <algorithm>
 #include <string>
+#include <type_traits>
 
+#include "core/task_graph_shape.h"
 #include "util/check.h"
 
 namespace frap::pipeline {
+
+namespace {
+
+template <typename Spec>
+constexpr bool kIsPipeline = std::is_same_v<Spec, core::TaskSpec>;
+
+}  // namespace
 
 PriorityPolicy deadline_monotonic_policy() {
   return [](const core::TaskSpec& spec) { return spec.deadline; };
 }
 
-PipelineRuntime::PipelineRuntime(sim::Simulator& sim, std::size_t stages,
-                                 core::SyntheticUtilizationTracker* tracker,
-                                 const sched::SchedulingPolicy& sched_policy,
-                                 std::size_t procs_per_stage)
-    : sim_(sim), tracker_(tracker), policy_(deadline_monotonic_policy()) {
+template <typename Spec>
+TaskRuntime<Spec>::TaskRuntime(sim::Simulator& sim, std::size_t stages,
+                               core::SyntheticUtilizationTracker* tracker,
+                               const sched::SchedulingPolicy& sched_policy,
+                               std::size_t procs_per_stage)
+    : sim_(sim),
+      tracker_(tracker),
+      policy_([](const Spec& spec) { return spec.deadline; }) {
   FRAP_EXPECTS(stages >= 1);
   FRAP_EXPECTS(procs_per_stage >= 1);
   FRAP_EXPECTS(tracker_ == nullptr || tracker_->num_stages() == stages);
@@ -28,98 +41,192 @@ PipelineRuntime::PipelineRuntime(sim::Simulator& sim, std::size_t stages,
   }
 }
 
-void PipelineRuntime::on_job_complete(sched::StageServer& stage,
-                                      sched::Job& job) {
-  on_stage_complete(stage.tag(), job);
-}
-
-void PipelineRuntime::on_stage_idle(sched::StageServer& stage) {
+template <typename Spec>
+void TaskRuntime<Spec>::on_stage_idle(sched::StageServer& stage) {
   if (tracker_ != nullptr) tracker_->on_stage_idle(stage.tag());
 }
 
-void PipelineRuntime::set_priority_policy(PriorityPolicy policy) {
+template <typename Spec>
+void TaskRuntime<Spec>::set_priority_policy(PriorityPolicy policy) {
   FRAP_EXPECTS(policy != nullptr);
   policy_ = std::move(policy);
 }
 
-void PipelineRuntime::set_stage_observer(obs::StageObserver* observer) {
+template <typename Spec>
+void TaskRuntime<Spec>::set_stage_observer(obs::StageObserver* observer) {
   FRAP_EXPECTS(observer == nullptr ||
                observer->num_stages() == servers_.size());
   stage_obs_ = observer;
 }
 
-void PipelineRuntime::start_task(const core::TaskSpec& spec,
-                                 Time absolute_deadline) {
-  FRAP_EXPECTS(spec.valid());
-  FRAP_EXPECTS(spec.num_stages() == servers_.size());
-  FRAP_EXPECTS(execs_.find(spec.id) == execs_.end());
+// --- topology reads ---
 
-  Exec exec;
+template <typename Spec>
+void TaskRuntime<Spec>::expect_valid(const Spec& spec, std::size_t stages) {
+  if constexpr (kIsPipeline<Spec>) {
+    FRAP_EXPECTS(spec.valid());
+    FRAP_EXPECTS(spec.num_stages() == stages);
+  } else {
+    // An interned spec carries no layout of its own, and its shape was
+    // validated at intern time, so valid() is O(1) for it.
+    if (spec.shape != nullptr) {
+      FRAP_EXPECTS(spec.nodes.empty() && spec.edges.empty());
+    }
+    FRAP_EXPECTS(spec.valid(stages));
+  }
+}
+
+template <typename Spec>
+std::size_t TaskRuntime<Spec>::node_count(const Spec& spec) {
+  if constexpr (kIsPipeline<Spec>) {
+    return spec.num_stages();
+  } else {
+    return spec.num_nodes();
+  }
+}
+
+template <typename Spec>
+std::size_t TaskRuntime<Spec>::node_stage(const Exec& exec, std::size_t node) {
+  if constexpr (kIsPipeline<Spec>) {
+    return node;
+  } else {
+    return exec.spec.shape != nullptr ? exec.spec.shape->node_resource()[node]
+                                      : exec.spec.nodes[node].resource;
+  }
+}
+
+template <typename Spec>
+std::vector<sched::Segment> TaskRuntime<Spec>::node_segments(
+    const Exec& exec, std::size_t node) {
+  if constexpr (kIsPipeline<Spec>) {
+    return exec.spec.stages[node].make_segments();
+  } else {
+    if (exec.spec.shape == nullptr) {
+      return exec.spec.nodes[node].demand.make_segments();
+    }
+    const auto segs = exec.spec.shape->node_segments(node);
+    return {segs.begin(), segs.end()};
+  }
+}
+
+template <typename Spec>
+void TaskRuntime<Spec>::init_precedence(Exec& exec) {
+  if constexpr (kIsPipeline<Spec>) {
+    for (std::size_t v = 1; v < exec.nodes.size(); ++v) {
+      exec.nodes[v].pending_preds = 1;
+    }
+  } else if (exec.spec.shape != nullptr) {
+    // The shape holds the whole layout (resources, segments, indegrees,
+    // CSR adjacency), so no successor list is built and the Exec's spec
+    // copy is O(1).
+    const auto indeg = exec.spec.shape->indegree();
+    for (std::size_t v = 0; v < exec.nodes.size(); ++v) {
+      exec.nodes[v].pending_preds = indeg[v];
+    }
+  } else {
+    exec.successors.assign(exec.nodes.size(), {});
+    for (const auto& e : exec.spec.edges) {
+      ++exec.nodes[e.to].pending_preds;
+      exec.successors[e.from].push_back(e.to);
+    }
+  }
+}
+
+template <typename Spec>
+void TaskRuntime<Spec>::release_successors(Exec& exec, std::size_t node) {
+  auto ready = [&](std::size_t succ) {
+    FRAP_ASSERT(exec.nodes[succ].pending_preds > 0);
+    if (--exec.nodes[succ].pending_preds == 0) release_node(exec, succ);
+  };
+  if constexpr (kIsPipeline<Spec>) {
+    if (node + 1 < exec.nodes.size()) ready(node + 1);
+  } else if (exec.spec.shape != nullptr) {
+    for (std::uint32_t succ : exec.spec.shape->successors(node)) ready(succ);
+  } else {
+    for (std::size_t succ : exec.successors[node]) ready(succ);
+  }
+}
+
+// --- lifecycle ---
+
+template <typename Spec>
+void TaskRuntime<Spec>::start_task(const Spec& spec, Time absolute_deadline) {
+  expect_valid(spec, servers_.size());
+  auto [it, inserted] = execs_.try_emplace(spec.id);
+  FRAP_EXPECTS(inserted);
+
+  Exec& exec = it->second;
   exec.spec = spec;
   exec.release = sim_.now();
   exec.absolute_deadline = absolute_deadline;
   exec.priority = policy_(spec);
-  auto [it, inserted] = execs_.emplace(spec.id, std::move(exec));
-  FRAP_ASSERT(inserted);
-  ++started_;
-  if (trace_ != nullptr) {
-    trace_->record(sim_.now(), TraceEventKind::kRelease, spec.id);
+  exec.nodes = std::vector<Node>(node_count(spec));
+  exec.nodes_remaining = exec.nodes.size();
+  exec.left_on_stage.assign(servers_.size(), 0);
+  for (std::size_t v = 0; v < exec.nodes.size(); ++v) {
+    ++exec.left_on_stage[node_stage(exec, v)];
   }
-  submit_to_stage(it->second, 0);
+  init_precedence(exec);
+  ++started_;
+
+  // Releasing a source submits to a server, whose completions arrive as
+  // later events, so the loop never re-enters this Exec.
+  for (std::size_t v = 0; v < exec.nodes.size(); ++v) {
+    if (exec.nodes[v].pending_preds == 0) release_node(exec, v);
+  }
 }
 
-void PipelineRuntime::submit_to_stage(Exec& exec, std::size_t stage) {
-  exec.current_stage = stage;
-  exec.stage_enter = sim_.now();
-  if (stage_obs_ != nullptr) stage_obs_->on_enqueue(stage, exec.stage_enter);
+template <typename Spec>
+void TaskRuntime<Spec>::release_node(Exec& exec, std::size_t node) {
   const std::uint64_t job_id = next_job_id_++;
-  exec.job = std::make_unique<sched::Job>(
-      job_id, exec.priority, exec.spec.stages[stage].make_segments());
+  Node& n = exec.nodes[node];
+  n.job.emplace(job_id, exec.priority, node_segments(exec, node));
   // Dynamic policies (EDF/LLF) key off the task's end-to-end absolute
   // deadline; the fixed-priority default ignores this field.
-  exec.job->absolute_deadline = exec.absolute_deadline;
-  job_to_task_.emplace(job_id, exec.spec.id);
-  servers_[stage]->submit(*exec.job);
+  n.job->absolute_deadline = exec.absolute_deadline;
+  n.released = sim_.now();
+  jobs_.emplace(job_id, JobRef{exec.spec.id, node});
+  const std::size_t stage = node_stage(exec, node);
+  if (stage_obs_ != nullptr) stage_obs_->on_enqueue(stage, n.released);
+  servers_[stage]->submit(*n.job);
 }
 
-void PipelineRuntime::on_stage_complete(std::size_t stage, sched::Job& job) {
-  auto jt = job_to_task_.find(job.id);
-  FRAP_ASSERT(jt != job_to_task_.end());
-  const std::uint64_t task_id = jt->second;
-  job_to_task_.erase(jt);
+template <typename Spec>
+void TaskRuntime<Spec>::on_job_complete(sched::StageServer& stage,
+                                        sched::Job& job) {
+  auto jt = jobs_.find(job.id);
+  FRAP_ASSERT(jt != jobs_.end());
+  const JobRef ref = jt->second;
+  jobs_.erase(jt);
 
-  auto et = execs_.find(task_id);
+  auto et = execs_.find(ref.task_id);
   FRAP_ASSERT(et != execs_.end());
   Exec& exec = et->second;
-  FRAP_ASSERT(exec.current_stage == stage);
+  const std::size_t j = stage.tag();
+  FRAP_ASSERT(node_stage(exec, ref.node) == j);
 
-  if (tracker_ != nullptr) tracker_->mark_departed(task_id, stage);
-  if (trace_ != nullptr) {
-    trace_->record(sim_.now(), TraceEventKind::kStageDeparture, task_id,
-                   stage);
-  }
   if (stage_obs_ != nullptr) {
-    stage_obs_->on_depart(stage, exec.stage_enter, sim_.now());
+    stage_obs_->on_depart(j, exec.nodes[ref.node].released, sim_.now());
+  }
+  FRAP_ASSERT(exec.left_on_stage[j] > 0);
+  if (--exec.left_on_stage[j] == 0 && tracker_ != nullptr) {
+    tracker_->mark_departed(ref.task_id, j);
   }
 
-  if (stage + 1 < servers_.size()) {
-    submit_to_stage(exec, stage + 1);
-    return;
-  }
+  FRAP_ASSERT(exec.nodes_remaining > 0);
+  --exec.nodes_remaining;
+  release_successors(exec, ref.node);
+  if (exec.nodes_remaining > 0) return;
 
   // End-to-end completion.
   const Duration response = sim_.now() - exec.release;
   const bool missed = sim_.now() > exec.absolute_deadline + 1e-12;
-  if (trace_ != nullptr) {
-    trace_->record(sim_.now(), TraceEventKind::kComplete, task_id,
-                   missed ? 1 : 0);
-  }
   ++completed_;
   misses_.record(missed);
   response_.add(response);
   if (on_complete_) {
     // Move the spec out before erasing so the callback sees stable data.
-    core::TaskSpec spec = std::move(exec.spec);
+    Spec spec = std::move(exec.spec);
     execs_.erase(et);
     on_complete_(spec, response, missed);
   } else {
@@ -127,47 +234,57 @@ void PipelineRuntime::on_stage_complete(std::size_t stage, sched::Job& job) {
   }
 }
 
-void PipelineRuntime::abort_task(std::uint64_t task_id) {
+template <typename Spec>
+void TaskRuntime<Spec>::abort_task(std::uint64_t task_id) {
   auto et = execs_.find(task_id);
   if (et == execs_.end()) return;
   Exec& exec = et->second;
-  if (exec.job != nullptr) {
-    job_to_task_.erase(exec.job->id);
-    servers_[exec.current_stage]->abort(*exec.job);
+  for (std::size_t v = 0; v < exec.nodes.size(); ++v) {
+    Node& n = exec.nodes[v];
+    // Unreleased nodes have no job; finished ones are off their server.
+    if (!n.job || !n.job->on_server) continue;
+    jobs_.erase(n.job->id);
+    const std::size_t stage = node_stage(exec, v);
+    servers_[stage]->abort(*n.job);
     if (stage_obs_ != nullptr) {
-      // The shed task still leaves its stage queue; depart it here so the
+      // The shed node still leaves its stage queue; depart it here so the
       // observer's depth gauge conserves (enqueues == departs + in-flight).
-      stage_obs_->on_depart(exec.current_stage, exec.stage_enter, sim_.now());
+      stage_obs_->on_depart(stage, n.released, sim_.now());
     }
   }
   execs_.erase(et);
   ++aborted_;
-  if (trace_ != nullptr) {
-    trace_->record(sim_.now(), TraceEventKind::kShed, task_id);
-  }
 }
 
-bool PipelineRuntime::task_started_executing(std::uint64_t task_id) const {
-  auto it = execs_.find(task_id);
-  if (it == execs_.end()) return true;  // completed or unknown: conservative
-  const Exec& exec = it->second;
-  if (exec.current_stage > 0) return true;
-  return exec.job != nullptr && exec.job->has_started;
+template <typename Spec>
+bool TaskRuntime<Spec>::task_started_executing(std::uint64_t task_id) const {
+  auto et = execs_.find(task_id);
+  if (et == execs_.end()) return true;  // completed or unknown: conservative
+  const Exec& exec = et->second;
+  if (exec.nodes_remaining < exec.nodes.size()) return true;
+  return std::any_of(exec.nodes.begin(), exec.nodes.end(), [](const Node& n) {
+    return n.job && n.job->has_started;
+  });
 }
 
-std::vector<double> PipelineRuntime::stage_utilizations(Time from,
-                                                        Time to) const {
+template <typename Spec>
+std::vector<double> TaskRuntime<Spec>::stage_utilizations(Time from,
+                                                          Time to) const {
   std::vector<double> u(servers_.size());
   stage_utilizations(from, to, u);
   return u;
 }
 
-void PipelineRuntime::stage_utilizations(Time from, Time to,
-                                         std::span<double> out) const {
+template <typename Spec>
+void TaskRuntime<Spec>::stage_utilizations(Time from, Time to,
+                                           std::span<double> out) const {
   FRAP_EXPECTS(out.size() == servers_.size());
   for (std::size_t j = 0; j < servers_.size(); ++j) {
     out[j] = servers_[j]->utilization(from, to);
   }
 }
+
+template class TaskRuntime<core::TaskSpec>;
+template class TaskRuntime<core::GraphTaskSpec>;
 
 }  // namespace frap::pipeline

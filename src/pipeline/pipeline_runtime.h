@@ -1,25 +1,44 @@
-// End-to-end execution of admitted pipeline tasks.
+// End-to-end execution of admitted tasks: pipelines (Sec. 2) and task
+// graphs (Sec. 3.3) through one runtime.
 //
-// The runtime owns one StageServer per stage and moves each task through
-// them in order (precedence-constrained chain): the departure from stage j
-// is the arrival at stage j+1, exactly the model of Sec. 2. It also feeds
-// the synthetic-utilization tracker the two runtime signals the admission
-// scheme needs — subtask departures and stage-idle transitions — and
-// records end-to-end response times and deadline misses.
+// The runtime owns one StageServer per stage (resource) and moves each task
+// through them under precedence: a node is submitted to its stage's server
+// once all its predecessors have finished, and the task completes when its
+// last node does (its end-to-end delay is then the realized critical path).
+// A pipeline is the chain case — node j runs on stage j and its one
+// successor is j + 1 — so the departure from stage j is the arrival at
+// stage j + 1, exactly the model of Sec. 2.
+//
+// It also feeds the synthetic-utilization tracker the two runtime signals
+// the admission scheme needs — departures and stage-idle transitions — and
+// records end-to-end response times and deadline misses. A task departs
+// stage k once its last node on k completes (for a pipeline: every stage
+// completion). Lifecycle output is the completion callback, aborted(), and
+// the optional per-stage StageObserver (queue depth, sojourn histogram and
+// max sojourn — for a pipeline the Theorem 1 residence L_j).
+//
+// The class is a template over the spec type; only the topology reads
+// (node count, node -> stage, successors, indegrees, node segments) depend
+// on it:
+//   * core::TaskSpec — read in place from the stage list;
+//   * interned core::GraphTaskSpec — read from the shape's CSR;
+//   * un-interned core::GraphTaskSpec — per-task successor lists built at
+//     start_task.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "core/synthetic_utilization.h"
 #include "core/task.h"
+#include "core/task_graph.h"
 #include "metrics/counters.h"
 #include "obs/stage_observer.h"
-#include "pipeline/trace.h"
 #include "sched/stage_server.h"
 #include "sim/simulator.h"
 
@@ -35,22 +54,28 @@ using PriorityPolicy = std::function<sched::PriorityValue(const core::TaskSpec&)
 // fixed-priority policy for aperiodic tasks; alpha = 1).
 PriorityPolicy deadline_monotonic_policy();
 
-class PipelineRuntime : private sched::StageListener {
+template <typename Spec>
+class TaskRuntime : private sched::StageListener {
  public:
+  // Priority value used for all of a task's nodes. Default:
+  // deadline-monotonic (value = relative deadline).
+  using PriorityPolicy = std::function<sched::PriorityValue(const Spec&)>;
+
   // `tracker` may be null (no admission bookkeeping, e.g. no-admission
   // baselines). If given, it must have num_stages() == `stages`.
-  // `policy` selects the dispatch discipline for every stage executor
-  // (sched/policy.h); `procs_per_stage` is each StageServer's processor
-  // count (> 1: global scheduling over the pool — with edf_policy() this
-  // is gEDF).
-  PipelineRuntime(
+  // `policy` selects the dispatch discipline for every stage server
+  // (sched/policy.h); jobs carry the task's end-to-end absolute deadline
+  // for EDF/LLF. `procs_per_stage` is each StageServer's processor count
+  // (> 1: global scheduling over the pool — with edf_policy() this is
+  // gEDF).
+  TaskRuntime(
       sim::Simulator& sim, std::size_t stages,
       core::SyntheticUtilizationTracker* tracker,
       const sched::SchedulingPolicy& policy = sched::fixed_priority_policy(),
       std::size_t procs_per_stage = 1);
 
-  PipelineRuntime(const PipelineRuntime&) = delete;
-  PipelineRuntime& operator=(const PipelineRuntime&) = delete;
+  TaskRuntime(const TaskRuntime&) = delete;
+  TaskRuntime& operator=(const TaskRuntime&) = delete;
 
   std::size_t num_stages() const { return servers_.size(); }
   sched::StageServer& stage(std::size_t j) { return *servers_[j]; }
@@ -63,41 +88,39 @@ class PipelineRuntime : private sched::StageListener {
 
   void set_priority_policy(PriorityPolicy policy);
 
-  // Optional lifecycle tracing (Release / StageDeparture / Complete / Shed
-  // events). The log must outlive the runtime; pass nullptr to detach.
-  void set_trace(TraceLog* trace) { trace_ = trace; }
-
-  // Optional per-stage gauges (queue depth, sojourn histograms; see
-  // docs/observability.md). Must have num_stages() stages and outlive the
-  // runtime; nullptr detaches. Aborted tasks depart their current stage so
-  // queue-depth gauges conserve.
+  // Optional per-stage gauges (queue depth, sojourn histograms, max
+  // sojourn; see docs/observability.md). Must have num_stages() stages and
+  // outlive the runtime; nullptr detaches. Every node release is an
+  // enqueue on its stage and every node completion — or abort of a
+  // released node — a departure, so queue-depth gauges conserve.
   void set_stage_observer(obs::StageObserver* observer);
 
   // Callback at task completion: (spec, response_time, missed_deadline).
-  using CompletionCallback =
-      std::function<void(const core::TaskSpec&, Duration, bool)>;
+  using CompletionCallback = std::function<void(const Spec&, Duration, bool)>;
   void set_on_task_complete(CompletionCallback cb) {
     on_complete_ = std::move(cb);
   }
 
-  // Releases an admitted task into stage 1 now. `absolute_deadline` is the
-  // miss threshold (arrival + D for immediate admission; still anchored at
-  // the original arrival for tasks admitted after waiting).
-  void start_task(const core::TaskSpec& spec, Time absolute_deadline);
+  // Releases an admitted task now: every source node (a pipeline's stage 1)
+  // enters its stage. `absolute_deadline` is the miss threshold (arrival +
+  // D for immediate admission; still anchored at the original arrival for
+  // tasks admitted after waiting).
+  void start_task(const Spec& spec, Time absolute_deadline);
 
-  // Aborts a task wherever it currently is (load shedding). No-op when the
-  // task already completed. Does not touch the tracker — the shedding
-  // controller removes contributions itself.
+  // Aborts a task wherever its nodes currently are (load shedding):
+  // running/queued node jobs leave their stages, pending nodes never
+  // release. No-op for unknown/completed ids. Does not touch the tracker —
+  // the shedding controller removes contributions itself.
   void abort_task(std::uint64_t task_id);
 
-  // True while the task is still executing in the pipeline.
+  // True while the task is still executing.
   bool task_in_flight(std::uint64_t task_id) const {
     return execs_.find(task_id) != execs_.end();
   }
 
-  // True once the task has consumed ANY processor time. Shedding a task
-  // that already executed is unsound (its past interference is real but
-  // its synthetic-utilization contribution would vanish), so shedding
+  // True once any node of the task has consumed processor time. Shedding a
+  // task that already executed is unsound (its past interference is real
+  // but its synthetic-utilization contribution would vanish), so shedding
   // filters use this predicate. Unknown/completed tasks report true
   // (conservative: not sheddable).
   bool task_started_executing(std::uint64_t task_id) const;
@@ -110,7 +133,8 @@ class PipelineRuntime : private sched::StageListener {
   const metrics::RunningStats& response_times() const { return response_; }
 
   // Real utilization of each stage over [from, to]: the busy fraction of
-  // the whole stage (all its processors) — StageServer::utilization.
+  // the whole stage (all its processors) — StageServer::utilization, equal
+  // to stage(j).meter().utilization(from, to) at one processor.
   std::vector<double> stage_utilizations(Time from, Time to) const;
 
   // Allocation-free overload into a caller-owned buffer of exactly
@@ -118,14 +142,28 @@ class PipelineRuntime : private sched::StageListener {
   void stage_utilizations(Time from, Time to, std::span<double> out) const;
 
  private:
+  struct Node {
+    std::optional<sched::Job> job;  // engaged once released
+    Time released = kTimeZero;      // when it entered its stage's queue
+    std::uint32_t pending_preds = 0;
+  };
+
   struct Exec {
-    core::TaskSpec spec;
+    Spec spec;
     Time release = kTimeZero;
     Time absolute_deadline = kTimeZero;
     sched::PriorityValue priority = 0;
-    std::size_t current_stage = 0;
-    Time stage_enter = kTimeZero;  // when it entered current_stage's queue
-    std::unique_ptr<sched::Job> job;  // job on the current stage
+    std::vector<Node> nodes;  // sized once at start: jobs never move
+    std::size_t nodes_remaining = 0;
+    std::vector<std::uint32_t> left_on_stage;  // unfinished nodes per stage
+    // Per-node successor lists, built per task ONLY for an un-interned
+    // graph spec; pipelines and interned shapes read theirs in place.
+    std::vector<std::vector<std::size_t>> successors;
+  };
+
+  struct JobRef {
+    std::uint64_t task_id;
+    std::size_t node;
   };
 
   // StageListener: servers report completion/idle with their stage index
@@ -133,19 +171,30 @@ class PipelineRuntime : private sched::StageListener {
   void on_job_complete(sched::StageServer& stage, sched::Job& job) override;
   void on_stage_idle(sched::StageServer& stage) override;
 
-  void on_stage_complete(std::size_t stage, sched::Job& job);
-  void submit_to_stage(Exec& exec, std::size_t stage);
+  void release_node(Exec& exec, std::size_t node);
+
+  // --- topology reads: the only code that depends on Spec ---
+  // Precondition check: `spec` is well formed and fits `stages` stages.
+  static void expect_valid(const Spec& spec, std::size_t stages);
+  static std::size_t node_count(const Spec& spec);
+  static std::size_t node_stage(const Exec& exec, std::size_t node);
+  static std::vector<sched::Segment> node_segments(const Exec& exec,
+                                                   std::size_t node);
+  // Sets every node's pending-predecessor count (and, for an un-interned
+  // graph, builds the successor lists).
+  static void init_precedence(Exec& exec);
+  // Releases each successor of `node` whose last predecessor it was.
+  void release_successors(Exec& exec, std::size_t node);
 
   sim::Simulator& sim_;
   core::SyntheticUtilizationTracker* tracker_;
   std::vector<std::unique_ptr<sched::StageServer>> servers_;
   PriorityPolicy policy_;
   CompletionCallback on_complete_;
-  TraceLog* trace_ = nullptr;
   obs::StageObserver* stage_obs_ = nullptr;
 
-  // Job ids are globally unique per runtime; map back to the owning task.
-  std::unordered_map<std::uint64_t, std::uint64_t> job_to_task_;
+  // Job ids are globally unique per runtime; map back to the owning node.
+  std::unordered_map<std::uint64_t, JobRef> jobs_;
   std::unordered_map<std::uint64_t, Exec> execs_;  // by task id
   std::uint64_t next_job_id_ = 1;
 
@@ -155,5 +204,11 @@ class PipelineRuntime : private sched::StageListener {
   metrics::RatioTracker misses_;
   metrics::RunningStats response_;
 };
+
+extern template class TaskRuntime<core::TaskSpec>;
+extern template class TaskRuntime<core::GraphTaskSpec>;
+
+using PipelineRuntime = TaskRuntime<core::TaskSpec>;
+using DagRuntime = TaskRuntime<core::GraphTaskSpec>;
 
 }  // namespace frap::pipeline

@@ -13,7 +13,7 @@
 #include "core/synthetic_utilization.h"
 #include "core/task_graph.h"
 #include "core/task_graph_shape.h"
-#include "pipeline/dag_runtime.h"
+#include "pipeline/pipeline_runtime.h"
 #include "sched/job.h"
 #include "sim/simulator.h"
 
@@ -123,7 +123,7 @@ std::vector<Completion> run(const std::vector<core::GraphTaskSpec>& specs) {
   sim::Simulator sim;
   pipeline::DagRuntime runtime(sim, kResources, nullptr);
   for (std::size_t k = 0; k < kResources; ++k) {
-    runtime.resource(k).locks().set_ceiling(0, 0.1);
+    runtime.stage(k).locks().set_ceiling(0, 0.1);
   }
   std::vector<Completion> done;
   runtime.set_on_task_complete(

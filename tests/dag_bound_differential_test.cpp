@@ -24,7 +24,7 @@
 #include "core/synthetic_utilization.h"
 #include "core/task_graph.h"
 #include "core/task_graph_shape.h"
-#include "pipeline/dag_runtime.h"
+#include "pipeline/pipeline_runtime.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 #include "workload/random_dag.h"

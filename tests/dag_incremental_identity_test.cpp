@@ -17,7 +17,7 @@
 #include "core/stage_delay.h"
 #include "core/synthetic_utilization.h"
 #include "core/task_graph_shape.h"
-#include "pipeline/dag_runtime.h"
+#include "pipeline/pipeline_runtime.h"
 #include "sim/simulator.h"
 #include "util/math.h"
 #include "util/rng.h"

@@ -10,7 +10,7 @@
 #include "core/admission.h"
 #include "core/synthetic_utilization.h"
 #include "core/task_graph.h"
-#include "pipeline/dag_runtime.h"
+#include "pipeline/pipeline_runtime.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 

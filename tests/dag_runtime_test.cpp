@@ -4,9 +4,13 @@
 #include <vector>
 
 #include "core/synthetic_utilization.h"
+#include "core/task.h"
 #include "core/task_graph.h"
-#include "pipeline/dag_runtime.h"
+#include "core/task_graph_shape.h"
+#include "obs/stage_observer.h"
+#include "pipeline/pipeline_runtime.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 
 namespace frap::pipeline {
 namespace {
@@ -95,17 +99,131 @@ TEST_F(DagRuntimeTest, SharedResourceSerializesNodes) {
   EXPECT_DOUBLE_EQ(done_[0].response, 8.0);  // 1 + (3+3) + 1
 }
 
+// A pipeline is the chain case of a task graph: a TaskSpec stream and the
+// same stream as from_pipeline chains (half of the seeds interned) must run
+// identically through the one runtime — completion ids and times,
+// responses, misses, the shedding predicate at every abort, and the
+// tracker's utilizations after every simulator event, all bit for bit.
 TEST_F(DagRuntimeTest, ChainBehavesLikePipeline) {
-  build(2);
-  core::GraphTaskSpec g;
-  g.id = 1;
-  g.deadline = 10.0;
-  g.nodes = {core::GraphNode{0, demand(1.0)}, core::GraphNode{1, demand(2.0)}};
-  g.edges = {core::GraphEdge{0, 1}};
-  sim_.at(0.0, [&] { runtime_->start_task(g, 10.0); });
-  sim_.run();
-  ASSERT_EQ(done_.size(), 1u);
-  EXPECT_DOUBLE_EQ(done_[0].response, 3.0);
+  struct Completion {
+    std::uint64_t id;
+    Time at;
+    Duration response;
+    bool missed;
+    bool operator==(const Completion&) const = default;
+  };
+  struct Shed {
+    std::uint64_t id;
+    bool in_flight;
+    bool started_executing;
+    bool operator==(const Shed&) const = default;
+  };
+  constexpr int kSeeds = 200;
+  std::uint64_t total_completions = 0;
+  std::uint64_t total_misses = 0;
+  std::uint64_t sheds_started = 0;
+  std::uint64_t sheds_unstarted = 0;
+  for (int seed = 0; seed < kSeeds; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    util::Rng rng(static_cast<std::uint64_t>(seed) + 1);
+    const auto stages = static_cast<std::size_t>(rng.uniform_int(1, 5));
+    const bool intern = seed % 2 == 1;
+
+    sim::Simulator psim;
+    sim::Simulator dsim;
+    core::SyntheticUtilizationTracker ptracker(psim, stages);
+    core::SyntheticUtilizationTracker dtracker(dsim, stages);
+    PipelineRuntime pipe(psim, stages, &ptracker);
+    DagRuntime dag(dsim, stages, &dtracker);
+    core::TaskGraphShapeRegistry registry;
+    std::vector<Completion> pdone;
+    std::vector<Completion> ddone;
+    std::vector<Shed> pshed;
+    std::vector<Shed> dshed;
+    pipe.set_on_task_complete(
+        [&](const core::TaskSpec& s, Duration r, bool m) {
+          pdone.push_back({s.id, psim.now(), r, m});
+        });
+    dag.set_on_task_complete(
+        [&](const core::GraphTaskSpec& s, Duration r, bool m) {
+          ddone.push_back({s.id, dsim.now(), r, m});
+        });
+
+    // Overloaded on purpose (no admission), so queues build, priorities
+    // interleave, some deadlines are missed and aborts hit queued and
+    // running tasks alike.
+    Time t = 0;
+    for (std::uint64_t id = 1; id <= 40; ++id) {
+      t += rng.exponential(0.6);
+      core::TaskSpec spec;
+      spec.id = id;
+      spec.deadline = rng.uniform(1.0, 8.0);
+      spec.stages.resize(stages);
+      for (auto& st : spec.stages) {
+        st.compute = rng.bernoulli(0.1) ? 0.0 : rng.uniform(0.05, 1.0);
+      }
+      auto graph = core::GraphTaskSpec::from_pipeline(spec);
+      if (intern) graph = registry.canonicalize(graph);
+      const auto contrib = spec.contributions();
+      psim.at(t, [&pipe, &ptracker, &psim, spec, contrib] {
+        ptracker.add(spec.id, contrib, psim.now() + spec.deadline);
+        pipe.start_task(spec, psim.now() + spec.deadline);
+      });
+      dsim.at(t, [&dag, &dtracker, &dsim, graph, contrib] {
+        dtracker.add(graph.id, contrib, dsim.now() + graph.deadline);
+        dag.start_task(graph, dsim.now() + graph.deadline);
+      });
+      if (rng.bernoulli(0.15)) {
+        const Time abort_at = t + rng.uniform(0.0, 2.0);
+        psim.at(abort_at, [&pipe, &ptracker, &pshed, id] {
+          pshed.push_back({id, pipe.task_in_flight(id),
+                           pipe.task_started_executing(id)});
+          if (!pipe.task_in_flight(id)) return;
+          ptracker.remove_task(id);
+          pipe.abort_task(id);
+        });
+        dsim.at(abort_at, [&dag, &dtracker, &dshed, id] {
+          dshed.push_back({id, dag.task_in_flight(id),
+                           dag.task_started_executing(id)});
+          if (!dag.task_in_flight(id)) return;
+          dtracker.remove_task(id);
+          dag.abort_task(id);
+        });
+      }
+    }
+
+    std::vector<double> pu(stages);
+    std::vector<double> du(stages);
+    while (true) {
+      const std::size_t pn = psim.step();
+      const std::size_t dn = dsim.step();
+      ASSERT_EQ(pn, dn);
+      if (pn == 0) break;
+      ASSERT_EQ(psim.now(), dsim.now());
+      ptracker.utilizations(pu);
+      dtracker.utilizations(du);
+      ASSERT_EQ(pu, du) << "at t = " << psim.now();
+      ASSERT_EQ(pdone, ddone) << "at t = " << psim.now();
+      ASSERT_EQ(pshed, dshed) << "at t = " << psim.now();
+    }
+    EXPECT_EQ(pipe.started(), dag.started());
+    EXPECT_EQ(pipe.completed(), dag.completed());
+    EXPECT_EQ(pipe.aborted(), dag.aborted());
+    EXPECT_EQ(pipe.misses().ratio(), dag.misses().ratio());
+    EXPECT_EQ(pipe.completed() + pipe.aborted(), 40u);
+    total_completions += pipe.completed();
+    total_misses += pipe.misses().hits();
+    for (const Shed& shed : pshed) {
+      if (!shed.in_flight) continue;
+      ++(shed.started_executing ? sheds_started : sheds_unstarted);
+    }
+  }
+  // The streams exercised completions, misses, and aborts of both queued
+  // and already-running tasks.
+  EXPECT_GT(total_completions, 100u * kSeeds / 4);
+  EXPECT_GT(total_misses, 0u);
+  EXPECT_GT(sheds_started, 0u);
+  EXPECT_GT(sheds_unstarted, 0u);
 }
 
 TEST_F(DagRuntimeTest, IndependentNodesAllStartImmediately) {
@@ -198,41 +316,90 @@ TEST_F(DagRuntimeTest, DiamondWithWideFanout) {
 
 TEST_F(DagRuntimeTest, TraceRecordsLifecycle) {
   build(4);
-  TraceLog log;
-  runtime_->set_trace(&log);
+  obs::StageObserver observer(4);
+  runtime_->set_stage_observer(&observer);
   sim_.at(0.0, [&] {
     runtime_->start_task(fig3(1, 100.0, {1.0, 2.0, 5.0, 1.0}), 100.0);
+    EXPECT_EQ(runtime_->started(), 1u);  // released
   });
   sim_.run();
-  const auto events = log.for_task(1);
-  // Release + 4 resource departures + complete.
-  ASSERT_EQ(events.size(), 6u);
-  EXPECT_EQ(events.front().kind, TraceEventKind::kRelease);
-  EXPECT_EQ(events.back().kind, TraceEventKind::kComplete);
-  EXPECT_EQ(events.back().detail, 0u);
-  EXPECT_EQ(log.count(TraceEventKind::kStageDeparture), 4u);
+  // One departure per resource, then completion without a miss.
+  for (const auto& st : observer.snapshot()) {
+    EXPECT_EQ(st.enqueued, 1u) << "stage " << st.stage;
+    EXPECT_EQ(st.departed, 1u) << "stage " << st.stage;
+  }
+  const auto snap = observer.snapshot();
+  EXPECT_DOUBLE_EQ(snap[0].max_sojourn, 1.0);
+  EXPECT_DOUBLE_EQ(snap[1].max_sojourn, 2.0);
+  EXPECT_DOUBLE_EQ(snap[2].max_sojourn, 5.0);
+  EXPECT_DOUBLE_EQ(snap[3].max_sojourn, 1.0);  // join released at t = 6
+  ASSERT_EQ(done_.size(), 1u);
+  EXPECT_EQ(done_[0].id, 1u);
+  EXPECT_FALSE(done_[0].missed);
+  EXPECT_EQ(runtime_->completed(), 1u);
+  EXPECT_EQ(runtime_->aborted(), 0u);
 }
 
 TEST_F(DagRuntimeTest, AbortRemovesAllNodes) {
   build(4);
-  TraceLog log;
-  runtime_->set_trace(&log);
+  obs::StageObserver observer(4);
+  runtime_->set_stage_observer(&observer);
   sim_.at(0.0, [&] {
     runtime_->start_task(fig3(1, 100.0, {1.0, 2.0, 5.0, 1.0}), 100.0);
   });
-  sim_.at(1.5, [&] { runtime_->abort_task(1); });  // branches mid-flight
+  sim_.at(1.5, [&] {  // branches mid-flight
+    runtime_->abort_task(1);
+    // The shed closes the task's lifecycle at the abort.
+    EXPECT_EQ(runtime_->aborted(), 1u);
+  });
   sim_.run();
   EXPECT_TRUE(done_.empty());
   EXPECT_EQ(runtime_->aborted(), 1u);
   EXPECT_FALSE(runtime_->task_in_flight(1));
-  // The trace closes the task's lifecycle with a Shed record at the abort.
-  const auto events = log.for_task(1);
-  ASSERT_FALSE(events.empty());
-  EXPECT_EQ(events.back().kind, TraceEventKind::kShed);
-  EXPECT_DOUBLE_EQ(events.back().time, 1.5);
-  EXPECT_EQ(log.count(TraceEventKind::kShed), 1u);
+  // Both running branches left their resources at the abort (entered at
+  // t = 1), so every depth gauge is back to zero.
+  const auto snap = observer.snapshot();
+  EXPECT_DOUBLE_EQ(snap[1].max_sojourn, 0.5);
+  EXPECT_DOUBLE_EQ(snap[2].max_sojourn, 0.5);
+  for (const auto& st : snap) EXPECT_EQ(st.queue_depth, 0u);
   // Node 3 (the join) never ran.
-  EXPECT_DOUBLE_EQ(runtime_->resource(3).meter().busy_time(0.0, 100.0), 0.0);
+  EXPECT_EQ(snap[3].enqueued, 0u);
+  EXPECT_DOUBLE_EQ(runtime_->stage(3).meter().busy_time(0.0, 100.0), 0.0);
+}
+
+// With two processors on the shared resource, a fork's two branches run in
+// parallel there: the join is released at max(branch), not at the sum.
+TEST(DagRuntimePoolTest, SharedResourceBranchesRunInParallel) {
+  sim::Simulator sim;
+  DagRuntime runtime(sim, 3, nullptr, sched::fixed_priority_policy(), 2);
+  obs::StageObserver observer(3);
+  runtime.set_stage_observer(&observer);
+  std::vector<Done> done;
+  runtime.set_on_task_complete(
+      [&](const core::GraphTaskSpec& s, Duration r, bool m) {
+        done.push_back({s.id, r, m});
+      });
+  core::GraphTaskSpec g;
+  g.id = 1;
+  g.deadline = 100.0;
+  g.nodes = {core::GraphNode{0, demand(1.0)}, core::GraphNode{1, demand(3.0)},
+             core::GraphNode{1, demand(2.0)}, core::GraphNode{2, demand(1.0)}};
+  g.edges = {core::GraphEdge{0, 1}, core::GraphEdge{0, 2},
+             core::GraphEdge{1, 3}, core::GraphEdge{2, 3}};
+  sim.at(0.0, [&] { runtime.start_task(g, 100.0); });
+  sim.run_until(3.9);
+  EXPECT_EQ(observer.snapshot()[2].enqueued, 0u);
+  sim.run_until(4.0);
+  // Join released at 1 + max(3, 2) = 4; one processor would give 1 + 5.
+  EXPECT_EQ(observer.snapshot()[2].enqueued, 1u);
+  sim.run();
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_DOUBLE_EQ(done[0].response, 5.0);
+  const auto snap = observer.snapshot();
+  EXPECT_DOUBLE_EQ(snap[1].max_sojourn, 3.0);  // neither branch queued
+  EXPECT_DOUBLE_EQ(runtime.stage(1).meter(0).busy_time(0.0, 10.0) +
+                       runtime.stage(1).meter(1).busy_time(0.0, 10.0),
+                   5.0);
 }
 
 TEST_F(DagRuntimeTest, AbortUnknownIsNoop) {
@@ -275,7 +442,7 @@ TEST_F(DagRuntimeTest, ResourceUtilizations) {
   sim_.at(0.0, [&] { runtime_->start_task(g, 100.0); });
   sim_.run();
   sim_.run_until(10.0);
-  const auto u = runtime_->resource_utilizations(0.0, 10.0);
+  const auto u = runtime_->stage_utilizations(0.0, 10.0);
   EXPECT_DOUBLE_EQ(u[0], 0.2);
   EXPECT_DOUBLE_EQ(u[1], 0.1);
 }

@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <vector>
 
+#include "core/admission.h"
+#include "core/delay_bound.h"
+#include "core/feasible_region.h"
 #include "core/synthetic_utilization.h"
 #include "core/task.h"
+#include "obs/stage_observer.h"
 #include "pipeline/pipeline_runtime.h"
 #include "sim/simulator.h"
+#include "workload/pipeline_workload.h"
 
 namespace frap::pipeline {
 namespace {
@@ -231,6 +238,146 @@ TEST_F(PipelineRuntimeTest, ResponseStatsAccumulate) {
   EXPECT_EQ(runtime_->response_times().count(), 2u);
   EXPECT_DOUBLE_EQ(runtime_->response_times().mean(), 2.0);
   EXPECT_DOUBLE_EQ(runtime_->response_times().max(), 3.0);
+}
+
+// The runtime's lifecycle feed is the completion callback, aborted() and
+// the StageObserver: release, per-stage departures and completion are all
+// visible there.
+TEST(TraceRuntimeTest, RuntimeEmitsLifecycleEvents) {
+  sim::Simulator sim;
+  PipelineRuntime runtime(sim, 2, nullptr);
+  obs::StageObserver observer(2);
+  runtime.set_stage_observer(&observer);
+  std::vector<Done> done;
+  Time completed_at = -1;
+  runtime.set_on_task_complete(
+      [&](const core::TaskSpec& s, Duration r, bool m) {
+        done.push_back({s.id, r, m});
+        completed_at = sim.now();
+      });
+
+  sim.at(0.0, [&] {
+    runtime.start_task(make_task(42, 10.0, {1.0, 2.0}), 10.0);
+    // Release: the task entered stage 0 at once.
+    EXPECT_EQ(runtime.started(), 1u);
+    EXPECT_EQ(observer.snapshot()[0].enqueued, 1u);
+  });
+  sim.run_until(1.5);
+  // Departed stage 0 at t = 1, now queued on stage 1.
+  auto snap = observer.snapshot();
+  EXPECT_EQ(snap[0].departed, 1u);
+  EXPECT_DOUBLE_EQ(snap[0].max_sojourn, 1.0);
+  EXPECT_EQ(snap[1].enqueued, 1u);
+  EXPECT_EQ(snap[1].queue_depth, 1u);
+  EXPECT_TRUE(done.empty());
+  sim.run();
+
+  snap = observer.snapshot();
+  EXPECT_EQ(snap[1].departed, 1u);
+  EXPECT_DOUBLE_EQ(snap[1].max_sojourn, 2.0);  // departed stage 1 at t = 3
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0].id, 42u);
+  EXPECT_DOUBLE_EQ(completed_at, 3.0);
+  EXPECT_DOUBLE_EQ(done[0].response, 3.0);
+  EXPECT_FALSE(done[0].missed);
+  EXPECT_EQ(runtime.completed(), 1u);
+  EXPECT_EQ(runtime.aborted(), 0u);
+}
+
+TEST(TraceRuntimeTest, MissAndShedAreRecorded) {
+  sim::Simulator sim;
+  PipelineRuntime runtime(sim, 1, nullptr);
+  obs::StageObserver observer(1);
+  runtime.set_stage_observer(&observer);
+  std::vector<Done> done;
+  runtime.set_on_task_complete(
+      [&](const core::TaskSpec& s, Duration r, bool m) {
+        done.push_back({s.id, r, m});
+      });
+
+  sim.at(0.0, [&] {
+    runtime.start_task(make_task(1, 0.5, {1.0}), 0.5);    // late
+    runtime.start_task(make_task(2, 10.0, {1.0}), 10.0);  // doomed
+  });
+  sim.at(0.2, [&] {
+    runtime.abort_task(2);
+    EXPECT_EQ(runtime.aborted(), 1u);  // the shed is counted at the abort
+  });
+  sim.run();
+
+  EXPECT_EQ(runtime.aborted(), 1u);
+  ASSERT_EQ(done.size(), 1u);  // the shed task never completes
+  EXPECT_EQ(done[0].id, 1u);
+  EXPECT_TRUE(done[0].missed);
+  EXPECT_DOUBLE_EQ(runtime.misses().ratio(), 1.0);
+  // The shed task still departs its stage, so the depth gauge conserves.
+  const auto snap = observer.snapshot();
+  EXPECT_EQ(snap[0].enqueued, 2u);
+  EXPECT_EQ(snap[0].departed, 2u);
+  EXPECT_EQ(snap[0].queue_depth, 0u);
+}
+
+TEST(TraceAnalysisTest, RuntimeTraceMatchesKnownTimeline) {
+  sim::Simulator sim;
+  PipelineRuntime runtime(sim, 2, nullptr);
+  obs::StageObserver observer(2);
+  runtime.set_stage_observer(&observer);
+  sim.at(0.0, [&] {
+    runtime.start_task(make_task(1, 10.0, {1.0, 2.0}), 10.0);
+  });
+  sim.run();
+  // Per-stage residence L_0 = 1, L_1 = 2.
+  const auto snap = observer.snapshot();
+  ASSERT_EQ(snap.size(), 2u);
+  EXPECT_DOUBLE_EQ(snap[0].max_sojourn, 1.0);
+  EXPECT_DOUBLE_EQ(snap[1].max_sojourn, 2.0);
+}
+
+// Per-stage Theorem 1 validation: every observed stage residence is
+// bounded by f(U_peak_j) * D_max — a strictly sharper check than the
+// end-to-end sum used in theorem_validation_test.
+TEST(TraceAnalysisTest, PerStageResidenceRespectsTheorem1) {
+  const auto wl = workload::PipelineWorkloadConfig::balanced(
+      3, 10 * kMilli, 1.4, 40.0);
+  sim::Simulator sim;
+  workload::PipelineWorkloadGenerator gen(wl, 4242);
+  core::SyntheticUtilizationTracker tracker(sim, 3);
+  PipelineRuntime runtime(sim, 3, &tracker);
+  obs::StageObserver observer(3);
+  runtime.set_stage_observer(&observer);
+  core::AdmissionController controller(
+      sim, tracker, core::FeasibleRegion::deadline_monotonic(3));
+
+  std::vector<double> peak(3, 0.0);
+  Duration max_deadline = 0;
+  std::function<void()> pump = [&] {
+    const Time t = sim.now() + gen.next_interarrival();
+    if (t > 30.0) return;
+    sim.at(t, [&] {
+      const auto spec = gen.next_task();
+      if (controller.try_admit(spec, sim.now()).admitted) {
+        const auto u = tracker.utilizations();
+        for (std::size_t j = 0; j < 3; ++j) {
+          peak[j] = std::max(peak[j], u[j]);
+        }
+        max_deadline = std::max(max_deadline, spec.deadline);
+        runtime.start_task(spec, sim.now() + spec.deadline);
+      }
+      pump();
+    });
+  };
+  pump();
+  sim.run();
+
+  ASSERT_GT(runtime.completed(), 200u);
+  ASSERT_EQ(runtime.completed(), runtime.started());
+  const auto snap = observer.snapshot();
+  for (std::size_t j = 0; j < 3; ++j) {
+    const Duration bound =
+        core::predict_stage_delay(peak[j], max_deadline);
+    EXPECT_LE(snap[j].max_sojourn, bound + 1e-9) << "stage " << j;
+    EXPECT_GT(snap[j].max_sojourn, 0.0);
+  }
 }
 
 }  // namespace
