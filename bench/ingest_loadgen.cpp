@@ -294,8 +294,7 @@ void build_sharded_service(const benchmark::State& /*state*/) {
   sharded_svc = std::make_unique<service::ShardedAdmissionService>(
       core::FeasibleRegion::deadline_monotonic(kStages),
       service::ShardedAdmissionConfig{.num_shards = kShards,
-                                      .enable_fallback = false,
-                                      .rebalance_interval = 0});
+                                      .enable_fallback = false});
 }
 
 void drop_sharded_service(const benchmark::State& /*state*/) {

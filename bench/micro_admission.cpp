@@ -8,8 +8,8 @@
 //   * AdmissionVsTasks/T: cost vs live-task count at fixed N=4 — flat;
 //   * AdmissionReferencePath / AdmissionFastPath / AdmissionBatchPath:
 //     attempts/sec (items_per_second) of the seed full evaluation vs the
-//     incremental allocation-free fast path vs the shared-snapshot batch
-//     path, on the acceptance-criteria scenario — a 5-stage pipeline with
+//     incremental allocation-free fast path vs the batch path (the fast
+//     path per spec of a burst), on the acceptance-criteria scenario — a 5-stage pipeline with
 //     sparse tasks (one touched stage) rejected right at the boundary;
 //   * AdmissionChurnSlotMapStore / AdmissionChurnReferenceStore: the
 //     storage A/B — full admit -> commit -> expire steady-state cycles at
@@ -34,8 +34,8 @@
 #include "bench_json.h"
 #include "core/admission.h"
 #include "core/feasible_region.h"
-#include "core/reference_admitter.h"
-#include "core/reference_tracker.h"
+#include "support/reference_admitter.h"
+#include "support/reference_tracker.h"
 #include "core/stage_delay.h"
 #include "core/synthetic_utilization.h"
 #include "core/task.h"

@@ -6,8 +6,8 @@
 // balanced per-stage cap IN ITS SCALED VIEW, and each thread hammers its
 // own home shard with a sparse probe that is rejected right at the
 // boundary — the full test runs, nothing commits, state stays constant.
-// Fallback and auto-rebalance are disabled so the measurement isolates the
-// scaling claim. Two sharded variants bracket the design space:
+// The fallback is disabled and nothing rebalances, so the measurement
+// isolates the scaling claim. Two sharded variants bracket the design space:
 //   * MtShardedHotPath       — atomic fast path OFF: the per-shard MUTEX
 //     baseline (lock/unlock plus the exact test per probe).
 //   * MtShardedAtomicHotPath — atomic fast path ON: the boundary probe is
@@ -248,7 +248,6 @@ core::TaskSpec boundary_probe(const benchmark::State& state) {
 void setup_hot_path(const benchmark::State& /*state*/) {
   build_prefilled({.num_shards = kShards,
                    .enable_fallback = false,
-                   .rebalance_interval = 0,
                    .enable_atomic_fast_path = false});
 }
 
@@ -280,9 +279,7 @@ BENCHMARK(MtShardedHotPath)
 // bound ceiling, so every attempt is a certain lock-free reject — no shard
 // mutex, no globally shared atomic, just the per-shard guard reads.
 void setup_atomic_hot_path(const benchmark::State& /*state*/) {
-  build_prefilled({.num_shards = kShards,
-                   .enable_fallback = false,
-                   .rebalance_interval = 0});
+  build_prefilled({.num_shards = kShards, .enable_fallback = false});
 }
 
 void MtShardedAtomicHotPath(benchmark::State& state) {
@@ -320,10 +317,7 @@ BENCHMARK(MtShardedAtomicHotPath)
 void setup_hot_path_traced(const benchmark::State& /*state*/) {
   obs::SinkConfig cfg;
   cfg.ring_capacity = std::size_t{1} << 16;
-  build_prefilled({.num_shards = kShards,
-                   .enable_fallback = false,
-                   .rebalance_interval = 0},
-                  &cfg);
+  build_prefilled({.num_shards = kShards, .enable_fallback = false}, &cfg);
 }
 
 void MtShardedHotPathTraced(benchmark::State& state) {
@@ -351,9 +345,7 @@ BENCHMARK(MtShardedHotPathTraced)
 // --- global lock, so this should NOT scale) ------------------------------
 
 void setup_fallback_path(const benchmark::State& /*state*/) {
-  build_prefilled({.num_shards = kShards,
-                   .enable_fallback = true,
-                   .rebalance_interval = 0});
+  build_prefilled({.num_shards = kShards, .enable_fallback = true});
 }
 
 void MtShardedFallbackPath(benchmark::State& state) {

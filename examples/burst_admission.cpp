@@ -1,10 +1,10 @@
-// Burst admission: deciding arrival storms in one pass.
+// Burst admission: deciding arrival storms in one call.
 //
 // Bursty sources (sensor frames, fan-in upstream queues, replayed traces)
-// release many tasks at the same instant. BatchAdmissionController snapshots
-// the tracker once per burst and decides every arrival with pure array
-// arithmetic — same decisions as calling try_admit() per task, at a fraction
-// of the per-attempt cost (bench/micro_admission quantifies it).
+// release many tasks at the same instant. BatchAdmissionController decides
+// every arrival of a burst in order through the controller's incremental
+// try_admit() at the burst instant — the same decisions as submitting them
+// one by one (bench/micro_admission measures the per-attempt cost).
 //
 // This demo fires Poisson-spaced bursts of 8-64 tasks at a 4-stage pipeline
 // for 30 simulated seconds and shows:

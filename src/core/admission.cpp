@@ -37,21 +37,6 @@ void AdmissionController::set_approximate_means(
   mean_compute_ = std::move(mean_compute);
 }
 
-std::vector<double> AdmissionController::contributions_for(
-    const TaskSpec& spec) const {
-  FRAP_EXPECTS(spec.valid());
-  FRAP_EXPECTS(spec.num_stages() == region_.num_stages());
-  std::vector<double> c;
-  if (mean_compute_.empty()) {
-    c = spec.contributions();
-  } else {
-    c.reserve(mean_compute_.size());
-    for (Duration m : mean_compute_)
-      c.push_back(util::safe_div(m, spec.deadline));
-  }
-  return c;
-}
-
 // frap:contract(hotpath)
 double AdmissionController::incremental_lhs_with(
     const TaskSpec& spec, double lhs_before,
@@ -103,16 +88,6 @@ void AdmissionController::commit(const TaskSpec& spec,
                       absolute_deadline);
 }
 
-std::uint16_t AdmissionController::touched_stages(const TaskSpec& spec) const {
-  std::uint16_t k = 0;
-  for (std::size_t j = 0; j < region_.num_stages(); ++j) {
-    const Duration c =
-        mean_compute_.empty() ? spec.stages[j].compute : mean_compute_[j];
-    if (c > 0) ++k;
-  }
-  return k;
-}
-
 bool AdmissionController::test(const TaskSpec& spec) const {
   FRAP_EXPECTS(spec.deadline > 0);
   FRAP_EXPECTS(spec.num_stages() == region_.num_stages());
@@ -157,76 +132,13 @@ AdmissionDecision AdmissionController::try_admit_tagged(
 
 // ---------------------------------------------------------------- batch ---
 
-BatchAdmissionController::BatchAdmissionController(AdmissionController& inner)
-    : inner_(inner) {
-  const std::size_t n = inner_.tracker().num_stages();
-  u_.resize(n);
-  f_.resize(n);
-}
-
 const std::vector<AdmissionDecision>& BatchAdmissionController::try_admit_burst(
     std::span<const TaskSpec> specs) {
   ++bursts_;
-  SyntheticUtilizationTracker& tracker = inner_.tracker_;
-  const FeasibleRegion& region = inner_.region_;
-  const std::size_t n = region.num_stages();
-  const Time now = inner_.sim_.now();
-
-  // One shared snapshot for the whole burst.
-  for (std::size_t j = 0; j < n; ++j) {
-    u_[j] = tracker.utilization(j);
-    f_[j] = tracker.stage_lhs_term(j);
-  }
-  double lhs = tracker.cached_lhs();
-  const double scale = tracker.view_scale();
-
+  const Time now = inner_.now();
   decisions_.clear();
   for (const TaskSpec& spec : specs) {
-    ++inner_.attempts_;
-    obs::DecisionSink* sink = inner_.sink_;
-    const std::uint64_t t0 = sink != nullptr ? sink->begin_decision() : 0;
-    FRAP_EXPECTS(spec.deadline > 0);
-    FRAP_EXPECTS(spec.num_stages() == n);
-    const double inv_d = util::safe_inv(spec.deadline);
-
-    AdmissionDecision d;
-    d.arrival = now;
-    d.decided_at = now;
-    d.bound = region.bound();
-    d.lhs_before = lhs;
-    double delta = 0;
-    bool saturates = false;
-    for (std::size_t j = 0; j < n; ++j) {
-      const double c = inner_.contribution(spec, j, inv_d);
-      if (c <= 0) continue;
-      const double u_new = u_[j] + c * scale;
-      if (u_new >= 1.0) {
-        saturates = true;
-        break;
-      }
-      delta += stage_delay_factor(u_new) - f_[j];
-    }
-    d.lhs_with_task = saturates ? util::kInf : lhs + delta;
-    d.admitted = region.admits(d.lhs_with_task);
-    d.reason = d.admitted ? AdmissionDecision::Reason::kAdmitted
-                          : reject_reason(d.lhs_with_task);
-
-    if (d.admitted) {
-      ++inner_.admitted_;
-      inner_.commit(spec, now + spec.deadline);
-      // Mirror the commit into the snapshot from the tracker itself, so the
-      // burst's working state is bit-identical to what sequential fast-path
-      // admissions would observe.
-      for (std::size_t j = 0; j < n; ++j) {
-        if (inner_.contribution(spec, j, inv_d) <= 0) continue;
-        u_[j] = tracker.utilization(j);
-        f_[j] = tracker.stage_lhs_term(j);
-      }
-      lhs = tracker.cached_lhs();
-    }
-    if (sink != nullptr)
-      sink->record(d, spec.id, inner_.touched_stages(spec), t0);
-    decisions_.push_back(d);
+    decisions_.push_back(inner_.try_admit(spec, now));
   }
   return decisions_;
 }
@@ -269,8 +181,21 @@ AdmissionDecision SheddingAdmissionController::try_admit(const TaskSpec& spec,
   }
   if (d.admitted) {
     admitted_by_importance_.emplace(spec.importance, spec.id);
+    prune_importance_index();
   }
   return d;
+}
+
+void SheddingAdmissionController::prune_importance_index() {
+  // Tasks that expire or complete are erased only when a shed scan reaches
+  // them; drop the dead entries once they outnumber the live ones. A prune
+  // leaves live tasks only, so the next one takes about live + 64 more
+  // admissions: amortized O(1) per admission.
+  const SyntheticUtilizationTracker& tracker = inner_.tracker();
+  if (admitted_by_importance_.size() <= 2 * tracker.live_tasks() + 64) return;
+  std::erase_if(admitted_by_importance_, [&](const auto& entry) {
+    return !tracker.is_live(entry.second);
+  });
 }
 
 // ---------------------------------------------------------------- graph ---
@@ -344,7 +269,6 @@ AdmissionDecision GraphAdmissionController::try_admit_interned(
 AdmissionDecision GraphAdmissionController::try_admit(const GraphTaskSpec& spec,
                                                       Time now) {
   ++attempts_;
-  ++evaluations_;
   if (long_path_ && spec.shape != nullptr) {
     return try_admit_interned(spec, now);
   }
@@ -386,59 +310,24 @@ AdmissionDecision GraphAdmissionController::try_admit(const GraphTaskSpec& spec,
   return d;
 }
 
-AdmissionDecision GraphAdmissionController::try_admit(const TaskSpec& spec,
-                                                      Time now) {
-  return try_admit(GraphTaskSpec::from_pipeline(spec), now);
-}
-
 // -------------------------------------------------------------- waiting ---
 
-template <class Inner>
-WaitingAdmission<Inner>::WaitingAdmission(sim::Simulator& sim, Inner& inner,
-                                          Duration patience)
+WaitingAdmissionController::WaitingAdmissionController(
+    sim::Simulator& sim, AdmissionController& inner, Duration patience)
     : sim_(sim), inner_(inner), patience_(patience) {
   FRAP_EXPECTS(patience >= 0);
 }
 
-template <class Inner>
-void WaitingAdmission<Inner>::attach() {
-  inner_.tracker().set_on_decrease([this] { on_decrease(); });
+void WaitingAdmissionController::attach() {
+  inner_.tracker().set_on_decrease([this] { retry(); });
 }
 
-template <class Inner>
-void WaitingAdmission<Inner>::snapshot_gate(Pending& p) const {
-  if constexpr (kGraph) {
-    if (p.touched.empty()) p.touched = p.spec.touched_resources();
-    p.gate_f.resize(p.touched.size());
-    for (std::size_t i = 0; i < p.touched.size(); ++i) {
-      p.gate_f[i] = inner_.tracker().stage_lhs_term(p.touched[i]);
-    }
-  }
-}
-
-template <class Inner>
-bool WaitingAdmission<Inner>::gate_changed(const Pending& p) const {
-  for (std::size_t i = 0; i < p.touched.size(); ++i) {
-    // Bitwise compare, deliberately: f is strictly increasing in U, so an
-    // identical f-term means an identical touched utilization and the failed
-    // test would repeat verbatim. Any real change — in either direction —
-    // re-evaluates, so the gate can only skip provably-futile retries.
-    // frap-lint: allow(float-equality) -- exactness is the point here.
-    if (p.gate_f[i] != inner_.tracker().stage_lhs_term(p.touched[i])) {
-      return true;
-    }
-  }
-  return false;
-}
-
-template <class Inner>
-void WaitingAdmission<Inner>::decide(const Pending& p,
-                                     const AdmissionDecision& d) {
+void WaitingAdmissionController::decide(const Pending& p,
+                                        const AdmissionDecision& d) {
   if (decide_) decide_(p.spec, d);
 }
 
-template <class Inner>
-AdmissionDecision WaitingAdmission<Inner>::timed_out_decision(
+AdmissionDecision WaitingAdmissionController::timed_out_decision(
     const Pending& p) const {
   // Final rejection after waiting: report the LHS pair of the last failed
   // test so the callback still sees how far outside the region the task was.
@@ -450,10 +339,9 @@ AdmissionDecision WaitingAdmission<Inner>::timed_out_decision(
   return d;
 }
 
-template <class Inner>
-void WaitingAdmission<Inner>::submit(const Spec& spec) {
+void WaitingAdmissionController::submit(const TaskSpec& spec) {
   const Time arrival = sim_.now();
-  Pending p{spec, arrival, AdmissionDecision{}, sim::kInvalidEventId, {}, {}};
+  Pending p{spec, arrival, AdmissionDecision{}, sim::kInvalidEventId};
   // FIFO: while earlier arrivals wait, newcomers queue behind them even if
   // they would fit — otherwise small tasks would starve large waiting ones.
   if (queue_.empty()) {
@@ -464,11 +352,7 @@ void WaitingAdmission<Inner>::submit(const Spec& spec) {
     }
     p.last_test = d;
   } else {
-    if constexpr (kGraph) {
-      p.last_test.bound = LongPathEvaluator::kDelayBudget;
-    } else {
-      p.last_test.bound = inner_.region().bound();
-    }
+    p.last_test.bound = inner_.region().bound();
     p.last_test.lhs_before = inner_.tracker().cached_lhs();
     p.last_test.lhs_with_task = p.last_test.lhs_before;
   }
@@ -476,29 +360,12 @@ void WaitingAdmission<Inner>::submit(const Spec& spec) {
     decide(p, timed_out_decision(p));
     return;
   }
-  snapshot_gate(p);
   const std::uint64_t id = spec.id;
   p.timeout_event = sim_.after(patience_, [this, id] { timeout(id); });
   queue_.push_back(std::move(p));
 }
 
-template <class Inner>
-void WaitingAdmission<Inner>::on_decrease() {
-  if constexpr (kGraph) {
-    if (queue_.empty()) return;
-    // Headroom gate: only the FIFO front is eligible for retry, so if none
-    // of ITS touched f-terms moved since its last failed test, no
-    // evaluation can change outcome — skip without invoking the evaluator.
-    if (!retrying_ && !gate_changed(queue_.front())) {
-      ++gate_skips_;
-      return;
-    }
-  }
-  retry();
-}
-
-template <class Inner>
-void WaitingAdmission<Inner>::retry() {
+void WaitingAdmissionController::retry() {
   // A decrease can fire while a retry scan is already running: an admitted
   // task's decision callback may cascade into expiries, idle resets, or
   // removals (e.g. the runtime starting the task synchronously completes a
@@ -518,7 +385,6 @@ void WaitingAdmission<Inner>::retry() {
       const auto d = inner_.try_admit(p.spec, p.arrival);
       if (!d.admitted) {
         p.last_test = d;
-        snapshot_gate(p);
         break;  // FIFO: later tasks wait their turn
       }
       sim_.cancel(p.timeout_event);
@@ -531,8 +397,7 @@ void WaitingAdmission<Inner>::retry() {
   retrying_ = false;
 }
 
-template <class Inner>
-void WaitingAdmission<Inner>::timeout(std::uint64_t task_id) {
+void WaitingAdmissionController::timeout(std::uint64_t task_id) {
   auto it = std::find_if(queue_.begin(), queue_.end(),
                          [&](const Pending& p) { return p.spec.id == task_id; });
   if (it == queue_.end()) return;  // already admitted
@@ -543,12 +408,8 @@ void WaitingAdmission<Inner>::timeout(std::uint64_t task_id) {
   decide(done, timed_out_decision(done));
   // A timeout promotes the next waiter to the front without any decrease
   // event; it has never been tested against the current state, so retry now
-  // (which also snapshots its gate on failure) rather than stranding it
-  // until the next decrease.
+  // rather than stranding it until the next decrease.
   if (was_front && !queue_.empty()) retry();
 }
-
-template class WaitingAdmission<AdmissionController>;
-template class WaitingAdmission<GraphAdmissionController>;
 
 }  // namespace frap::core

@@ -1,14 +1,15 @@
 // Admission control against the feasible region (Sec. 4 and Sec. 5).
 //
-// Every controller here implements the unified frap::Admitter interface
-// (src/service/admitter.h) with the one canonical signature
+// Every controller here is a plain concrete class. The pipeline controllers
+// share the canonical entry point
 //
 //   [[nodiscard]] AdmissionDecision try_admit(const TaskSpec& spec, Time now)
 //
 // where `now` is the task's arrival instant: an admitted task's contribution
 // is committed with expiry at now + spec.deadline, and the decision records
 // the evaluated LHS pair, the bound, and a machine-readable Reason
-// (core/admission_decision.h).
+// (core/admission_decision.h). The graph controller takes a GraphTaskSpec
+// instead; docs/admission_service.md lists every entry point.
 //
 // The base controller implements the paper's admission test: tentatively add
 // the arriving task's per-stage contributions to the tracked synthetic
@@ -20,9 +21,9 @@
 // f(U_j) per stage plus the running LHS scalar, so a task touching k stages
 // is tested against cached_lhs + sum of k deltas in O(k), without snapshot
 // vectors and without evaluating untouched stages (docs/incremental_lhs.md).
-// The original full O(N)-with-snapshots evaluation lives in
-// frap::testing::ReferenceAdmitter (core/reference_admitter.h), used by the
-// A/B identity tests and benchmarks only.
+// The original full O(N)-with-snapshots evaluation lives in the test
+// support library (tests/support/reference_admitter.h), used by the A/B
+// identity tests and bench/micro_admission only.
 //
 // Variants layered on top:
 //   * approximate admission (Sec. 4.4): the test uses per-stage MEAN
@@ -30,8 +31,7 @@
 //     still execute), modelling operators who only know averages;
 //   * waiting admission (Sec. 5): a rejected task may wait a bounded
 //     patience for the region to drain (it retries on utilization
-//     decreases) before being finally rejected; one implementation,
-//     WaitingAdmission<Inner>, serves pipeline and graph controllers;
+//     decreases) before being finally rejected;
 //   * shedding admission (Sec. 5): when an important task does not fit,
 //     less important admitted tasks are shed (their contributions removed
 //     and their execution aborted) in increasing order of importance until
@@ -46,7 +46,6 @@
 #include <map>
 #include <optional>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "core/admission_decision.h"
@@ -56,16 +55,11 @@
 #include "core/task.h"
 #include "core/task_graph.h"
 #include "obs/decision_sink.h"
-#include "service/admitter.h"
 #include "sim/simulator.h"
-
-namespace frap::testing {
-class ReferenceAdmitter;  // test-only full-evaluation A/B path
-}  // namespace frap::testing
 
 namespace frap::core {
 
-class AdmissionController : public Admitter {
+class AdmissionController {
  public:
   AdmissionController(sim::Simulator& sim,
                       SyntheticUtilizationTracker& tracker,
@@ -74,16 +68,19 @@ class AdmissionController : public Admitter {
   // Switches to approximate admission: contributions are computed as
   // mean_compute[j] / D_i instead of C_ij / D_i.
   void set_approximate_means(std::vector<Duration> mean_compute);
+  // The per-stage means in use; empty = exact admission.
+  const std::vector<Duration>& approximate_means() const {
+    return mean_compute_;
+  }
   [[nodiscard]] bool approximate() const { return !mean_compute_.empty(); }
 
-  // Canonical admission (Admitter): tests the task arriving at `now`; on
+  // Canonical admission: tests the task arriving at `now`; on
   // admission its contribution is committed with expiry at
   // now + spec.deadline (which must not precede the simulation clock).
   // Incremental fast path: O(stages the task touches), no heap allocation
   // on the test (the commit of an admitted task still creates its tracker
   // record).
-  [[nodiscard]] AdmissionDecision try_admit(const TaskSpec& spec,
-                                            Time now) override;
+  [[nodiscard]] AdmissionDecision try_admit(const TaskSpec& spec, Time now);
 
   // try_admit with the ADMIT reason overridden: identical test, commit
   // and trace, but an admitted decision carries (and is traced with)
@@ -120,11 +117,6 @@ class AdmissionController : public Admitter {
   }
 
  private:
-  friend class BatchAdmissionController;
-  friend class ::frap::testing::ReferenceAdmitter;
-
-  std::vector<double> contributions_for(const TaskSpec& spec) const;
-
   // Per-stage contribution of the task (exact C_ij/D_i or mean_j/D_i), as
   // committed: unscaled. Tests multiply it by the tracker's view scale
   // (docs/admission_service.md).
@@ -147,10 +139,6 @@ class AdmissionController : public Admitter {
   // buffer (no per-call allocation beyond the tracker's task record).
   void commit(const TaskSpec& spec, Time absolute_deadline);
 
-  // Stages the task contributes to (c_j > 0) under the active admission
-  // mode; only evaluated when a sink is attached.
-  std::uint16_t touched_stages(const TaskSpec& spec) const;
-
   sim::Simulator& sim_;
   SyntheticUtilizationTracker& tracker_;
   FeasibleRegion region_;
@@ -165,17 +153,15 @@ class AdmissionController : public Admitter {
   std::uint64_t admitted_ = 0;
 };
 
-// Decides a burst of arrivals in one pass (replay / bursty workloads that
-// release many tasks at the same instant). The tracker state is snapshotted
-// once into reusable buffers; every spec is tested in order against the
-// running snapshot with pure array arithmetic, and each admission is
-// committed to the tracker before the next spec is tested — so the decisions
-// are identical to calling inner.try_admit() sequentially, while the hot
-// loop avoids per-attempt tracker reads. Counters and the sink of the
-// inner controller are updated exactly as for single admissions.
-class BatchAdmissionController : public Admitter {
+// Decides a burst of arrivals released at the same instant (replay / bursty
+// workloads). Each spec is decided in order by the inner controller's
+// try_admit at the current simulation time, so every decision, counter and
+// sink record is exactly what sequential single admissions would produce;
+// the burst only reuses one decision buffer.
+class BatchAdmissionController {
  public:
-  explicit BatchAdmissionController(AdmissionController& inner);
+  explicit BatchAdmissionController(AdmissionController& inner)
+      : inner_(inner) {}
 
   // Decides every spec of the burst at the current instant (each admitted
   // task expires at now + its own deadline). Returns one decision per spec,
@@ -184,18 +170,10 @@ class BatchAdmissionController : public Admitter {
   [[nodiscard]] const std::vector<AdmissionDecision>& try_admit_burst(
       std::span<const TaskSpec> specs);
 
-  // Admitter: a burst of one, decided by the inner controller.
-  [[nodiscard]] AdmissionDecision try_admit(const TaskSpec& spec,
-                                            Time now) override {
-    return inner_.try_admit(spec, now);
-  }
-
   std::uint64_t bursts() const { return bursts_; }
 
  private:
   AdmissionController& inner_;
-  std::vector<double> u_;  // working per-stage utilization snapshot
-  std::vector<double> f_;  // working per-stage f-terms
   std::vector<AdmissionDecision> decisions_;
   std::uint64_t bursts_ = 0;
 };
@@ -205,7 +183,7 @@ class BatchAdmissionController : public Admitter {
 // in increasing importance order until it does. The shed callback must
 // abort the victim's execution in the runtime (its contributions are
 // removed here).
-class SheddingAdmissionController : public Admitter {
+class SheddingAdmissionController {
  public:
   using ShedCallback = std::function<void(std::uint64_t task_id)>;
   // Returns true when the task may be shed. SOUNDNESS: a task that has
@@ -221,14 +199,23 @@ class SheddingAdmissionController : public Admitter {
 
   void set_shed_filter(ShedFilter filter) { filter_ = std::move(filter); }
 
-  // Canonical admission (Admitter). A task admitted only after shedding is
-  // reported with reason == Reason::kShed.
-  [[nodiscard]] AdmissionDecision try_admit(const TaskSpec& spec,
-                                            Time now) override;
+  // Canonical admission. A task admitted only after shedding is reported
+  // with reason == Reason::kShed.
+  [[nodiscard]] AdmissionDecision try_admit(const TaskSpec& spec, Time now);
 
   std::uint64_t tasks_shed() const { return tasks_shed_; }
 
+  // Entries in the importance index: at most 2 * tracker().live_tasks() + 64
+  // after every admission.
+  std::size_t importance_index_size() const {
+    return admitted_by_importance_.size();
+  }
+
  private:
+  // Drops entries of tasks that are no longer live once they outnumber the
+  // live ones.
+  void prune_importance_index();
+
   AdmissionController& inner_;
   ShedCallback shed_;
   ShedFilter filter_;
@@ -239,9 +226,8 @@ class SheddingAdmissionController : public Admitter {
 };
 
 // Theorem 2: admission for DAG-structured tasks. The region is evaluated
-// per task over its graph; contributions are per-resource sums. Pipeline
-// TaskSpecs are admitted through the Admitter interface by converting them
-// to their chain-graph form (GraphTaskSpec::from_pipeline).
+// per task over its graph; contributions are per-resource sums. A pipeline
+// is admitted here in its chain-graph form (GraphTaskSpec::from_pipeline).
 //
 // Two pluggable bounds (docs/dag_bounds.md):
 //   * GraphRegionEvaluator — the paper's single-critical-path test;
@@ -251,7 +237,7 @@ class SheddingAdmissionController : public Admitter {
 //     + cached profile entries) per attempt unless the evaluator's last
 //     tier, the exact DP, runs, with an allocation-free sparse commit;
 //     specs without a shape fall back to the snapshot walk.
-class GraphAdmissionController : public Admitter {
+class GraphAdmissionController {
  public:
   GraphAdmissionController(sim::Simulator& sim,
                            SyntheticUtilizationTracker& tracker,
@@ -262,8 +248,6 @@ class GraphAdmissionController : public Admitter {
 
   [[nodiscard]] AdmissionDecision try_admit(const GraphTaskSpec& spec,
                                             Time now);
-  [[nodiscard]] AdmissionDecision try_admit(const TaskSpec& spec,
-                                            Time now) override;
 
   [[nodiscard]] bool long_path() const { return long_path_.has_value(); }
   LongPathEvaluator* long_path_evaluator() {
@@ -274,12 +258,6 @@ class GraphAdmissionController : public Admitter {
 
   std::uint64_t attempts() const { return attempts_; }
   std::uint64_t admitted() const { return admitted_; }
-
-  // Region evaluations performed (one per try_admit attempt, including
-  // waiting-queue retries). The waiting controller's headroom gate is
-  // pinned against this counter: a decrease that cannot change the front
-  // waiter's test must not add an evaluation.
-  std::uint64_t evaluations() const { return evaluations_; }
 
   // Optional decision tracing; same passivity contract as
   // AdmissionController::set_sink.
@@ -300,48 +278,30 @@ class GraphAdmissionController : public Admitter {
   std::vector<double> commit_values_;
   std::uint64_t attempts_ = 0;
   std::uint64_t admitted_ = 0;
-  std::uint64_t evaluations_ = 0;
   obs::DecisionSink* sink_ = nullptr;
 };
 
-// Sec. 5 waiting behaviour, for pipeline and DAG tasks alike: an arrival
-// that does not fit immediately is parked for up to `patience`; utilization
-// decreases retry the queue in FIFO order, and a timeout that promotes a new
-// front waiter retries it at once. The absolute deadline stays anchored at
-// the original arrival time, so waiting consumes the task's own slack.
-//
-// Inner is AdmissionController (TaskSpec arrivals) or
-// GraphAdmissionController (GraphTaskSpec arrivals); both are explicitly
-// instantiated in admission.cpp. Over the graph controller a headroom gate
-// cuts the re-walk-on-expire cost: a parked task stores the tracker's cached
-// f-terms over its touched resources at its last failed test, and a
-// decrease only re-runs the (profile or full-DAG) evaluation when one of
-// those f-terms changed. f is strictly increasing in U, so equal f-terms
-// mean the touched utilizations are unchanged and the failed test would
-// repeat verbatim — the gate can never strand an admissible waiter.
-// Decreases at resources the front waiter does not touch cost O(touched)
-// compares and zero evaluator invocations (gate_skips()). The pipeline
-// region sums every stage, so over AdmissionController every decrease
-// retries.
-template <class Inner>
-class WaitingAdmission {
+// Sec. 5 waiting behaviour: an arrival that does not fit immediately is
+// parked for up to `patience`; utilization decreases retry the queue in FIFO
+// order, and a timeout that promotes a new front waiter retries it at once.
+// The absolute deadline stays anchored at the original arrival time, so
+// waiting consumes the task's own slack.
+class WaitingAdmissionController {
  public:
-  static constexpr bool kGraph =
-      std::is_same_v<Inner, GraphAdmissionController>;
-  using Spec = std::conditional_t<kGraph, GraphTaskSpec, TaskSpec>;
-
   // Decision callback: receives the full decision. decision.arrival is the
   // task's original arrival (its deadline stays anchored there) and
   // decision.decided_at the simulation instant of the decision (arrival +
   // waiting). A task that waits out its patience is reported with
   // reason == Reason::kTimedOut and the LHS pair of its last failed test.
   using DecisionCallback =
-      std::function<void(const Spec&, const AdmissionDecision&)>;
+      std::function<void(const TaskSpec&, const AdmissionDecision&)>;
 
-  WaitingAdmission(sim::Simulator& sim, Inner& inner, Duration patience);
+  WaitingAdmissionController(sim::Simulator& sim, AdmissionController& inner,
+                             Duration patience);
   // Pending timeouts and the tracker's decrease hook capture `this`.
-  WaitingAdmission(const WaitingAdmission&) = delete;
-  WaitingAdmission& operator=(const WaitingAdmission&) = delete;
+  WaitingAdmissionController(const WaitingAdmissionController&) = delete;
+  WaitingAdmissionController& operator=(const WaitingAdmissionController&) =
+      delete;
 
   // Call once; the controller hooks the tracker's decrease notifications.
   // Any previously installed on-decrease callback is replaced.
@@ -351,14 +311,10 @@ class WaitingAdmission {
 
   // Submits an arrival at the current time. May decide synchronously (fits
   // now, or patience == 0) or later.
-  void submit(const Spec& spec);
+  void submit(const TaskSpec& spec);
 
   std::size_t pending() const { return queue_.size(); }
   std::uint64_t timed_out() const { return timed_out_; }
-
-  // Decrease notifications short-circuited by the headroom gate (no
-  // evaluator invocation); always 0 over AdmissionController.
-  std::uint64_t gate_skips() const { return gate_skips_; }
 
   // Times a decrease arrived while a retry scan was already running and the
   // scan was re-armed to run again (observability for the cascade case).
@@ -366,41 +322,26 @@ class WaitingAdmission {
 
  private:
   struct Pending {
-    Spec spec;
+    TaskSpec spec;
     Time arrival;
     AdmissionDecision last_test;  // most recent failed admission attempt
     sim::EventId timeout_event;
-    // Headroom gate state (graph only): touched resources, ascending, and
-    // their cached f-terms at the last failed test.
-    std::vector<std::uint32_t> touched;
-    std::vector<double> gate_f;
   };
 
-  void snapshot_gate(Pending& p) const;
-  [[nodiscard]] bool gate_changed(const Pending& p) const;
-  void on_decrease();
   void retry();
   void timeout(std::uint64_t task_id);
   void decide(const Pending& p, const AdmissionDecision& d);
   AdmissionDecision timed_out_decision(const Pending& p) const;
 
   sim::Simulator& sim_;
-  Inner& inner_;
+  AdmissionController& inner_;
   Duration patience_;
   std::deque<Pending> queue_;
   DecisionCallback decide_;
   std::uint64_t timed_out_ = 0;
-  std::uint64_t gate_skips_ = 0;
   bool retrying_ = false;
   bool rearm_ = false;  // decrease observed mid-retry: scan again
   std::uint64_t rearmed_retries_ = 0;
 };
-
-extern template class WaitingAdmission<AdmissionController>;
-extern template class WaitingAdmission<GraphAdmissionController>;
-
-using WaitingAdmissionController = WaitingAdmission<AdmissionController>;
-using WaitingGraphAdmissionController =
-    WaitingAdmission<GraphAdmissionController>;
 
 }  // namespace frap::core

@@ -1,14 +1,14 @@
 // The canonical admission-decision record.
 //
-// Every Admitter implementation (src/service/admitter.h) returns this struct
-// from its try_admit(spec, now): the verdict, the machine-readable Reason,
+// Every admission controller (core/admission.h, core/baselines.h,
+// service/sharded_admission.h) returns this struct from its try_admit: the verdict, the machine-readable Reason,
 // the evaluated region LHS pair together with the bound it was tested
 // against, and the time anchors (arrival = the `now` the caller presented,
 // decided_at = the simulation instant the decision was taken; the two differ
 // only for waiting admission, where a task may be parked before deciding).
 //
-// Lives in its own header so the interface in src/service/ and the concrete
-// controllers in src/core/ can share it without an include cycle.
+// Lives in its own header so the controllers in src/core/ and src/service/
+// and the decision sinks in src/obs/ can share it without an include cycle.
 #pragma once
 
 #include <cstdint>

@@ -39,15 +39,14 @@ double liu_layland_bound(std::size_t n);
 // C_ij / (D_i / N) and admits iff every stage independently satisfies the
 // uniprocessor aperiodic bound. Deliberately pessimistic: used as the
 // baseline to show the value of the end-to-end region.
-class DeadlineSplitAdmissionController : public Admitter {
+class DeadlineSplitAdmissionController {
  public:
   DeadlineSplitAdmissionController(sim::Simulator& sim,
                                    SyntheticUtilizationTracker& tracker);
 
-  // Admitter; the lhs/bound pair is reported scaled so that 1.0 = at the
-  // per-stage uniprocessor bound (bound is therefore always 1.0 here).
-  [[nodiscard]] AdmissionDecision try_admit(const TaskSpec& spec,
-                                            Time now) override;
+  // The lhs/bound pair is reported scaled so that 1.0 = at the per-stage
+  // uniprocessor bound (bound is therefore always 1.0 here).
+  [[nodiscard]] AdmissionDecision try_admit(const TaskSpec& spec, Time now);
 
   std::uint64_t attempts() const { return attempts_; }
   std::uint64_t admitted() const { return admitted_; }

@@ -69,12 +69,6 @@ struct GraphTaskSpec {
   // node_weights.size() must equal num_nodes(). Requires acyclicity.
   double critical_path(std::span<const double> node_weights) const;
 
-  // End-to-end delay for given per-node residence times (same computation
-  // as critical_path; named for readability at call sites).
-  Duration end_to_end_delay(std::span<const Duration> node_delays) const {
-    return critical_path(node_delays);
-  }
-
   // Critical path with node i weighted weight_by_resource[resource(i)]:
   // over the shape's CSR when interned, else over the spec's own layout.
   // Bit-identical either way (each path sums in source-to-sink order).

@@ -2,7 +2,7 @@
 // machinery with zero steady-state allocation.
 //
 // An IngestSession owns the reusable scratch that bridges zero-copy
-// WireArrival views to the TaskSpec-shaped Admitter API: one inline-record
+// WireArrival views to the TaskSpec-shaped admission API: one inline-record
 // scratch spec (stages sized once, only previously-touched entries cleared
 // between records), one prebuilt template spec per registered task class
 // (id/deadline/importance patched per arrival), and a burst buffer of

@@ -110,29 +110,4 @@ class AtomicCounter {
   std::atomic<std::uint64_t> n_{0};
 };
 
-// RatioTracker variant for concurrent recorders. hits() and total() are each
-// exact; a ratio() read concurrent with record() calls may pair a numerator
-// and denominator from slightly different instants (again: observability,
-// not control flow).
-class AtomicRatioTracker {
- public:
-  void record(bool hit) {
-    total_.increment();
-    if (hit) hits_.increment();
-  }
-
-  std::uint64_t hits() const { return hits_.value(); }
-  std::uint64_t total() const { return total_.value(); }
-
-  double ratio() const {
-    const std::uint64_t t = total();
-    return t == 0 ? 0.0
-                  : static_cast<double>(hits()) / static_cast<double>(t);
-  }
-
- private:
-  AtomicCounter hits_;
-  AtomicCounter total_;
-};
-
 }  // namespace frap::metrics

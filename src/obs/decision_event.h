@@ -1,7 +1,7 @@
 // The compact per-decision trace record (docs/observability.md).
 //
-// One DecisionEvent is emitted for every admission decision a traced
-// Admitter takes, plus span events for the sharded service's rare global
+// One DecisionEvent is emitted for every decision a traced admission
+// controller takes, plus span events for the sharded service's rare global
 // operations (quota steal / fallback, rebalance). The struct is the PUBLIC
 // form; inside the TraceRing it is stored field-for-field in relaxed
 // atomics so concurrent snapshot readers never race producers.

@@ -1,10 +1,10 @@
 // Per-shard decision sink: ring + latency/headroom histograms + counters.
 //
-// One DecisionSink belongs to one Admitter (or one shard of the sharded
-// service) and is serialized by whatever serializes that admitter — the
-// shard mutex, or plain single-threaded use. Only the embedded TraceRing is
-// lock-free; the histograms and per-reason counters are deliberately plain
-// so the hot path stays a handful of increments. Cross-thread readers must
+// One DecisionSink belongs to one admission controller (or one shard of the
+// sharded service) and is serialized by whatever serializes that
+// controller — the shard mutex, or plain single-threaded use. Only the
+// embedded TraceRing is lock-free; the histograms and per-reason counters
+// are deliberately plain so the hot path stays a handful of increments. Cross-thread readers must
 // go through Observer::snapshot() (which takes the owning locks), never
 // poke a live sink directly.
 //

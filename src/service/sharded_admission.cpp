@@ -79,7 +79,7 @@ core::AdmissionDecision ShardedAdmissionService::try_admit(
         }
         if (d.admitted) {
           sh.atomic_admits.increment();
-          return d;  // deliberately no maybe_auto_rebalance (see config)
+          return d;
         }
         // Reservation degraded by a weight race: same as a local reject.
         sh.atomic_inconclusive.increment();
@@ -88,7 +88,6 @@ core::AdmissionDecision ShardedAdmissionService::try_admit(
         } else {
           sh.rejects.increment();
         }
-        maybe_auto_rebalance(now);
         return d;
       }
       case AtomicAdmissionGuard::Verdict::kReject: {
@@ -98,9 +97,7 @@ core::AdmissionDecision ShardedAdmissionService::try_admit(
         }
         // The home shard provably rejects; decide globally (the fallback
         // re-tests every shard, home included, under the exact predicate).
-        AdmissionDecision d = fallback(k, spec, now);
-        maybe_auto_rebalance(now);
-        return d;
+        return fallback(k, spec, now);
       }
       case AtomicAdmissionGuard::Verdict::kInconclusive:
         sh.atomic_inconclusive.increment();
@@ -130,7 +127,6 @@ core::AdmissionDecision ShardedAdmissionService::try_admit(
   } else {
     sh.rejects.increment();
   }
-  maybe_auto_rebalance(now);
   return d;
 }
 
@@ -406,20 +402,8 @@ void ShardedAdmissionService::rebalance(Time now) {
   }
 }
 
-void ShardedAdmissionService::maybe_auto_rebalance(Time now) {
-  const std::uint64_t n =
-      // frap:contract(order: relaxed tally; only the modular count matters
-      // and it needs nothing beyond atomicity)
-      decisions_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (cfg_.rebalance_interval == 0) return;
-  if (n % cfg_.rebalance_interval != 0) return;
-  rebalance(now);
-}
-
 ServiceStats ShardedAdmissionService::stats() const {
   ServiceStats s;
-  // frap:contract(order: relaxed; stats may lag in-flight decisions)
-  s.decisions = decisions_.load(std::memory_order_relaxed);
   s.rebalances = rebalances_.value();
   s.shards.reserve(shards_.size());
   for (const auto& sh : shards_) {
@@ -431,9 +415,11 @@ ServiceStats ShardedAdmissionService::stats() const {
     out.atomic_admits = sh->atomic_admits.value();
     out.atomic_rejects = sh->atomic_rejects.value();
     out.atomic_inconclusive = sh->atomic_inconclusive.value();
-    // Decisions settled lock-free never touched decisions_; fold them in so
-    // s.decisions counts every try_admit whichever path decided it.
-    s.decisions += out.atomic_admits + out.atomic_rejects;
+    // Every try_admit lands in exactly one of these counters, whichever
+    // path decided it.
+    s.decisions += out.admits + out.rejects + out.fallback_admits +
+                   out.fallback_rejects + out.atomic_admits +
+                   out.atomic_rejects;
     {
       std::scoped_lock lk(sh->mu);
       out.weight = sh->weight;

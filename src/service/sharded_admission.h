@@ -32,10 +32,10 @@
 //     Reason::kQuotaFallbackRejected. The weight partition makes per-shard
 //     tests conservative, so the fallback can only ever admit MORE than
 //     pure-local quotas — never a task the unsharded region test rejects.
-//   * PERIODIC REBALANCE — every rebalance_interval decisions (and on
-//     demand) weights are reassigned demand-proportionally, floored at each
-//     shard's minimum feasible weight, so persistent skew does not keep
-//     forcing arrivals through the fallback lock.
+//   * REBALANCE — on demand (rebalance()), weights are reassigned
+//     demand-proportionally, floored at each shard's minimum feasible
+//     weight, so persistent skew does not keep forcing arrivals through the
+//     fallback lock.
 //
 // Time: each shard owns a private sim::Simulator. Shard clocks are advanced
 // to the caller-presented `now` lazily; a caller presenting a timestamp
@@ -62,7 +62,6 @@
 #include "core/task.h"
 #include "metrics/counters.h"
 #include "obs/observer.h"
-#include "service/admitter.h"
 #include "service/atomic_admission.h"
 #include "service/quota.h"
 #include "sim/simulator.h"
@@ -79,14 +78,6 @@ struct ShardedAdmissionConfig {
   // soundness A/B tests as the comparison baseline and by benchmarks to
   // measure the uncontended hot path.
   bool enable_fallback = true;
-  // Automatic demand-proportional rebalance every this many decisions;
-  // 0 disables (rebalance() can still be called explicitly).
-  // NOTE: decisions settled entirely on the atomic fast path deliberately
-  // do not tick the rebalance cadence — the counter it would need is the
-  // one globally-shared atomic the fast path exists to avoid. Slow-path
-  // traffic (which is exactly the traffic a skewed weight split produces)
-  // still drives it.
-  std::uint64_t rebalance_interval = 4096;
   // Lock-free fixed-point fast path (service/atomic_admission.h). Off, the
   // service behaves exactly as before the atomic path existed (admits are
   // reported kAdmitted) — the A/B soundness tests use that as the mirror.
@@ -109,8 +100,8 @@ struct ShardStats {
 
 struct ServiceStats {
   std::vector<ShardStats> shards;
-  // Every try_admit call, whichever path settled it (slow-path decisions
-  // plus per-shard atomic admits/rejects).
+  // Every try_admit call, whichever path settled it (the sum of the
+  // per-shard outcome counters).
   std::uint64_t decisions = 0;
   std::uint64_t rebalances = 0;
 
@@ -130,7 +121,7 @@ struct ServiceStats {
   }
 };
 
-class ShardedAdmissionService final : public Admitter {
+class ShardedAdmissionService final {
  public:
   ShardedAdmissionService(core::FeasibleRegion region,
                           ShardedAdmissionConfig config = {});
@@ -138,10 +129,10 @@ class ShardedAdmissionService final : public Admitter {
   ShardedAdmissionService(const ShardedAdmissionService&) = delete;
   ShardedAdmissionService& operator=(const ShardedAdmissionService&) = delete;
 
-  // Admitter. Decides `spec` presented at `now` on its home shard; falls
-  // back to the global path when enabled and the home shard rejects.
+  // Decides `spec` presented at `now` on its home shard; falls back to the
+  // global path when enabled and the home shard rejects.
   [[nodiscard]] core::AdmissionDecision try_admit(const core::TaskSpec& spec,
-                                                  Time now) override;
+                                                  Time now);
 
   std::size_t num_shards() const { return shards_.size(); }
 
@@ -226,7 +217,6 @@ class ShardedAdmissionService final : public Admitter {
   core::AdmissionDecision fallback_decide_locked(std::size_t origin,
                                                  const core::TaskSpec& spec,
                                                  Time now, Time eff);
-  void maybe_auto_rebalance(Time now);
 
   // Republishes one shard's guard from its exact tracker/simulator state;
   // caller holds that shard's mutex. `released_quanta` retires a CAS
@@ -246,10 +236,6 @@ class ShardedAdmissionService final : public Admitter {
   QuotaPlan quota_;  // guarded by global_mu_ + all shard mutexes
   std::vector<std::unique_ptr<Shard>> shards_;
   mutable std::mutex global_mu_;
-  // Slow-path decisions only: the atomic fast path never touches this
-  // shared atomic (it is exactly the cache-line ping-pong the fast path
-  // eliminates); stats() adds the per-shard fast counters back in.
-  std::atomic<std::uint64_t> decisions_{0};
   metrics::AtomicCounter rebalances_;
   // Set once by enable_tracing (before concurrent use); the fast path
   // reads it lock-free to disable fast rejects, which would otherwise

@@ -11,7 +11,7 @@
 
 #include "core/admission.h"
 #include "core/feasible_region.h"
-#include "core/reference_admitter.h"
+#include "support/reference_admitter.h"
 #include "core/stage_delay.h"
 #include "core/synthetic_utilization.h"
 #include "sim/simulator.h"
@@ -92,8 +92,8 @@ TEST(AdmissionFastPathTest, DecisionsIdenticalToReferenceOver10kArrivals) {
   // The workload must actually exercise both outcomes.
   EXPECT_GT(admitted, 1000u);
   EXPECT_LT(admitted, static_cast<std::uint64_t>(kArrivals));
-  EXPECT_EQ(fast.controller.attempts(), ref.controller.attempts());
-  EXPECT_EQ(fast.controller.admitted(), ref.controller.admitted());
+  EXPECT_EQ(fast.controller.attempts(), ref.reference.attempts());
+  EXPECT_EQ(fast.controller.admitted(), ref.reference.admitted());
 
   // After the whole history the incremental LHS still matches a recompute.
   fast.tracker.verify_lhs_cache(1e-9);
@@ -121,22 +121,43 @@ TEST(AdmissionFastPathTest, ApproximateMeansVariantMatchesReference) {
     const auto dr = ref.reference.try_admit(spec, ref.sim.now());
     EXPECT_EQ(df.admitted, dr.admitted) << "arrival " << i;
   }
+  EXPECT_EQ(fast.controller.attempts(), ref.reference.attempts());
+  EXPECT_EQ(fast.controller.admitted(), ref.reference.admitted());
   fast.tracker.verify_lhs_cache(1e-9);
 }
 
-TEST(AdmissionFastPathTest, BatchDecisionsMatchSequentialFastPath) {
+// Every field of every burst decision must equal the sequential fast
+// path's, bit for bit: exact and approximate-means admission, unit and
+// non-unit tracker view scale, and bursts that carry stage-saturating tasks.
+void ExpectBurstMatchesSequential(bool approximate, double view_scale) {
   constexpr std::size_t kStages = 4;
   Harness seq(kStages);
   Harness bat(kStages);
+  for (Harness* h : {&seq, &bat}) {
+    h->tracker.set_view_scale(view_scale);
+    if (approximate) {
+      h->controller.set_approximate_means({0.03, 0.0, 0.05, 0.02});
+    }
+  }
   BatchAdmissionController batch(bat.controller);
 
   util::Rng rng(7);
   std::uint64_t id = 1;
+  std::uint64_t saturated = 0;
   for (int burst = 0; burst < 200; ++burst) {
     std::vector<TaskSpec> specs;
     const int size = rng.uniform_int(1, 32);
     for (int i = 0; i < size; ++i) {
       specs.push_back(random_task(rng, id++, kStages));
+      // Now and then a task with a deadline so short that one stage's
+      // demand (actual or mean) alone exceeds it.
+      if (rng.bernoulli(0.03)) {
+        TaskSpec& s = specs.back();
+        s.deadline = 0.04;
+        const auto j =
+            static_cast<std::size_t>(rng.uniform_int(0, kStages - 1));
+        s.stages[j].compute = 1.5 * s.deadline;
+      }
     }
     const Time t = seq.sim.now() + rng.exponential(0.05);
     seq.sim.run_until(t);
@@ -146,15 +167,35 @@ TEST(AdmissionFastPathTest, BatchDecisionsMatchSequentialFastPath) {
     ASSERT_EQ(decisions.size(), specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
       const auto d = seq.controller.try_admit(specs[i], seq.sim.now());
-      EXPECT_EQ(decisions[i].admitted, d.admitted)
-          << "burst " << burst << " index " << i;
-      EXPECT_DOUBLE_EQ(decisions[i].lhs_with_task, d.lhs_with_task);
+      const auto& b = decisions[i];
+      SCOPED_TRACE(::testing::Message() << "burst " << burst << " index " << i);
+      EXPECT_EQ(b.admitted, d.admitted);
+      EXPECT_EQ(b.reason, d.reason);
+      EXPECT_EQ(b.lhs_before, d.lhs_before);
+      EXPECT_EQ(b.lhs_with_task, d.lhs_with_task);
+      EXPECT_EQ(b.bound, d.bound);
+      EXPECT_EQ(b.arrival, d.arrival);
+      EXPECT_EQ(b.decided_at, d.decided_at);
+      if (d.reason == AdmissionDecision::Reason::kStageSaturated) ++saturated;
     }
   }
   EXPECT_EQ(batch.bursts(), 200u);
   EXPECT_EQ(bat.controller.attempts(), seq.controller.attempts());
   EXPECT_EQ(bat.controller.admitted(), seq.controller.admitted());
+  EXPECT_GT(bat.controller.admitted(), 0u);
+  EXPECT_LT(bat.controller.admitted(), bat.controller.attempts());
+  EXPECT_GT(saturated, 0u);
   bat.tracker.verify_lhs_cache(1e-9);
+}
+
+TEST(AdmissionFastPathTest, BatchDecisionsMatchSequentialFastPath) {
+  for (const bool approximate : {false, true}) {
+    for (const double view_scale : {1.0, 2.5}) {
+      SCOPED_TRACE(::testing::Message() << "approximate=" << approximate
+                                        << " view_scale=" << view_scale);
+      ExpectBurstMatchesSequential(approximate, view_scale);
+    }
+  }
 }
 
 TEST(AdmissionFastPathTest, RejectionsLeaveNoTrace) {

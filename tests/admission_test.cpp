@@ -400,6 +400,24 @@ TEST_F(SheddingTest, ExpiredVictimsAreSkipped) {
   EXPECT_TRUE(shed.empty());
 }
 
+// Tasks that expire without ever being scanned by a shed pass must not pile
+// up in the importance index: 10k admit/expire cycles at one importance
+// keep it within 2 * live + 64 entries.
+TEST_F(SheddingTest, ImportanceIndexStaysBoundedAcrossExpiries) {
+  SheddingAdmissionController shedder(controller_, [](std::uint64_t) {});
+  for (std::uint64_t id = 1; id <= 10'000; ++id) {
+    ASSERT_TRUE(shedder.try_admit(make_task(id, 0.5, {0.1, 0.1}, 1.0),
+                                  sim_.now())
+                    .admitted);
+    ASSERT_LE(shedder.importance_index_size(),
+              2 * tracker_.live_tasks() + 64)
+        << "after admitting task " << id;
+    sim_.run_until(sim_.now() + 1.0);  // the task expires
+  }
+  EXPECT_EQ(tracker_.live_tasks(), 0u);
+  EXPECT_EQ(shedder.tasks_shed(), 0u);
+}
+
 // -------------------------------------------------------- deadline-split ---
 
 TEST(DeadlineSplitTest, MoreConservativeThanEndToEndRegion) {

@@ -28,7 +28,7 @@
 #include "core/admission_decision.h"
 #include "core/feasible_region.h"
 #include "core/fixed_point.h"
-#include "core/reference_admitter.h"
+#include "support/reference_admitter.h"
 #include "core/stage_delay.h"
 #include "core/synthetic_utilization.h"
 #include "core/task.h"
@@ -191,9 +191,7 @@ TEST(AtomicServiceABTest, DecidesIdenticallyToMutexPath) {
   // services: every verdict must match. The atomic path may only shortcut
   // decisions the exact path would take identically (fast rejects are
   // horizon-gated; inconclusives and commits re-run the exact test).
-  ShardedAdmissionConfig on_cfg{.num_shards = 4,
-                                .enable_fallback = false,
-                                .rebalance_interval = 0};
+  ShardedAdmissionConfig on_cfg{.num_shards = 4, .enable_fallback = false};
   ShardedAdmissionConfig off_cfg = on_cfg;
   off_cfg.enable_atomic_fast_path = false;
   ShardedAdmissionService on(core::FeasibleRegion::deadline_monotonic(3),
@@ -243,7 +241,7 @@ TEST(AtomicServiceABTest, DecidesIdenticallyToMutexPath) {
 TEST(AtomicLivenessTest, AdmitsResumeAfterExpiryHorizon) {
   ShardedAdmissionService svc(
       core::FeasibleRegion::deadline_monotonic(2),
-      {.num_shards = 2, .enable_fallback = false, .rebalance_interval = 0});
+      {.num_shards = 2, .enable_fallback = false});
   // Fill shard 0 close to its slice (scaled u = 2*0.21/0.5 = 0.84/stage...
   // enough that the probe below cannot also fit), expiring at t = 1.
   const double w = 0.5;
@@ -275,8 +273,7 @@ TEST(AtomicStressTest, MirrorReplayFindsNoUnsoundAdmits) {
   // order.
   ShardedAdmissionService svc(
       region,
-      {.num_shards = kShards, .enable_fallback = false,
-       .rebalance_interval = 0});
+      {.num_shards = kShards, .enable_fallback = false});
 
   struct Recorded {
     core::TaskSpec spec;

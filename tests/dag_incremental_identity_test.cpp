@@ -100,7 +100,7 @@ TEST(DagIncrementalIdentityTest, IncrementalMatchesSnapshotRewalkBitwise) {
   sim.run();
 
   EXPECT_EQ(offered, 3000u);
-  EXPECT_EQ(controller.evaluations(), offered);
+  EXPECT_EQ(controller.attempts(), offered);
   // The run must exercise both verdicts or the identity claim is hollow.
   EXPECT_GT(admits, 100u);
   EXPECT_LT(admits, offered);

@@ -113,110 +113,5 @@ TEST_F(GraphAdmissionTest, CountsAttempts) {
   EXPECT_EQ(controller_.admitted(), 1u);
 }
 
-// --------------------------------------------------- waiting + headroom ---
-
-GraphTaskSpec single_node(std::uint64_t id, std::size_t resource, Duration d,
-                          Duration c) {
-  GraphTaskSpec g;
-  g.id = id;
-  g.deadline = d;
-  g.nodes = {GraphNode{resource, demand(c)}};
-  return g;
-}
-
-// Regression for the re-walk-on-expire cost: a utilization decrease at a
-// resource the front waiter does NOT touch must not invoke the evaluator at
-// all (gate_skips), while a decrease at a touched resource retries exactly
-// once. Pinned against GraphAdmissionController::evaluations().
-TEST(WaitingGraphAdmissionTest, GateSkipsDecreasesOnUntouchedResources) {
-  sim::Simulator sim;
-  SyntheticUtilizationTracker tracker(sim, 4);
-  GraphAdmissionController inner(
-      sim, tracker, LongPathEvaluator(std::vector<double>(4, 10.0), {}));
-  WaitingGraphAdmissionController waiting(sim, inner, 20.0);
-  waiting.attach();
-  std::vector<std::pair<std::uint64_t, bool>> decisions;
-  waiting.set_decision_callback(
-      [&](const GraphTaskSpec& s, const AdmissionDecision& d) {
-        decisions.emplace_back(s.id, d.admitted);
-      });
-
-  // Blocker: u_0 = 0.5 until its expiry at t = 10.
-  ASSERT_TRUE(inner.try_admit(single_node(1, 0, 10.0, 5.0), sim.now())
-                  .admitted);
-  // Five tasks on resource 3 whose departures (mark_departed + idle reset)
-  // are decreases the waiter does not care about.
-  for (int i = 0; i < 5; ++i) {
-    const auto id = 10 + static_cast<std::uint64_t>(i);
-    ASSERT_TRUE(
-        inner.try_admit(single_node(id, 3, 10.0, 0.1), sim.now()).admitted);
-    sim.at(1.0 + i, [&tracker, id] {
-      tracker.mark_departed(id, 3);
-      tracker.on_stage_idle(3);
-    });
-  }
-  // Waiter on resource 0: would push u_0 to 0.7, f(0.7) > 1 -> parked.
-  waiting.submit(single_node(2, 0, 10.0, 2.0));
-  ASSERT_EQ(waiting.pending(), 1u);
-  const std::uint64_t base = inner.evaluations();
-  ASSERT_EQ(base, 7u);  // 1 blocker + 5 distractors + 1 failed submit
-
-  // All five distractor expiries fire before t = 10: every one is gated
-  // out with zero evaluator invocations.
-  sim.run_until(9.9);
-  EXPECT_EQ(inner.evaluations(), base);
-  EXPECT_EQ(waiting.gate_skips(), 5u);
-  EXPECT_EQ(waiting.pending(), 1u);
-
-  // The blocker's expiry moves f at resource 0: exactly one retry, which
-  // admits the waiter (u_0 becomes 0.2).
-  sim.run();
-  EXPECT_EQ(inner.evaluations(), base + 1);
-  EXPECT_EQ(waiting.gate_skips(), 5u);
-  EXPECT_EQ(waiting.pending(), 0u);
-  ASSERT_EQ(decisions.size(), 1u);
-  EXPECT_EQ(decisions[0].first, 2u);
-  EXPECT_TRUE(decisions[0].second);
-}
-
-// A timed-out front waiter must promote the next waiter AND retest it
-// immediately: the newcomer was never evaluated against the current state
-// (FIFO queues behind the front without testing), so promotion without a
-// retry could strand an admissible task until the next decrease.
-TEST(WaitingGraphAdmissionTest, TimeoutPromotesAndRetestsNextWaiter) {
-  sim::Simulator sim;
-  SyntheticUtilizationTracker tracker(sim, 4);
-  GraphAdmissionController inner(
-      sim, tracker, LongPathEvaluator(std::vector<double>(4, 10.0), {}));
-  WaitingGraphAdmissionController waiting(sim, inner, 2.0);
-  waiting.attach();
-  std::vector<std::pair<std::uint64_t, AdmissionDecision>> decisions;
-  waiting.set_decision_callback(
-      [&](const GraphTaskSpec& s, const AdmissionDecision& d) {
-        decisions.emplace_back(s.id, d);
-      });
-
-  ASSERT_TRUE(inner.try_admit(single_node(1, 0, 10.0, 5.0), sim.now())
-                  .admitted);
-  waiting.submit(single_node(2, 0, 10.0, 2.0));   // 0.7: parked
-  waiting.submit(single_node(3, 0, 10.0, 0.5));   // would fit, queued FIFO
-  ASSERT_EQ(waiting.pending(), 2u);
-  // The queued submit must not have evaluated (FIFO discipline).
-  ASSERT_EQ(inner.evaluations(), 2u);
-
-  sim.run_until(3.0);  // waiter 2 times out at t = 2
-  ASSERT_EQ(decisions.size(), 2u);
-  EXPECT_EQ(decisions[0].first, 2u);
-  EXPECT_FALSE(decisions[0].second.admitted);
-  EXPECT_EQ(decisions[0].second.reason, AdmissionDecision::Reason::kTimedOut);
-  // Promotion retested waiter 3 at the timeout instant and admitted it.
-  EXPECT_EQ(decisions[1].first, 3u);
-  EXPECT_TRUE(decisions[1].second.admitted);
-  EXPECT_EQ(decisions[1].second.decided_at, 2.0);
-  EXPECT_EQ(inner.evaluations(), 3u);
-  EXPECT_EQ(waiting.pending(), 0u);
-  EXPECT_EQ(waiting.timed_out(), 1u);
-}
-
 }  // namespace
 }  // namespace frap::core

@@ -279,16 +279,5 @@ TEST(AtomicCounterTest, ConcurrentIncrementsAreLossless) {
   EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
-TEST(AtomicRatioTrackerTest, TracksHitsOverTotal) {
-  AtomicRatioTracker r;
-  EXPECT_DOUBLE_EQ(r.ratio(), 0.0);
-  r.record(true);
-  r.record(true);
-  r.record(false);
-  EXPECT_EQ(r.hits(), 2u);
-  EXPECT_EQ(r.total(), 3u);
-  EXPECT_NEAR(r.ratio(), 2.0 / 3.0, 1e-12);
-}
-
 }  // namespace
 }  // namespace frap::metrics

@@ -162,7 +162,6 @@ TEST(ObsMtShardedTest, EightThreadsTracedConservationHolds) {
 
   ShardedAdmissionConfig cfg;
   cfg.num_shards = 4;
-  cfg.rebalance_interval = 1024;  // force rebalance spans during the run
   ShardedAdmissionService svc(FeasibleRegion::deadline_monotonic(kStages),
                               cfg);
 
@@ -211,6 +210,8 @@ TEST(ObsMtShardedTest, EightThreadsTracedConservationHolds) {
         } else {
           rejects.fetch_add(1, std::memory_order_relaxed);
         }
+        // Rebalance spans during the run: every 1000 decisions per thread.
+        if (i % 1000 == 999) svc.rebalance(now);
       }
     });
   }

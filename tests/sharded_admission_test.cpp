@@ -8,7 +8,7 @@
 
 #include "core/admission.h"
 #include "core/feasible_region.h"
-#include "core/reference_admitter.h"
+#include "support/reference_admitter.h"
 #include "core/synthetic_utilization.h"
 #include "core/task.h"
 #include "service/quota.h"
@@ -117,7 +117,7 @@ TEST(ShardedAdmissionTest, LocalRejectIsFinalWithoutFallback) {
   // (u = 0.25/0.25 = 1); with fallback disabled that is the answer.
   ShardedAdmissionService svc(
       core::FeasibleRegion::deadline_monotonic(2),
-      {.num_shards = 4, .enable_fallback = false, .rebalance_interval = 0});
+      {.num_shards = 4, .enable_fallback = false});
   const auto d = svc.try_admit(make_task(4, 1.0, {0.25, 0.25}), 0.0);
   EXPECT_FALSE(d.admitted);
   // The saturated scaled view is certain without any lock: the decision is
@@ -135,7 +135,7 @@ TEST(ShardedAdmissionTest, FallbackStealsQuotaForOversizedTask) {
   // to w = 1 - 3*min_weight, where u = 0.25/w < 1 passes the region test.
   ShardedAdmissionService svc(
       core::FeasibleRegion::deadline_monotonic(2),
-      {.num_shards = 4, .rebalance_interval = 0});
+      {.num_shards = 4});
   const auto d = svc.try_admit(make_task(4, 1.0, {0.25, 0.25}), 0.0);
   EXPECT_TRUE(d.admitted);
   EXPECT_EQ(d.reason, core::AdmissionDecision::Reason::kQuotaFallback);
@@ -156,7 +156,7 @@ TEST(ShardedAdmissionTest, GlobalRejectionReportsTrueLhs) {
   // even by the fallback, and the decision carries the TRUE global LHS.
   ShardedAdmissionService svc(
       core::FeasibleRegion::deadline_monotonic(2),
-      {.num_shards = 2, .rebalance_interval = 0});
+      {.num_shards = 2});
   const auto first = svc.try_admit(make_task(2, 1.0, {0.15, 0.15}), 0.0);
   ASSERT_TRUE(first.admitted);
   const auto d = svc.try_admit(make_task(3, 1.0, {0.3, 0.3}), 0.0);
@@ -176,7 +176,7 @@ TEST(ShardedAdmissionTest, QuotaMovesLeaveTrueLoadBitIdentical) {
   constexpr std::size_t kStages = 8;
   ShardedAdmissionService svc(
       core::FeasibleRegion::deadline_monotonic(kStages),
-      {.num_shards = 4, .rebalance_interval = 0});
+      {.num_shards = 4});
   util::Rng rng(97);
   const Time now = 0.0;
   // Skew: every task on shard 0, long deadlines so nothing expires.
@@ -217,7 +217,7 @@ TEST(ShardedAdmissionTest, QuotaMovesLeaveTrueLoadBitIdentical) {
 TEST(ShardedAdmissionTest, GlobalPrecheckRejectsWithoutMovingWeights) {
   const auto region = core::FeasibleRegion::deadline_monotonic(2);
   ShardedAdmissionService svc(region,
-                              {.num_shards = 4, .rebalance_interval = 0});
+                              {.num_shards = 4});
   const Time now = 0.0;
   for (std::uint64_t i = 1; i <= 8; ++i) {
     ASSERT_TRUE(
@@ -337,7 +337,7 @@ TEST(ShardedAdmissionSoundnessTest, FallbackAdmitsAtLeastPureLocal) {
     ShardedAdmissionService with_fb(region, {.num_shards = 4});
     ShardedAdmissionService local_only(
         region,
-        {.num_shards = 4, .enable_fallback = false, .rebalance_interval = 0});
+        {.num_shards = 4, .enable_fallback = false});
 
     RandomWorkload wl(seed);
     Time now = 0.0;
@@ -361,7 +361,7 @@ TEST(ShardedAdmissionTest, RebalanceShiftsWeightTowardLoadedShard) {
   // the expense of the idle shards.
   ShardedAdmissionService svc(
       core::FeasibleRegion::deadline_monotonic(2),
-      {.num_shards = 4, .enable_fallback = false, .rebalance_interval = 0});
+      {.num_shards = 4, .enable_fallback = false});
   Time now = 0.0;
   for (std::uint64_t i = 0; i < 64; ++i) {
     const auto d =
@@ -390,7 +390,7 @@ TEST(ShardedAdmissionTest, RebalanceUnlocksLocalAdmissionUnderSkew) {
   // via the HOT path, without the fallback lock.
   ShardedAdmissionService svc(
       core::FeasibleRegion::deadline_monotonic(2),
-      {.num_shards = 4, .enable_fallback = false, .rebalance_interval = 0});
+      {.num_shards = 4, .enable_fallback = false});
   Time now = 0.0;
   for (std::uint64_t i = 0; i < 32; ++i) {
     const auto d =
@@ -413,36 +413,17 @@ TEST(ShardedAdmissionTest, RebalanceUnlocksLocalAdmissionUnderSkew) {
   EXPECT_GT(svc.stats().shards[0].weight, 0.25);
 }
 
-TEST(ShardedAdmissionTest, AutoRebalanceFiresOnDecisionInterval) {
-  // Atomic fast-path decisions deliberately do not tick the rebalance
-  // cadence (see ShardedAdmissionConfig); force every decision through the
-  // slow path so the interval is exercised deterministically.
-  ShardedAdmissionService svc(
-      core::FeasibleRegion::deadline_monotonic(2),
-      {.num_shards = 2,
-       .enable_fallback = false,
-       .rebalance_interval = 32,
-       .enable_atomic_fast_path = false});
-  Time now = 0.0;
-  // Skewed load: everything on shard 0, big enough to beat the deadband.
-  for (std::uint64_t i = 0; i < 64; ++i) {
-    now += 0.001;
-    (void)svc.try_admit(make_task(2 * (i + 1), 100.0, {0.008, 0.008}), now);
-  }
-  EXPECT_GE(svc.stats().rebalances, 1u);
-}
-
 // ---------------------------------------------------------- concurrency ---
 
-// Stress the hot path, fallback, and auto-rebalance from many threads at
-// once. Run under TSan in CI. Assertions are conservation laws: every
-// attempt is counted exactly once somewhere.
+// Stress the hot path, fallback, and rebalance from many threads at once
+// (each thread also calls rebalance() every 500 of its own decisions). Run
+// under TSan in CI. Assertions are conservation laws: every attempt is
+// counted exactly once somewhere.
 TEST(ShardedAdmissionStressTest, ConcurrentCountersConserveDecisions) {
   constexpr std::size_t kThreads = 8;
   constexpr std::uint64_t kPerThread = 1'500;
-  ShardedAdmissionService svc(
-      core::FeasibleRegion::deadline_monotonic(3),
-      {.num_shards = 4, .rebalance_interval = 512});
+  ShardedAdmissionService svc(core::FeasibleRegion::deadline_monotonic(3),
+                              {.num_shards = 4});
 
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
@@ -458,6 +439,7 @@ TEST(ShardedAdmissionStressTest, ConcurrentCountersConserveDecisions) {
         if (d.admitted) {
           ASSERT_LE(d.lhs_with_task, d.bound + 1e-9);
         }
+        if (i % 500 == 499) svc.rebalance(now);
       }
     });
   }

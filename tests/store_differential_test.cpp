@@ -20,7 +20,7 @@
 
 #include "core/admission.h"
 #include "core/feasible_region.h"
-#include "core/reference_tracker.h"
+#include "support/reference_tracker.h"
 #include "core/stage_delay.h"
 #include "core/synthetic_utilization.h"
 #include "core/task.h"
