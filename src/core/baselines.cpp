@@ -1,38 +1,12 @@
 #include "core/baselines.h"
 
-#include <cmath>
-
-#include "util/math.h"
+#include <algorithm>
 
 #include "core/stage_delay.h"
 #include "util/check.h"
+#include "util/math.h"
 
 namespace frap::core {
-
-double liu_layland_bound(std::size_t n) {
-  FRAP_EXPECTS(n >= 1);
-  const double nd = static_cast<double>(n);
-  return nd * (std::pow(2.0, 1.0 / nd) - 1.0);
-}
-
-bool liu_layland_schedulable(std::span<const double> task_utilizations) {
-  double total = 0;
-  for (double u : task_utilizations) {
-    FRAP_EXPECTS(u >= 0);
-    total += u;
-  }
-  if (task_utilizations.empty()) return true;
-  return total <= liu_layland_bound(task_utilizations.size());
-}
-
-bool hyperbolic_schedulable(std::span<const double> task_utilizations) {
-  double prod = 1.0;
-  for (double u : task_utilizations) {
-    FRAP_EXPECTS(u >= 0);
-    prod *= u + 1.0;
-  }
-  return prod <= 2.0;
-}
 
 DeadlineSplitAdmissionController::DeadlineSplitAdmissionController(
     sim::Simulator& sim, SyntheticUtilizationTracker& tracker)

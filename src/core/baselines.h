@@ -1,20 +1,11 @@
-// Baseline schedulability tests the paper positions itself against.
-//
-//   * Liu & Layland's periodic bound n(2^{1/n} - 1) [13], the classic
-//     comparison point for any utilization-bound result.
-//   * The hyperbolic bound of Bini & Buttazzo [4]: a periodic task set is
-//     RM-schedulable if prod(U_i + 1) <= 2 (less pessimistic than L&L).
-//   * Per-stage deadline splitting: the "traditional" way to handle
-//     pipelines that the introduction criticizes — give every task an
-//     intermediate deadline D_i / N on each stage and run an independent
-//     single-resource aperiodic admission test per stage (per-stage
-//     synthetic utilization V_j = sum C_ij N / D_i, admit iff every
-//     V_j <= 2 - sqrt(2)). Compared against the end-to-end region in
-//     bench/ablation_deadline_split.
+// Per-stage deadline splitting, the baseline the paper positions itself
+// against: the "traditional" way to handle pipelines that the introduction
+// criticizes — give every task an intermediate deadline D_i / N on each
+// stage and run an independent single-resource aperiodic admission test per
+// stage (per-stage synthetic utilization V_j = sum C_ij N / D_i, admit iff
+// every V_j <= 2 - sqrt(2)). Compared against the end-to-end region in
+// bench/ablation_deadline_split.
 #pragma once
-
-#include <cstddef>
-#include <span>
 
 #include "core/admission.h"
 #include "core/synthetic_utilization.h"
@@ -22,17 +13,6 @@
 #include "sim/simulator.h"
 
 namespace frap::core {
-
-// n (2^{1/n} - 1); n >= 1. Approaches ln 2 ~= 0.693.
-double liu_layland_bound(std::size_t n);
-
-// Liu & Layland test for a periodic set with utilizations u_i = C_i / T_i.
-[[nodiscard]] bool liu_layland_schedulable(
-    std::span<const double> task_utilizations);
-
-// Hyperbolic bound test: prod(u_i + 1) <= 2.
-[[nodiscard]] bool hyperbolic_schedulable(
-    std::span<const double> task_utilizations);
 
 // Admission control by intermediate per-stage deadlines. Maintains its own
 // notion of per-stage synthetic utilization V_j with contributions

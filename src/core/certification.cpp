@@ -47,24 +47,4 @@ std::vector<ScenarioVerdict> ScenarioCertifier::certify_all_subsets() const {
   return verdicts;
 }
 
-bool ScenarioCertifier::all_combinations_certified() const {
-  // Monotonicity shortcut: contributions are non-negative and the region
-  // LHS is monotone, so the full catalog dominates every subset.
-  std::vector<std::size_t> all;
-  for (std::size_t i = 0; i < catalog_.size(); ++i) all.push_back(i);
-  return certify(all).certified;
-}
-
-ScenarioVerdict ScenarioCertifier::largest_certified_subset() const {
-  ScenarioVerdict best;
-  best.certified = false;
-  for (const auto& v : certify_all_subsets()) {
-    if (v.certified &&
-        (!best.certified || v.members.size() > best.members.size())) {
-      best = v;
-    }
-  }
-  return best;
-}
-
 }  // namespace frap::core

@@ -7,10 +7,10 @@
 // A scenario is a set of critical tasks assumed concurrently active; it is
 // certified when the feasible region contains the combined worst-case
 // synthetic utilization (per-stage sum/max rules via ReservationPlanner).
-// The certifier evaluates an explicit scenario list, or exhaustively every
-// subset of a small task catalog, and reports per-scenario verdicts plus
-// the largest certified scenario family — the offline artifact that
-// replaces the "man-years of testing" the paper describes for the TSCE.
+// The certifier evaluates an explicit scenario, or exhaustively every
+// subset of a small task catalog, and reports per-scenario verdicts — the
+// offline artifact that replaces the "man-years of testing" the paper
+// describes for the TSCE.
 #pragma once
 
 #include <cstdint>
@@ -56,14 +56,6 @@ class ScenarioCertifier {
   // Certifies EVERY subset of the catalog (requires catalog_size() <= 20).
   // Returned in subset-bitmask order (empty set first).
   std::vector<ScenarioVerdict> certify_all_subsets() const;
-
-  // Convenience over certify_all_subsets(): true iff every subset is
-  // certified (then any combination of the catalog may run concurrently).
-  [[nodiscard]] bool all_combinations_certified() const;
-
-  // The largest certified subset (by member count; ties broken by smaller
-  // bitmask). Useful as a capacity statement.
-  ScenarioVerdict largest_certified_subset() const;
 
  private:
   FeasibleRegion region_;

@@ -3,17 +3,15 @@
 // Given (upper bounds on) per-stage synthetic utilizations, Theorem 1
 // bounds the residence time of a task on stage j by f(U_j) * D_max, where
 // D_max is the largest relative deadline among interfering higher-priority
-// tasks. Summing over a pipeline (or taking the critical path over a DAG)
-// yields a worst-case end-to-end delay — usable as an admission-time
-// latency estimate ("if admitted now, how late could this task be?") and
-// validated end-to-end by the integration tests (no observed response time
-// ever exceeds the bound computed from peak utilizations).
+// tasks. Summing over a pipeline yields a worst-case end-to-end delay —
+// usable as an admission-time latency estimate ("if admitted now, how late
+// could this task be?") and validated end-to-end by the integration tests
+// (no observed response time ever exceeds the bound computed from peak
+// utilizations).
 #pragma once
 
 #include <span>
 
-#include "core/task.h"
-#include "core/task_graph.h"
 #include "util/time.h"
 
 namespace frap::core {
@@ -29,19 +27,5 @@ Duration predict_stage_delay(double u, Duration d_max, Duration blocking = 0);
 // utilizations.size() defines the pipeline length.
 Duration predict_pipeline_delay(std::span<const double> utilizations,
                                 Duration d_max);
-
-// Worst-case end-to-end delay of a DAG task: critical path of per-node
-// stage delays (Theorem 2's d(L_1..L_M)).
-Duration predict_graph_delay(const GraphTaskSpec& task,
-                             std::span<const double> utilizations,
-                             Duration d_max);
-
-// Convenience for admission diagnostics: would this task provably meet its
-// deadline if admitted now (utilizations INCLUDING its own contribution)?
-// Under DM, d_max = spec.deadline. Equivalent to the Eq. 13 test scaled by
-// the deadline; exposed separately because the *delay value* is what
-// operators want to log.
-[[nodiscard]] bool provably_meets_deadline(
-    const TaskSpec& spec, std::span<const double> utilizations);
 
 }  // namespace frap::core

@@ -1,6 +1,5 @@
 #include "core/feasible_region.h"
 
-#include <cmath>
 
 #include "core/stage_delay.h"
 #include "util/check.h"
@@ -55,27 +54,8 @@ double FeasibleRegion::lhs(std::span<const double> utilizations) const {
   return sum;
 }
 
-double FeasibleRegion::delta_lhs(std::size_t stage, double u_old,
-                                 double u_new) const {
-  FRAP_EXPECTS(stage < num_stages_);
-  FRAP_EXPECTS(u_old >= 0 && u_new >= 0);
-  const bool sat_old = u_old >= 1.0;
-  const bool sat_new = u_new >= 1.0;
-  if (sat_old || sat_new) {
-    if (sat_old && sat_new) return 0.0;
-    return sat_new ? util::kInf : -util::kInf;
-  }
-  return stage_delay_factor(u_new) - stage_delay_factor(u_old);
-}
-
 bool FeasibleRegion::contains(std::span<const double> utilizations) const {
   return admits(lhs(utilizations));
-}
-
-double FeasibleRegion::margin(std::span<const double> utilizations) const {
-  // lhs() is +infinity for saturated input, making the margin -infinity —
-  // well-defined, never NaN (bound() is always finite).
-  return bound() - lhs(utilizations);
 }
 
 double FeasibleRegion::boundary_u2(double u1) const {
@@ -85,30 +65,6 @@ double FeasibleRegion::boundary_u2(double u1) const {
   const double remaining = bound() - stage_delay_factor(u1);
   if (remaining <= 0) return 0.0;
   return stage_delay_factor_inverse(remaining);
-}
-
-double FeasibleRegion::balanced_cap() const {
-  return stage_delay_factor_inverse(bound() /
-                                    static_cast<double>(num_stages_));
-}
-
-double FeasibleRegion::stage_headroom(std::span<const double> utilizations,
-                                      std::size_t stage) const {
-  FRAP_EXPECTS(utilizations.size() == num_stages_);
-  FRAP_EXPECTS(stage < num_stages_);
-  // Saturated target stage: already outside any feasible point, and the
-  // cap arithmetic below would compare against f_inv values < 1 anyway.
-  if (utilizations[stage] >= 1.0) return 0.0;
-  double others = 0;
-  for (std::size_t j = 0; j < num_stages_; ++j) {
-    if (j == stage) continue;
-    if (utilizations[j] >= 1.0) return 0.0;
-    others += stage_delay_factor(utilizations[j]);
-  }
-  const double budget = bound() - others;
-  if (budget <= 0) return 0.0;
-  const double cap = stage_delay_factor_inverse(budget);
-  return cap > utilizations[stage] ? cap - utilizations[stage] : 0.0;
 }
 
 }  // namespace frap::core

@@ -112,36 +112,13 @@ class FeasibleRegion {
   // utilizations.size() must equal num_stages().
   [[nodiscard]] double lhs(std::span<const double> utilizations) const;
 
-  // Change in the LHS when stage `stage` moves from u_old to u_new with all
-  // other stages fixed: f(u_new) - f(u_old). Saturation-safe: +infinity when
-  // only u_new is saturated (>= 1), -infinity when only u_old is, and 0 when
-  // both are (never inf - inf = NaN). The incremental admission fast path
-  // sums these deltas over the stages a task touches.
-  [[nodiscard]] double delta_lhs(std::size_t stage, double u_old,
-                               double u_new) const;
-
   // True when the utilization vector lies inside (or on) the region.
   [[nodiscard]] bool contains(std::span<const double> utilizations) const;
-
-  // Slack to the boundary: bound() - lhs(); negative outside the region and
-  // -infinity when any stage is saturated (never NaN).
-  [[nodiscard]] double margin(std::span<const double> utilizations) const;
 
   // Boundary tracing for surface plots (N = 2): given U_1, the largest U_2
   // keeping the system feasible (0 if U_1 alone exhausts the bound or is
   // saturated, u1 >= 1).
   [[nodiscard]] double boundary_u2(double u1) const;
-
-  // The per-stage cap when all stages run equal utilization:
-  // f_inv(bound()/N).
-  [[nodiscard]] double balanced_cap() const;
-
-  // How much additional synthetic utilization stage `stage` could absorb
-  // with every other stage held at its current value: the largest d >= 0
-  // such that the vector with U_stage + d stays feasible (0 when already
-  // at or outside the boundary, including saturated inputs).
-  [[nodiscard]] double stage_headroom(std::span<const double> utilizations,
-                                      std::size_t stage) const;
 
  private:
   FeasibleRegion(std::size_t num_stages, double alpha,

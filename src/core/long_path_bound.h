@@ -63,11 +63,11 @@ class LongPathEvaluator {
   // on. A touched f-term above the cap maps to +inf weight, so the verdict
   // still flows through one admits_lhs comparison (frap-lint R2). Any
   // critical-path admit satisfies the cap by construction, which is what
-  // keeps the dominance direction exact (docs/dag_bounds.md). Pass +inf to
-  // disable (admission-instant guarantee only).
+  // keeps the dominance direction exact (docs/dag_bounds.md). Required:
+  // kNoStageCap disables the guard, which leaves only the admission-instant
+  // guarantee and admits deadline misses (docs/dag_bounds.md).
   LongPathEvaluator(std::vector<double> deadline_ceiling,
-                    std::vector<double> beta,
-                    double stage_cap = kNoStageCap);
+                    std::vector<double> beta, double stage_cap);
 
   static constexpr double kNoStageCap =
       std::numeric_limits<double>::infinity();
@@ -102,12 +102,6 @@ class LongPathEvaluator {
   // without one it runs the exact per-node DP over the spec.
   [[nodiscard]] double lhs_from_snapshot(const GraphTaskSpec& spec,
                                          std::span<const double> utilizations);
-
-  [[nodiscard]] bool feasible(const GraphTaskSpec& spec,
-                              std::span<const double> utilizations) {
-    return FeasibleRegion::admits_lhs(lhs_from_snapshot(spec, utilizations),
-                                      kDelayBudget);
-  }
 
   // Exact all-paths value (per-node DP), bypassing the profile fast path;
   // the differential and property tests compare against it.
@@ -146,7 +140,7 @@ class LongPathEvaluator {
 
   std::vector<double> ceiling_;
   std::vector<double> beta_;
-  double stage_cap_ = kNoStageCap;
+  double stage_cap_;
 
   // Reused scratch (sized on first use, stable after warmup).
   std::vector<double> w_before_;

@@ -23,11 +23,6 @@ void ReservationPlanner::add_contributions(
   }
 }
 
-void ReservationPlanner::add_task(const TaskSpec& spec) {
-  FRAP_EXPECTS(spec.valid());
-  add_contributions(spec.contributions());
-}
-
 std::vector<double> ReservationPlanner::reserved() const {
   std::vector<double> r(rules_.size());
   for (std::size_t j = 0; j < rules_.size(); ++j) {
@@ -43,14 +38,6 @@ double ReservationPlanner::certification_lhs(
 
 bool ReservationPlanner::certifies(const FeasibleRegion& region) const {
   return region.contains(reserved());
-}
-
-void ReservationPlanner::apply(SyntheticUtilizationTracker& tracker) const {
-  FRAP_EXPECTS(tracker.num_stages() == rules_.size());
-  const auto r = reserved();
-  for (std::size_t j = 0; j < rules_.size(); ++j) {
-    tracker.set_reservation(j, r[j]);
-  }
 }
 
 }  // namespace frap::core

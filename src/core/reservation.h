@@ -6,16 +6,15 @@
 // among the tasks (e.g. per-console displays: "we do not add their
 // utilizations, but take the largest one") use a max rule instead of a sum.
 // The planner certifies the reservation against a feasible region (the
-// paper's "first question") and installs the floors into a tracker for
-// run-time admission of dynamic load on top (the "second question").
+// paper's "first question"); installing its reserved() floors into a
+// tracker with set_reservation() lets run-time admission take dynamic load
+// on top (the "second question").
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "core/feasible_region.h"
-#include "core/synthetic_utilization.h"
-#include "core/task.h"
 
 namespace frap::core {
 
@@ -36,9 +35,6 @@ class ReservationPlanner {
   // aperiodic criticals pass their worst-case single-instance load.
   void add_contributions(const std::vector<double>& per_stage);
 
-  // Convenience: registers a TaskSpec's contributions.
-  void add_task(const TaskSpec& spec);
-
   // The planned per-stage reservation under the configured rules.
   std::vector<double> reserved() const;
 
@@ -48,9 +44,6 @@ class ReservationPlanner {
   // True when the reservation fits the region (all critical tasks meet
   // end-to-end deadlines by Theorem 1/2).
   [[nodiscard]] bool certifies(const FeasibleRegion& region) const;
-
-  // Installs the planned floors into a tracker.
-  void apply(SyntheticUtilizationTracker& tracker) const;
 
  private:
   std::vector<StageRule> rules_;

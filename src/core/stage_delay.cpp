@@ -16,26 +16,11 @@ double stage_delay_factor_inverse(double y) {
   return u;
 }
 
-double stage_delay_factor_derivative(double u) {
-  FRAP_EXPECTS(u >= 0 && u < 1.0);
-  // f(U) = (U - U^2/2)/(1 - U); quotient rule:
-  // f'(U) = [(1 - U)(1 - U) + (U - U^2/2)] / (1 - U)^2
-  //       = [1 - 2U + U^2 + U - U^2/2] / (1 - U)^2
-  //       = [1 - U + U^2/2] / (1 - U)^2.
-  const double denom = (1.0 - u) * (1.0 - u);
-  return (1.0 - u + u * u / 2.0) / denom;
-}
-
 double uniprocessor_bound() { return 2.0 - std::sqrt(2.0); }
 
 double balanced_stage_bound(std::size_t n) {
   FRAP_EXPECTS(n >= 1);
   return stage_delay_factor_inverse(1.0 / static_cast<double>(n));
-}
-
-Duration stage_delay_bound(double u, Duration d_max) {
-  FRAP_EXPECTS(d_max >= 0);
-  return stage_delay_factor(u) * d_max;
 }
 
 }  // namespace frap::core

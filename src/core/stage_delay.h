@@ -40,9 +40,6 @@ inline double stage_delay_factor(double u) {
 // Closed-form inverse: the largest U with f(U) <= y. Requires y >= 0.
 double stage_delay_factor_inverse(double y);
 
-// First derivative f'(U) on [0, 1); used by surface tracing and tests.
-double stage_delay_factor_derivative(double u);
-
 // The uniprocessor aperiodic synthetic-utilization bound, f_inv(1) =
 // 2 - sqrt(2) (equals 1/(1 + sqrt(1/2)) from the paper's Sec. 3.1).
 double uniprocessor_bound();
@@ -50,10 +47,5 @@ double uniprocessor_bound();
 // Per-stage cap when all N stages run equal synthetic utilization,
 // f_inv(1/N). Requires n >= 1.
 double balanced_stage_bound(std::size_t n);
-
-// Theorem 1 applied: worst-case residence time of a task on a stage with
-// synthetic-utilization bound `u`, given D_max of interfering tasks.
-// Returns +infinity when u >= 1.
-Duration stage_delay_bound(double u, Duration d_max);
 
 }  // namespace frap::core

@@ -23,12 +23,6 @@ bool StageDemand::valid() const {
   return util::almost_equal(sum, compute, 1e-9, 1e-12);
 }
 
-Duration TaskSpec::total_compute() const {
-  Duration total = 0;
-  for (const auto& s : stages) total += s.compute;
-  return total;
-}
-
 std::vector<double> TaskSpec::contributions() const {
   FRAP_EXPECTS(deadline > 0);
   std::vector<double> c;

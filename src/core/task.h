@@ -36,9 +36,6 @@ struct TaskSpec {
 
   std::size_t num_stages() const { return stages.size(); }
 
-  // Sum of C_ij over all stages.
-  Duration total_compute() const;
-
   // Per-stage synthetic-utilization contribution C_ij / D_i.
   std::vector<double> contributions() const;
 

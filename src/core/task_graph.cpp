@@ -78,28 +78,6 @@ std::vector<std::size_t> GraphTaskSpec::topological_order() const {
   return order;
 }
 
-std::vector<std::size_t> GraphTaskSpec::sources() const {
-  FRAP_EXPECTS(shape == nullptr);
-  std::vector<bool> has_pred(nodes.size(), false);
-  for (const auto& e : edges) has_pred[e.to] = true;
-  std::vector<std::size_t> result;
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    if (!has_pred[i]) result.push_back(i);
-  }
-  return result;
-}
-
-std::vector<std::size_t> GraphTaskSpec::sinks() const {
-  FRAP_EXPECTS(shape == nullptr);
-  std::vector<bool> has_succ(nodes.size(), false);
-  for (const auto& e : edges) has_succ[e.from] = true;
-  std::vector<std::size_t> result;
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    if (!has_succ[i]) result.push_back(i);
-  }
-  return result;
-}
-
 double GraphTaskSpec::critical_path(
     std::span<const double> node_weights) const {
   FRAP_EXPECTS(node_weights.size() == nodes.size());

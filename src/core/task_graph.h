@@ -61,10 +61,6 @@ struct GraphTaskSpec {
   // Topological order of node indices. Requires valid().
   std::vector<std::size_t> topological_order() const;
 
-  // Nodes with no predecessors / successors.
-  std::vector<std::size_t> sources() const;
-  std::vector<std::size_t> sinks() const;
-
   // Critical path: max over paths of the sum of node_weights[i].
   // node_weights.size() must equal num_nodes(). Requires acyclicity.
   double critical_path(std::span<const double> node_weights) const;
@@ -99,11 +95,6 @@ class GraphRegionEvaluator {
 
   // alpha * (1 - d(beta_{k_i})) for this task's graph.
   double bound(const GraphTaskSpec& task) const;
-
-  [[nodiscard]] bool feasible(const GraphTaskSpec& task,
-                              std::span<const double> utilizations) const {
-    return FeasibleRegion::admits_lhs(lhs(task, utilizations), bound(task));
-  }
 
   double alpha() const { return alpha_; }
 

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
+#include <functional>
+#include <queue>
 
 #include "util/check.h"
 
@@ -10,9 +11,9 @@ namespace frap::core {
 
 namespace {
 
-// splitmix64-style mixing; the same finalizer util::IdMap uses. Color and
-// encoding hashes only steer bucket placement and canonical ORDER — shape
-// equality always compares the full encoding, so collisions cannot alias.
+// splitmix64-style mixing; the same finalizer util::IdMap uses. The
+// encoding hash only steers bucket placement — shape equality always
+// compares the full encoding, so collisions cannot alias.
 std::uint64_t mix(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -144,99 +145,35 @@ TaskGraphShapeRegistry::CanonicalForm TaskGraphShapeRegistry::canonical_form(
   FRAP_EXPECTS(spec.shape == nullptr);
   const std::size_t n = spec.nodes.size();
   std::vector<std::vector<std::uint32_t>> succ(n);
-  std::vector<std::vector<std::uint32_t>> pred(n);
   std::vector<std::uint32_t> indeg(n, 0);
   // The layout checks valid() makes: a canonical spec's valid() trusts them.
   for (const auto& node : spec.nodes) FRAP_EXPECTS(node.demand.valid());
   for (const auto& e : spec.edges) {
     FRAP_EXPECTS(e.from < n && e.to < n);
     succ[e.from].push_back(static_cast<std::uint32_t>(e.to));
-    pred[e.to].push_back(static_cast<std::uint32_t>(e.from));
     ++indeg[e.to];
   }
 
-  // Longest hop distance from any source: a permutation-invariant graph
-  // property that respects topology (edge u->v implies depth u < depth v),
-  // so any depth-sorted order is topological regardless of tie-breaks.
-  std::vector<std::uint32_t> depth(n, 0);
-  std::vector<std::uint32_t> remaining = indeg;
-  std::vector<std::uint32_t> queue;
-  queue.reserve(n);
+  // Canonical order: Kahn's algorithm, taking the lowest-index ready node
+  // first. The order is topological, and it is the identity for a spec
+  // whose every edge already runs from a lower to a higher index.
+  std::priority_queue<std::uint32_t, std::vector<std::uint32_t>,
+                      std::greater<>>
+      ready;
   for (std::size_t v = 0; v < n; ++v) {
-    if (remaining[v] == 0) queue.push_back(static_cast<std::uint32_t>(v));
+    if (indeg[v] == 0) ready.push(static_cast<std::uint32_t>(v));
   }
-  std::size_t head = 0;
-  while (head < queue.size()) {
-    const std::uint32_t v = queue[head++];
+  std::vector<std::uint32_t> order;
+  order.reserve(n);
+  while (!ready.empty()) {
+    const std::uint32_t v = ready.top();
+    ready.pop();
+    order.push_back(v);
     for (std::uint32_t s : succ[v]) {
-      depth[s] = std::max(depth[s], depth[v] + 1);
-      if (--remaining[s] == 0) queue.push_back(s);
+      if (--indeg[s] == 0) ready.push(s);
     }
   }
-  FRAP_EXPECTS(queue.size() == n);  // acyclic, no self-loops
-
-  // Weisfeiler-Leman color refinement seeded with the node attributes.
-  std::vector<std::uint64_t> color(n);
-  std::vector<std::uint64_t> words;
-  for (std::size_t v = 0; v < n; ++v) {
-    std::uint64_t c = mix(depth[v]);
-    c = combine(c, spec.nodes[v].resource);
-    c = combine(c, duration_bits(spec.nodes[v].demand.compute));
-    // A lock-free node's segment words repeat its compute; only an
-    // explicit critical-section layout refines the color.
-    const StageDemand& demand = spec.nodes[v].demand;
-    words.clear();
-    encode_segments(demand, words);
-    const bool lock_free = words.size() == 3 &&
-                           words[1] == duration_bits(demand.compute) &&
-                           words[2] == lock_word(sched::kNoLock);
-    if (!lock_free) {
-      for (std::uint64_t w : words) c = combine(c, w);
-    }
-    c = combine(c, pred[v].size());
-    c = combine(c, succ[v].size());
-    color[v] = c;
-  }
-  std::vector<std::uint64_t> next(n);
-  std::vector<std::uint64_t> neigh;
-  auto distinct = [](std::vector<std::uint64_t> c) {
-    std::sort(c.begin(), c.end());
-    return static_cast<std::size_t>(
-        std::unique(c.begin(), c.end()) - c.begin());
-  };
-  std::size_t classes = distinct(color);
-  for (int round = 0; round < 8 && classes < n; ++round) {
-    for (std::size_t v = 0; v < n; ++v) {
-      std::uint64_t c = mix(color[v]);
-      neigh.clear();
-      for (std::uint32_t p : pred[v]) neigh.push_back(color[p]);
-      std::sort(neigh.begin(), neigh.end());
-      for (std::uint64_t h : neigh) c = combine(c, h);
-      c = combine(c, 0x70726564u);  // separate pred from succ multisets
-      neigh.clear();
-      for (std::uint32_t s : succ[v]) neigh.push_back(color[s]);
-      std::sort(neigh.begin(), neigh.end());
-      for (std::uint64_t h : neigh) c = combine(c, h);
-      next[v] = c;
-    }
-    color.swap(next);
-    const std::size_t now = distinct(color);
-    if (now == classes) break;  // stable partition
-    classes = now;
-  }
-
-  // Canonical order: (depth, refined color), original index as the last
-  // resort. Residual ties are either truly automorphic (any order yields
-  // the same encoding) or a missed aliasing opportunity — never a false
-  // merge, because equality compares the full encoding.
-  std::vector<std::uint32_t> order(n);
-  for (std::size_t v = 0; v < n; ++v) order[v] = static_cast<std::uint32_t>(v);
-  std::sort(order.begin(), order.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              if (depth[a] != depth[b]) return depth[a] < depth[b];
-              if (color[a] != color[b]) return color[a] < color[b];
-              return a < b;
-            });
+  FRAP_EXPECTS(order.size() == n);  // acyclic, no self-loops
 
   CanonicalForm form;
   form.canon_of_original.resize(n);

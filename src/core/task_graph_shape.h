@@ -10,15 +10,16 @@
 // registration, not per admission.
 //
 // Canonicalization: two GraphTaskSpecs intern to the same shape when they
-// are isomorphic INCLUDING node attributes (resource, demand, and the
-// critical-section segment list): permuting node ids must alias, changing a
-// demand or a lock layout must not. Node order is canonicalized by
-// (longest-path depth, Weisfeiler-Leman refinement color); equality on a
+// have the same layout — the same nodes (resource, demand, and the
+// critical-section segment list) and edges under the same numbering; a
+// changed demand or lock layout never aliases. Canonical node order is
+// Kahn's topological order taking the lowest-index ready node first (the
+// identity for a spec laid out in index-topological order). Equality on a
 // hash hit compares the full canonical encoding, so a hash collision can
-// never alias two distinct shapes. Graphs whose WL colors stay non-discrete
-// (large non-trivial automorphism-like tie classes) may intern two
-// isomorphic presentations as separate shapes — a cache miss, never a
-// correctness issue.
+// never alias two distinct shapes. A relabeled presentation of a
+// registered graph interns as a separate shape: one more registration,
+// never a wrong decision (the long-path values do not depend on node
+// numbering).
 //
 // Canonical specs are layout-free: canonicalize() returns a spec whose
 // `shape` is set and whose `nodes`/`edges` are empty, so the shape is the
@@ -173,11 +174,11 @@ class TaskGraphShapeRegistry {
   TaskGraphShapeRegistry(const TaskGraphShapeRegistry&) = delete;
   TaskGraphShapeRegistry& operator=(const TaskGraphShapeRegistry&) = delete;
 
-  // Interns the spec's shape: returns the existing shape when an
-  // attribute-isomorphic one is registered, otherwise canonicalizes,
-  // enumerates profiles, and registers a new one. Requires an un-interned
-  // spec whose layout valid() accepts (edges in range, acyclic, valid
-  // demands); the empty graph is allowed. Aborts otherwise.
+  // Interns the spec's shape: returns the existing shape when one with the
+  // same layout is registered, otherwise canonicalizes, enumerates
+  // profiles, and registers a new one. Requires an un-interned spec whose
+  // layout valid() accepts (edges in range, acyclic, valid demands); the
+  // empty graph is allowed. Aborts otherwise.
   const TaskGraphShape* intern(const GraphTaskSpec& spec);
 
   // Canonical spec for `spec`: id, deadline and importance copied, `shape`

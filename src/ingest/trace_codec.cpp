@@ -3,7 +3,7 @@
 #include <istream>
 #include <ostream>
 
-#include "ingest/ingest_session.h"
+#include "ingest/wire_format.h"
 #include "util/check.h"
 
 namespace frap::ingest {
@@ -15,42 +15,6 @@ std::span<const std::byte> encode_trace(const workload::ArrivalTrace& trace,
   enc.reset(trace[0].time);
   for (const auto& r : trace.records()) enc.add(r.time, r.task);
   return enc.frame();
-}
-
-WireParse decode_trace(std::span<const std::byte> frame,
-                       workload::ArrivalTrace* out,
-                       const TaskClassTable* classes) {
-  FRAP_EXPECTS(out != nullptr);
-  *out = workload::ArrivalTrace{};
-  WireParse parse;
-  const WireView view = WireView::open(frame, &parse);
-  if (!parse.ok()) return parse;
-
-  workload::ArrivalTrace trace(view.num_stages());
-  core::TaskSpec spec;
-  spec.stages.resize(view.num_stages());
-  WireArrival a;
-  for (auto cur = view.cursor(); cur.next(a);) {
-    spec.id = a.id();
-    spec.deadline = a.deadline();
-    spec.importance = a.importance();
-    if (a.kind() == RecordKind::kClass) {
-      if (classes == nullptr || a.class_id() >= classes->size())
-        return WireParse{WireError::kUnknownClass, 0};
-      const auto& stages = classes->stages_of(a.class_id());
-      if (stages.size() != view.num_stages())
-        return WireParse{WireError::kStageMismatch, 6};
-      spec.stages = stages;
-    } else {
-      for (auto& s : spec.stages) s.compute = 0;
-      const std::uint16_t pairs = a.pair_count();
-      for (std::uint16_t i = 0; i < pairs; ++i)
-        spec.stages[a.stage(i)].compute = a.demand(i);
-    }
-    trace.append(a.arrival(), spec);
-  }
-  *out = std::move(trace);
-  return parse;
 }
 
 bool write_frame(std::ostream& os, std::span<const std::byte> frame) {

@@ -1,13 +1,13 @@
 // Bridges the binary wire format to the existing trace / stream tooling.
 //
-// encode_trace / decode_trace convert between workload::ArrivalTrace (the
-// line-oriented text capture from PR 2) and a wire frame; a trace round
-// trip preserves every bit of every time, deadline, importance, and demand
-// (arrivals are stored absolute on the wire). write_frame / read_frame move
-// length-prefixed frames through iostreams so captures persist to files —
-// the frame is stored verbatim, preceded by a u64 little-endian byte count,
-// and read back into a caller-owned buffer that the decoder then views
-// without copying again.
+// encode_trace converts a workload::ArrivalTrace (the line-oriented text
+// capture) into a wire frame; decoding it through a WireView and
+// IngestSession::assemble preserves every bit of every time, deadline,
+// importance, and demand (arrivals are stored absolute on the wire).
+// write_frame / read_frame move length-prefixed frames through iostreams so
+// captures persist to files — the frame is stored verbatim, preceded by a
+// u64 little-endian byte count, and read back into a caller-owned buffer
+// that the decoder then views without copying again.
 #pragma once
 
 #include <cstddef>
@@ -15,8 +15,6 @@
 #include <span>
 #include <vector>
 
-#include "ingest/ingest_session.h"
-#include "ingest/wire_decoder.h"
 #include "ingest/wire_encoder.h"
 #include "workload/replay.h"
 
@@ -26,13 +24,6 @@ namespace frap::ingest {
 // width; it is reset to the first arrival's instant) and returns the frame.
 std::span<const std::byte> encode_trace(const workload::ArrivalTrace& trace,
                                         WireEncoder& enc);
-
-// Decodes a frame into `*out` (replaced). Class records are expanded
-// through `classes` when given; without a table a class record fails with
-// kUnknownClass. Returns the parse outcome; on failure `*out` is empty.
-WireParse decode_trace(std::span<const std::byte> frame,
-                       workload::ArrivalTrace* out,
-                       const TaskClassTable* classes = nullptr);
 
 // Length-prefixed frame I/O. write_frame returns false on a stream error;
 // read_frame returns false on error or clean EOF (buf is cleared), so a

@@ -27,19 +27,4 @@ void write_csv(const util::Table& table, std::ostream& os) {
   for (std::size_t r = 0; r < table.rows(); ++r) emit_row(table.row(r));
 }
 
-void write_csv(const TimeSeries& series, std::ostream& os) {
-  os << "time,value\n";
-  for (const auto& s : series.samples()) {
-    os << s.time << ',' << s.value << '\n';
-  }
-}
-
-void write_csv(const Histogram& histogram, std::ostream& os) {
-  os << "bucket_lo,bucket_hi,count\n";
-  for (std::size_t i = 0; i < histogram.bucket_count(); ++i) {
-    os << histogram.bucket_lo(i) << ',' << histogram.bucket_hi(i) << ','
-       << histogram.bucket(i) << '\n';
-  }
-}
-
 }  // namespace frap::metrics

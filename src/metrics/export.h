@@ -1,16 +1,13 @@
-// Machine-readable export of metric objects (CSV with RFC-4180 quoting).
+// Machine-readable export of result tables (CSV with RFC-4180 quoting).
 //
 // Bench binaries print human tables; pipelines that post-process results
 // (plotting the reproduced figures, regression-tracking utilizations) use
-// these writers instead.
+// this writer instead.
 #pragma once
 
 #include <ostream>
 #include <string>
-#include <vector>
 
-#include "metrics/histogram.h"
-#include "metrics/timeseries.h"
 #include "util/table.h"
 
 namespace frap::metrics {
@@ -21,11 +18,5 @@ std::string csv_escape(const std::string& field);
 
 // Writes a util::Table as CSV: header row then data rows.
 void write_csv(const util::Table& table, std::ostream& os);
-
-// Writes a TimeSeries as two columns: time,value.
-void write_csv(const TimeSeries& series, std::ostream& os);
-
-// Writes a Histogram as three columns: bucket_lo,bucket_hi,count.
-void write_csv(const Histogram& histogram, std::ostream& os);
 
 }  // namespace frap::metrics

@@ -2,7 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
-#include <sstream>
+#include <ostream>
 
 namespace frap::obs {
 
@@ -185,12 +185,6 @@ void render_prometheus(const MetricsSnapshot& snap, std::ostream& os) {
     histogram_samples(os, "frap_stage_sojourn_seconds",
                       "stage=\"" + u64(st.stage) + "\"", st.sojourn);
   }
-}
-
-std::string render_prometheus(const MetricsSnapshot& snap) {
-  std::ostringstream os;
-  render_prometheus(snap, os);
-  return os.str();
 }
 
 namespace {

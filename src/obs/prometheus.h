@@ -28,7 +28,6 @@ std::string escape_label_value(const std::string& v);
 std::string format_sample_value(double v);
 
 void render_prometheus(const MetricsSnapshot& snap, std::ostream& os);
-std::string render_prometheus(const MetricsSnapshot& snap);
 
 // One JSON object per DecisionEvent, newline-delimited, in the order given.
 // Non-finite doubles (stage-saturated rejects carry lhs_with_task = +inf)

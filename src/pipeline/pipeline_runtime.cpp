@@ -184,8 +184,9 @@ void TaskRuntime<Spec>::release_node(Exec& exec, std::size_t node) {
   // Dynamic policies (EDF/LLF) key off the task's end-to-end absolute
   // deadline; the fixed-priority default ignores this field.
   n.job->absolute_deadline = exec.absolute_deadline;
+  n.job->task_id = exec.spec.id;
+  n.job->node = node;
   n.released = sim_.now();
-  jobs_.emplace(job_id, JobRef{exec.spec.id, node});
   const std::size_t stage = node_stage(exec, node);
   if (stage_obs_ != nullptr) stage_obs_->on_enqueue(stage, n.released);
   servers_[stage]->submit(*n.job);
@@ -194,28 +195,26 @@ void TaskRuntime<Spec>::release_node(Exec& exec, std::size_t node) {
 template <typename Spec>
 void TaskRuntime<Spec>::on_job_complete(sched::StageServer& stage,
                                         sched::Job& job) {
-  auto jt = jobs_.find(job.id);
-  FRAP_ASSERT(jt != jobs_.end());
-  const JobRef ref = jt->second;
-  jobs_.erase(jt);
-
-  auto et = execs_.find(ref.task_id);
+  const std::uint64_t task_id = job.task_id;
+  const std::size_t node = job.node;
+  auto et = execs_.find(task_id);
   FRAP_ASSERT(et != execs_.end());
   Exec& exec = et->second;
+  FRAP_ASSERT(&*exec.nodes[node].job == &job);
   const std::size_t j = stage.tag();
-  FRAP_ASSERT(node_stage(exec, ref.node) == j);
+  FRAP_ASSERT(node_stage(exec, node) == j);
 
   if (stage_obs_ != nullptr) {
-    stage_obs_->on_depart(j, exec.nodes[ref.node].released, sim_.now());
+    stage_obs_->on_depart(j, exec.nodes[node].released, sim_.now());
   }
   FRAP_ASSERT(exec.left_on_stage[j] > 0);
   if (--exec.left_on_stage[j] == 0 && tracker_ != nullptr) {
-    tracker_->mark_departed(ref.task_id, j);
+    tracker_->mark_departed(task_id, j);
   }
 
   FRAP_ASSERT(exec.nodes_remaining > 0);
   --exec.nodes_remaining;
-  release_successors(exec, ref.node);
+  release_successors(exec, node);
   if (exec.nodes_remaining > 0) return;
 
   // End-to-end completion.
@@ -243,7 +242,6 @@ void TaskRuntime<Spec>::abort_task(std::uint64_t task_id) {
     Node& n = exec.nodes[v];
     // Unreleased nodes have no job; finished ones are off their server.
     if (!n.job || !n.job->on_server) continue;
-    jobs_.erase(n.job->id);
     const std::size_t stage = node_stage(exec, v);
     servers_[stage]->abort(*n.job);
     if (stage_obs_ != nullptr) {

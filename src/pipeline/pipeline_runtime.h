@@ -161,11 +161,6 @@ class TaskRuntime : private sched::StageListener {
     std::vector<std::vector<std::size_t>> successors;
   };
 
-  struct JobRef {
-    std::uint64_t task_id;
-    std::size_t node;
-  };
-
   // StageListener: servers report completion/idle with their stage index
   // in the tag (set at construction).
   void on_job_complete(sched::StageServer& stage, sched::Job& job) override;
@@ -193,10 +188,8 @@ class TaskRuntime : private sched::StageListener {
   CompletionCallback on_complete_;
   obs::StageObserver* stage_obs_ = nullptr;
 
-  // Job ids are globally unique per runtime; map back to the owning node.
-  std::unordered_map<std::uint64_t, JobRef> jobs_;
   std::unordered_map<std::uint64_t, Exec> execs_;  // by task id
-  std::uint64_t next_job_id_ = 1;
+  std::uint64_t next_job_id_ = 1;  // job ids are unique per runtime
 
   std::uint64_t started_ = 0;
   std::uint64_t completed_ = 0;

@@ -7,6 +7,7 @@
 // model where B_ij bounds a single critical section per stage.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -44,6 +45,12 @@ struct Job {
   const std::uint64_t id;
   const PriorityValue priority_value;
   std::vector<Segment> segments;
+
+  // Owner, set by the runtime that created the job: its task's id and the
+  // job's node index within that task. Completion handlers read them
+  // instead of looking the job up.
+  std::uint64_t task_id = 0;
+  std::size_t node = 0;
 
   // Absolute deadline of the job's end-to-end task instance, set by the
   // runtime before submit. Dynamic policies (EDF/LLF) derive dispatch keys

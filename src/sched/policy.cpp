@@ -48,16 +48,4 @@ const SchedulingPolicy& llf_policy() {
   return policy;
 }
 
-const SchedulingPolicy* policy_by_name(std::string_view name) {
-  if (name == "fixed" || name == "fp" || name == "dm")
-    return &fixed_priority_policy();
-  if (name == "edf") return &edf_policy();
-  if (name == "llf") return &llf_policy();
-  return nullptr;
-}
-
-std::vector<std::string_view> policy_names() {
-  return {"fixed", "edf", "llf"};
-}
-
 }  // namespace frap::sched

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <string_view>
-#include <vector>
 
 #include "sched/job.h"
 #include "util/time.h"
@@ -82,13 +81,5 @@ const SchedulingPolicy& edf_policy();
 // (laxity in wall-time units, assuming unit stage speed). Re-evaluated at
 // every dispatch event (see the event-driven note above).
 const SchedulingPolicy& llf_policy();
-
-// Lookup by name. Accepts the canonical names ("fixed", "edf", "llf") plus
-// the aliases "fp" and "dm" for fixed-priority. Returns nullptr for unknown
-// names.
-const SchedulingPolicy* policy_by_name(std::string_view name);
-
-// Canonical policy names, for CLI help and error messages.
-std::vector<std::string_view> policy_names();
 
 }  // namespace frap::sched

@@ -1,19 +1,17 @@
-// Periodic (and jittered-periodic) task streams.
+// Periodic task streams.
 //
 // The paper treats periodic arrivals as a special case of aperiodic ones:
 // each invocation of a periodic task is admitted like any aperiodic arrival
-// (possibly against reserved capacity, Sec. 5). Jitter models the
-// motivation in the introduction — with enough release jitter the minimum
-// interarrival time collapses and sporadic analysis breaks down, while the
-// aperiodic region still applies.
+// (possibly against reserved capacity, Sec. 5). A config describes one
+// stream; the TSCE scenario (workload/tsce.h) builds its critical streams
+// from it, and the programs that run them release the invocations with
+// schedule_periodic (workload/arrival_scheduler.h).
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "core/task.h"
-#include "util/rng.h"
 #include "util/time.h"
 
 namespace frap::workload {
@@ -22,57 +20,9 @@ struct PeriodicStreamConfig {
   std::string name;
   Duration period = 0;
   Duration deadline = 0;  // relative; often == period
-  // Release jitter: invocation k is released at k*period + U(0, jitter).
-  Duration jitter = 0;
   double importance = 0;
   // Per-stage demand template (fixed computation times per invocation).
   std::vector<core::StageDemand> stages;
-
-  bool valid() const;
 };
-
-// Generates invocation release times and TaskSpecs for one periodic stream.
-class PeriodicStream {
- public:
-  // `id_base` namespaces this stream's task ids; invocation k gets
-  // id_base + k. Streams in one experiment must use disjoint id ranges.
-  PeriodicStream(PeriodicStreamConfig config, std::uint64_t id_base,
-                 std::uint64_t seed);
-
-  // Absolute release time of the next invocation (monotone per stream when
-  // jitter < period; may interleave otherwise, which is the point).
-  Time next_release();
-
-  // The TaskSpec of the invocation whose release next_release() returned.
-  core::TaskSpec current_invocation() const;
-
-  const PeriodicStreamConfig& config() const { return config_; }
-
-  // Per-stage synthetic-utilization contribution of one invocation
-  // (C_j / D) — what Sec. 5 reserves for critical streams.
-  std::vector<double> invocation_contributions() const;
-
- private:
-  PeriodicStreamConfig config_;
-  std::uint64_t id_base_;
-  std::uint64_t invocation_ = 0;  // count of releases handed out
-  util::Rng rng_;
-};
-
-// The maximum number of a stream's invocations that can be *current*
-// (arrived, deadline unexpired) simultaneously: an invocation released in
-// [kP, kP + J] is current for D, so releases within a half-open window of
-// length D + J can coexist — at most ceil((D + J) / P) of them. With no
-// jitter and D <= P this is 1 (the sporadic case); jitter or D > P raises
-// it, which is exactly how release jitter inflates synthetic utilization
-// (the Sec. 1 motivation, quantified).
-std::size_t max_concurrent_invocations(const PeriodicStreamConfig& config);
-
-// Worst-case per-stage synthetic-utilization contribution of the whole
-// stream: max_concurrent_invocations * C_j / D. Reserving this much per
-// stage (and certifying the sum across streams against the region) makes
-// every invocation admissible without run-time tests, jitter included.
-std::vector<double> worst_case_contributions(
-    const PeriodicStreamConfig& config);
 
 }  // namespace frap::workload

@@ -107,24 +107,4 @@ GraphTaskSpec random_dag(util::Rng& rng, const RandomDagConfig& cfg,
   return g;
 }
 
-GraphTaskSpec permute_nodes(util::Rng& rng, const GraphTaskSpec& spec) {
-  const std::size_t n = spec.nodes.size();
-  std::vector<std::size_t> new_of_old(n);
-  for (std::size_t v = 0; v < n; ++v) new_of_old[v] = v;
-  rng.shuffle(new_of_old);
-  GraphTaskSpec out;
-  out.id = spec.id;
-  out.deadline = spec.deadline;
-  out.importance = spec.importance;
-  out.nodes.resize(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    out.nodes[new_of_old[v]] = spec.nodes[v];
-  }
-  out.edges.reserve(spec.edges.size());
-  for (const auto& e : spec.edges) {
-    out.edges.push_back(GraphEdge{new_of_old[e.from], new_of_old[e.to]});
-  }
-  return out;
-}
-
 }  // namespace frap::workload

@@ -50,10 +50,4 @@ struct RandomDagConfig {
 core::GraphTaskSpec random_dag(util::Rng& rng, const RandomDagConfig& cfg,
                                std::uint64_t id, Duration deadline);
 
-// Relabels the nodes of `spec` by a random permutation (edges rewritten to
-// match). Semantically the same task — the interning property tests assert
-// the permuted form aliases to the same TaskGraphShape.
-core::GraphTaskSpec permute_nodes(util::Rng& rng,
-                                  const core::GraphTaskSpec& spec);
-
 }  // namespace frap::workload

@@ -8,7 +8,6 @@
 
 #include "util/check.h"
 #include "workload/bursty.h"
-#include "workload/periodic.h"
 #include "workload/pipeline_workload.h"
 
 namespace frap::workload {
@@ -105,27 +104,6 @@ ArrivalTrace capture_mmpp(MmppArrivalProcess& arrivals,
     t += arrivals.next_interarrival();
     trace.append(t, tasks.next_task());
   }
-  return trace;
-}
-
-ArrivalTrace capture_periodic(std::span<PeriodicStream> streams,
-                              std::size_t per_stream, Time start) {
-  FRAP_EXPECTS(!streams.empty());
-  FRAP_EXPECTS(per_stream > 0);
-  std::vector<ArrivalRecord> merged;
-  merged.reserve(streams.size() * per_stream);
-  for (auto& stream : streams) {
-    for (std::size_t k = 0; k < per_stream; ++k) {
-      const Time release = start + stream.next_release();
-      merged.push_back(ArrivalRecord{release, stream.current_invocation()});
-    }
-  }
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const ArrivalRecord& a, const ArrivalRecord& b) {
-                     return a.time < b.time;
-                   });
-  ArrivalTrace trace(streams.front().config().stages.size());
-  for (auto& r : merged) trace.append(r.time, r.task);
   return trace;
 }
 

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <span>
 #include <vector>
 
 #include "core/task.h"
@@ -24,7 +23,6 @@ namespace frap::workload {
 
 class PipelineWorkloadGenerator;
 class MmppArrivalProcess;
-class PeriodicStream;
 
 struct ArrivalRecord {
   Time time = kTimeZero;
@@ -76,11 +74,5 @@ ArrivalTrace capture_poisson(PipelineWorkloadGenerator& gen, std::size_t count,
 ArrivalTrace capture_mmpp(MmppArrivalProcess& arrivals,
                           PipelineWorkloadGenerator& tasks, std::size_t count,
                           Time start = kTimeZero);
-
-// `per_stream` invocations of every periodic stream, merged into one
-// time-sorted trace (ties keep stream order). Streams must share a stage
-// count and use disjoint id ranges.
-ArrivalTrace capture_periodic(std::span<PeriodicStream> streams,
-                              std::size_t per_stream, Time start = kTimeZero);
 
 }  // namespace frap::workload

@@ -447,31 +447,5 @@ TEST(DeadlineSplitTest, MoreConservativeThanEndToEndRegion) {
   EXPECT_EQ(admitted_region, 19);
 }
 
-TEST(BaselineBoundsTest, LiuLaylandValues) {
-  EXPECT_DOUBLE_EQ(liu_layland_bound(1), 1.0);
-  EXPECT_NEAR(liu_layland_bound(2), 0.8284, 1e-4);
-  EXPECT_NEAR(liu_layland_bound(1000), 0.6934, 1e-3);
-}
-
-TEST(BaselineBoundsTest, LiuLaylandTest) {
-  EXPECT_TRUE(liu_layland_schedulable(std::vector<double>{0.3, 0.3}));
-  EXPECT_FALSE(liu_layland_schedulable(std::vector<double>{0.5, 0.5}));
-  EXPECT_TRUE(liu_layland_schedulable({}));
-}
-
-TEST(BaselineBoundsTest, HyperbolicDominatesLiuLayland) {
-  // Any set passing L&L also passes the hyperbolic bound.
-  const std::vector<std::vector<double>> sets{
-      {0.4, 0.4}, {0.3, 0.3, 0.2}, {0.69}, {0.2, 0.2, 0.2, 0.09}};
-  for (const auto& s : sets) {
-    if (liu_layland_schedulable(s)) {
-      EXPECT_TRUE(hyperbolic_schedulable(s));
-    }
-  }
-  // And there are sets only the hyperbolic bound accepts.
-  EXPECT_FALSE(liu_layland_schedulable(std::vector<double>{0.5, 0.4}));
-  EXPECT_TRUE(hyperbolic_schedulable(std::vector<double>{0.5, 0.33}));
-}
-
 }  // namespace
 }  // namespace frap::core

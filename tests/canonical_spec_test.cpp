@@ -176,7 +176,8 @@ TEST(CanonicalSpecDeathTest, LayoutNextToAShapeIsRefused) {
   core::SyntheticUtilizationTracker tracker(sim, kResources);
   core::GraphAdmissionController controller(
       sim, tracker,
-      core::LongPathEvaluator(std::vector<double>(kResources, 1.0), {}));
+      core::LongPathEvaluator(std::vector<double>(kResources, 1.0), {},
+                              core::LongPathEvaluator::kNoStageCap));
   EXPECT_DEATH((void)controller.try_admit(spec, sim.now()), "nodes.empty");
 
   pipeline::DagRuntime runtime(sim, kResources, nullptr);

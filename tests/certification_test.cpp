@@ -49,7 +49,6 @@ TEST_F(CertificationTest, AllSubsetsEnumerated) {
   for (const auto& v : verdicts) {
     EXPECT_TRUE(v.certified);  // the whole TSCE catalog is feasible
   }
-  EXPECT_TRUE(certifier_.all_combinations_certified());
 }
 
 TEST_F(CertificationTest, SubsetLhsIsMonotone) {
@@ -82,26 +81,22 @@ TEST_F(CertificationTest, InfeasibleCatalogDetected) {
                       {Rule::kSum, Rule::kSum});
   c.add(entry("huge1", {0.3, 0.3}));
   c.add(entry("huge2", {0.3, 0.3}));
-  EXPECT_FALSE(c.all_combinations_certified());
-  const auto best = c.largest_certified_subset();
-  EXPECT_TRUE(best.certified);
-  EXPECT_EQ(best.members.size(), 1u);  // either alone fits, not both
-}
-
-TEST_F(CertificationTest, LargestCertifiedSubsetOfTsceIsEverything) {
-  const auto best = certifier_.largest_certified_subset();
-  EXPECT_TRUE(best.certified);
-  EXPECT_EQ(best.members.size(), 3u);
+  const auto verdicts = c.certify_all_subsets();  // {}, {1}, {2}, {1, 2}
+  ASSERT_EQ(verdicts.size(), 4u);
+  // Either alone fits, not both.
+  EXPECT_TRUE(verdicts[1].certified);
+  EXPECT_TRUE(verdicts[2].certified);
+  EXPECT_FALSE(verdicts[3].certified);
 }
 
 TEST_F(CertificationTest, AlphaScaledRegionShrinksCertification) {
   ScenarioCertifier strict(FeasibleRegion::with_alpha(3, 0.5),
                            {Rule::kSum, Rule::kSum, Rule::kMax});
-  strict.add(entry("WeaponDetection", {0.2, 0.13, 0.06}));
-  strict.add(entry("WeaponTargeting", {0.1, 0.1, 0.1}));
-  strict.add(entry("UavVideo", {0.1, 0.02, 0.1}));
+  const auto wd = strict.add(entry("WeaponDetection", {0.2, 0.13, 0.06}));
+  const auto wt = strict.add(entry("WeaponTargeting", {0.1, 0.1, 0.1}));
+  const auto uv = strict.add(entry("UavVideo", {0.1, 0.02, 0.1}));
   // 0.93 > 0.5: the full set no longer certifies under alpha = 0.5.
-  EXPECT_FALSE(strict.all_combinations_certified());
+  EXPECT_FALSE(strict.certify({wd, wt, uv}).certified);
 }
 
 }  // namespace

@@ -158,15 +158,15 @@ TEST(DagBoundDifferentialTest, SeededFixturePinsExactAdmitCounts) {
   EXPECT_EQ(s.crit_only, 0u);
   // Pinned counts: a change to either bound, the generator, or the
   // canonicalization shifts these and must be a conscious decision.
-  EXPECT_EQ(s.long_admits, 349u);
-  EXPECT_EQ(s.crit_admits, 92u);
+  EXPECT_EQ(s.long_admits, 342u);
+  EXPECT_EQ(s.crit_admits, 99u);
   EXPECT_GT(s.long_admits, s.crit_admits);
 }
 
 TEST(DagBoundDifferentialTest, GeneratedTasksRespectCeilingContract) {
   util::Rng rng(7);
   core::LongPathEvaluator eval(std::vector<double>(kResources, kDeadlineMax),
-                               {});
+                               {}, core::LongPathEvaluator::kNoStageCap);
   for (int i = 0; i < 200; ++i) {
     const auto cfg = episode_config(rng);
     const auto spec = workload::random_dag(

@@ -117,7 +117,8 @@ TEST(DagIncrementalIdentityTest, TrackerFTermsStayExactUnderGraphCommits) {
   core::TaskGraphShapeRegistry registry;
   core::GraphAdmissionController controller(
       sim, tracker,
-      core::LongPathEvaluator(std::vector<double>(kResources, kCeiling), {}));
+      core::LongPathEvaluator(std::vector<double>(kResources, kCeiling), {},
+                              core::LongPathEvaluator::kNoStageCap));
 
   util::Rng rng(7);
   for (std::uint64_t i = 1; i <= 400; ++i) {

@@ -52,8 +52,10 @@ TEST(DagPathCapTierTest, VerdictsMatchExactAndAdmitsBoundTheExactValue) {
   core::TaskGraphShapeRegistry registry;
   // `eval` answers like admission does; `ref` replays the with-task value
   // so its tier counts say which tier settled exactly that value.
-  core::LongPathEvaluator eval(std::vector<double>(kResources, kCeiling), {});
-  core::LongPathEvaluator ref(std::vector<double>(kResources, kCeiling), {});
+  core::LongPathEvaluator eval(std::vector<double>(kResources, kCeiling), {},
+                               core::LongPathEvaluator::kNoStageCap);
+  core::LongPathEvaluator ref(std::vector<double>(kResources, kCeiling), {},
+                              core::LongPathEvaluator::kNoStageCap);
   std::uint64_t path_cap_admits = 0;
   std::uint64_t dp_calls = 0;
   std::uint64_t admits = 0;

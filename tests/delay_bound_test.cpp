@@ -5,7 +5,6 @@
 
 #include "core/delay_bound.h"
 #include "core/stage_delay.h"
-#include "core/task_graph.h"
 
 namespace frap::core {
 namespace {
@@ -30,42 +29,6 @@ TEST(DelayBoundTest, AtTheRegionBoundaryDelayEqualsDeadline) {
   const double cap = balanced_stage_bound(3);
   const std::vector<double> u{cap, cap, cap};
   EXPECT_NEAR(predict_pipeline_delay(u, 4.0), 4.0, 1e-9);
-}
-
-TEST(DelayBoundTest, GraphDelayUsesCriticalPath) {
-  GraphTaskSpec g;
-  g.id = 1;
-  g.deadline = 1.0;
-  StageDemand d;
-  d.compute = 0.01;
-  g.nodes = {GraphNode{0, d}, GraphNode{1, d}, GraphNode{2, d},
-             GraphNode{3, d}};
-  g.edges = {GraphEdge{0, 1}, GraphEdge{0, 2}, GraphEdge{1, 3},
-             GraphEdge{2, 3}};
-  const std::vector<double> u{0.3, 0.4, 0.2, 0.1};
-  const double expected =
-      (stage_delay_factor(0.3) +
-       std::max(stage_delay_factor(0.4), stage_delay_factor(0.2)) +
-       stage_delay_factor(0.1)) *
-      2.0;
-  EXPECT_NEAR(predict_graph_delay(g, u, 2.0), expected, 1e-12);
-  EXPECT_TRUE(std::isinf(
-      predict_graph_delay(g, std::vector<double>{1.0, 0, 0, 0}, 2.0)));
-}
-
-TEST(DelayBoundTest, ProvablyMeetsDeadlineMatchesRegionTest) {
-  TaskSpec spec;
-  spec.id = 1;
-  spec.deadline = 1.0;
-  spec.stages.resize(2);
-  spec.stages[0].compute = 0.1;
-  spec.stages[1].compute = 0.1;
-  // Inside the region -> provable.
-  EXPECT_TRUE(
-      provably_meets_deadline(spec, std::vector<double>{0.3, 0.3}));
-  // Outside -> not provable.
-  EXPECT_FALSE(
-      provably_meets_deadline(spec, std::vector<double>{0.5, 0.5}));
 }
 
 TEST(DelayBoundTest, MonotoneInUtilization) {

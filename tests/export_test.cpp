@@ -8,6 +8,7 @@
 
 #include "core/admission_decision.h"
 #include "metrics/export.h"
+#include "metrics/histogram.h"
 #include "obs/clock.h"
 #include "obs/observer.h"
 #include "obs/prometheus.h"
@@ -45,27 +46,6 @@ TEST(CsvExportTest, TableQuotesAwkwardCells) {
   EXPECT_EQ(os.str(), "name,value\n\"a,b\",1\n");
 }
 
-TEST(CsvExportTest, TimeSeries) {
-  sim::Simulator sim;
-  double v = 1.5;
-  TimeSeries ts(sim, 1.0, [&] { return v; });
-  ts.start(2.0);
-  sim.run();
-  std::ostringstream os;
-  write_csv(ts, os);
-  EXPECT_EQ(os.str(), "time,value\n0,1.5\n1,1.5\n2,1.5\n");
-}
-
-TEST(CsvExportTest, Histogram) {
-  Histogram h(0.0, 2.0, 2);
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.6);
-  std::ostringstream os;
-  write_csv(h, os);
-  EXPECT_EQ(os.str(), "bucket_lo,bucket_hi,count\n0,1,1\n1,2,2\n");
-}
-
 TEST(HistogramEdgeTest, BucketHiMatchesNextLo) {
   Histogram h(0.0, 10.0, 5);
   for (std::size_t i = 0; i + 1 < h.bucket_count(); ++i) {
@@ -79,6 +59,12 @@ TEST(HistogramEdgeTest, BucketHiMatchesNextLo) {
 
 namespace frap::obs {
 namespace {
+
+std::string render_page(const MetricsSnapshot& snap) {
+  std::ostringstream os;
+  render_prometheus(snap, os);
+  return os.str();
+}
 
 TEST(PrometheusEscapeTest, PlainValuesPassThrough) {
   EXPECT_EQ(escape_label_value("admitted"), "admitted");
@@ -116,7 +102,7 @@ TEST(PrometheusRenderTest, HistogramBucketsAreCumulativeWithInfEnd) {
   s.headroom.add(10.0);  // clamped into [2,3)
   snap.sinks.push_back(s);
 
-  const std::string page = render_prometheus(snap);
+  const std::string page = render_page(snap);
   EXPECT_NE(page.find("frap_lhs_headroom_bucket{shard=\"0\",le=\"1\"} 1\n"),
             std::string::npos);
   EXPECT_NE(page.find("frap_lhs_headroom_bucket{shard=\"0\",le=\"2\"} 3\n"),
@@ -233,7 +219,7 @@ TEST(PrometheusRenderTest, GoldenPageForTwoDecisionRun) {
       "metric=\"decision_latency_nanos\"} 0\n"
       "frap_histogram_nan_rejected_total{shard=\"service\","
       "metric=\"lhs_headroom\"} 0\n";
-  EXPECT_EQ(render_prometheus(obs.snapshot()), expected);
+  EXPECT_EQ(render_page(obs.snapshot()), expected);
 
   // The JSONL trace of the same run is pinned too (%.17g doubles, tickets
   // in push order).

@@ -14,7 +14,6 @@ TEST(FeasibleRegionTest, SingleStageReducesToUniprocessorBound) {
   const double b = uniprocessor_bound();
   EXPECT_TRUE(region.contains(std::vector<double>{b - 1e-9}));
   EXPECT_FALSE(region.contains(std::vector<double>{b + 1e-6}));
-  EXPECT_NEAR(region.balanced_cap(), b, 1e-12);
 }
 
 TEST(FeasibleRegionTest, Tsce930Certification) {
@@ -23,7 +22,6 @@ TEST(FeasibleRegionTest, Tsce930Certification) {
   const std::vector<double> u{0.4, 0.25, 0.1};
   EXPECT_NEAR(region.lhs(u), 0.9305555555, 1e-6);
   EXPECT_TRUE(region.contains(u));
-  EXPECT_NEAR(region.margin(u), 1.0 - 0.9305555555, 1e-6);
 }
 
 TEST(FeasibleRegionTest, OriginIsAlwaysInside) {
@@ -74,11 +72,9 @@ TEST(FeasibleRegionTest, BlockingShrinksTheBound) {
 TEST(FeasibleRegionTest, BalancedCapMatchesClosedForm) {
   for (std::size_t n = 1; n <= 10; ++n) {
     const auto region = FeasibleRegion::deadline_monotonic(n);
-    const double cap = region.balanced_cap();
-    // N stages at the cap exactly exhaust the bound.
-    std::vector<double> u(n, cap);
+    // N stages at the balanced cap exactly exhaust the bound.
+    std::vector<double> u(n, balanced_stage_bound(n));
     EXPECT_NEAR(region.lhs(u), region.bound(), 1e-9);
-    EXPECT_NEAR(cap, balanced_stage_bound(n), 1e-12);
   }
 }
 
@@ -87,7 +83,7 @@ TEST(FeasibleRegionTest, BoundaryU2Tracing) {
   // At U1 = 0, U2 may go up to the uniprocessor bound.
   EXPECT_NEAR(region.boundary_u2(0.0), uniprocessor_bound(), 1e-12);
   // At the balanced cap, U2 equals the cap.
-  const double cap = region.balanced_cap();
+  const double cap = balanced_stage_bound(2);
   EXPECT_NEAR(region.boundary_u2(cap), cap, 1e-9);
   // Past the single-stage bound, nothing remains for stage 2.
   EXPECT_DOUBLE_EQ(region.boundary_u2(0.75), 0.0);
@@ -109,32 +105,10 @@ TEST(FeasibleRegionTest, BoundaryPointsSatisfyRegionExactly) {
   }
 }
 
-TEST(FeasibleRegionTest, StageHeadroomMatchesBoundary) {
-  const auto region = FeasibleRegion::deadline_monotonic(2);
-  // At the origin, stage 0 headroom is the full uniprocessor bound.
-  EXPECT_NEAR(region.stage_headroom(std::vector<double>{0.0, 0.0}, 0),
-              uniprocessor_bound(), 1e-12);
-  // With stage 1 at u, stage 0's cap is boundary_u2(u).
-  const std::vector<double> u{0.1, 0.3};
-  const double headroom = region.stage_headroom(u, 0);
-  EXPECT_NEAR(headroom, region.boundary_u2(0.3) - 0.1, 1e-9);
-  // Adding exactly the headroom lands on the boundary.
-  const std::vector<double> at{0.1 + headroom, 0.3};
-  EXPECT_NEAR(region.lhs(at), region.bound(), 1e-9);
-}
-
-TEST(FeasibleRegionTest, StageHeadroomZeroWhenExhausted) {
-  const auto region = FeasibleRegion::deadline_monotonic(2);
-  EXPECT_DOUBLE_EQ(
-      region.stage_headroom(std::vector<double>{0.5, 0.5}, 0), 0.0);
-  EXPECT_DOUBLE_EQ(
-      region.stage_headroom(std::vector<double>{0.0, 1.0}, 0), 0.0);
-}
-
 // ------------------------------------------------- saturation guards -----
-// U_j >= 1 makes f(U_j) infinite; the geometry helpers must degrade to
-// well-defined values (0 headroom, 0 boundary, -infinity margin) instead of
-// feeding the saturated value into NaN-prone arithmetic like inf - inf.
+// U_j >= 1 makes f(U_j) infinite; the region must degrade to well-defined
+// values (+infinity LHS, 0 boundary) instead of feeding the saturated value
+// into NaN-prone arithmetic like inf - inf.
 
 TEST(FeasibleRegionTest, SaturatedInputsNeverProduceNan) {
   const auto region = FeasibleRegion::deadline_monotonic(2);
@@ -143,10 +117,8 @@ TEST(FeasibleRegionTest, SaturatedInputsNeverProduceNan) {
 
   EXPECT_TRUE(std::isinf(region.lhs(sat)));
   EXPECT_FALSE(region.contains(sat));
-  EXPECT_TRUE(std::isinf(region.margin(sat)));
-  EXPECT_LT(region.margin(sat), 0.0);  // -infinity, not NaN
-  EXPECT_TRUE(std::isinf(region.margin(both_sat)));
-  EXPECT_FALSE(std::isnan(region.margin(both_sat)));
+  EXPECT_TRUE(std::isinf(region.lhs(both_sat)));
+  EXPECT_FALSE(region.contains(both_sat));
 }
 
 TEST(FeasibleRegionTest, BoundaryU2ZeroAtAndPastSaturation) {
@@ -156,50 +128,6 @@ TEST(FeasibleRegionTest, BoundaryU2ZeroAtAndPastSaturation) {
   EXPECT_FALSE(std::isnan(region.boundary_u2(1.0)));
 }
 
-TEST(FeasibleRegionTest, StageHeadroomZeroOnSaturatedInputs) {
-  const auto region = FeasibleRegion::deadline_monotonic(2);
-  // The queried stage itself is saturated.
-  EXPECT_DOUBLE_EQ(
-      region.stage_headroom(std::vector<double>{1.0, 0.1}, 0), 0.0);
-  // A different stage is saturated: the whole vector is infeasible.
-  EXPECT_DOUBLE_EQ(
-      region.stage_headroom(std::vector<double>{0.1, 1.0}, 0), 0.0);
-  EXPECT_DOUBLE_EQ(
-      region.stage_headroom(std::vector<double>{2.0, 2.0}, 1), 0.0);
-}
-
-TEST(FeasibleRegionTest, DeltaLhsMatchesFullRecompute) {
-  const auto region = FeasibleRegion::deadline_monotonic(3);
-  const std::vector<double> u{0.2, 0.3, 0.1};
-  for (std::size_t j = 0; j < 3; ++j) {
-    auto v = u;
-    v[j] += 0.07;
-    EXPECT_NEAR(region.delta_lhs(j, u[j], v[j]),
-                region.lhs(v) - region.lhs(u), 1e-12);
-  }
-  // No change, no delta.
-  EXPECT_DOUBLE_EQ(region.delta_lhs(0, 0.4, 0.4), 0.0);
-}
-
-TEST(FeasibleRegionTest, DeltaLhsSaturationCases) {
-  const auto region = FeasibleRegion::deadline_monotonic(2);
-  // Entering saturation: the LHS jumps to +infinity.
-  EXPECT_TRUE(std::isinf(region.delta_lhs(0, 0.3, 1.0)));
-  EXPECT_GT(region.delta_lhs(0, 0.3, 1.0), 0.0);
-  // Leaving saturation: -infinity (the finite remainder is negligible).
-  EXPECT_TRUE(std::isinf(region.delta_lhs(0, 1.2, 0.3)));
-  EXPECT_LT(region.delta_lhs(0, 1.2, 0.3), 0.0);
-  // Saturated on both sides: defined as 0, never inf - inf = NaN.
-  EXPECT_DOUBLE_EQ(region.delta_lhs(0, 1.0, 1.5), 0.0);
-  EXPECT_FALSE(std::isnan(region.delta_lhs(0, 1.0, 1.0)));
-}
-
-TEST(FeasibleRegionTest, MarginSignsAreConsistent) {
-  const auto region = FeasibleRegion::deadline_monotonic(2);
-  EXPECT_GT(region.margin(std::vector<double>{0.1, 0.1}), 0.0);
-  EXPECT_LT(region.margin(std::vector<double>{0.5, 0.5}), 0.0);
-}
-
 // Property sweep over N: a point just inside the balanced cap is inside;
 // just outside is outside.
 class RegionBalancedTest : public ::testing::TestWithParam<std::size_t> {};
@@ -207,7 +135,7 @@ class RegionBalancedTest : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(RegionBalancedTest, CapIsTight) {
   const std::size_t n = GetParam();
   const auto region = FeasibleRegion::deadline_monotonic(n);
-  const double cap = region.balanced_cap();
+  const double cap = balanced_stage_bound(n);
   EXPECT_TRUE(region.contains(std::vector<double>(n, cap - 1e-9)));
   EXPECT_FALSE(region.contains(std::vector<double>(n, cap + 1e-6)));
 }

@@ -42,24 +42,6 @@ TEST(PolicyRegistryTest, NamesAndModes) {
   EXPECT_FALSE(llf_policy().supports_locks());
 }
 
-TEST(PolicyRegistryTest, LookupByNameAndAliases) {
-  EXPECT_EQ(policy_by_name("fixed"), &fixed_priority_policy());
-  EXPECT_EQ(policy_by_name("fp"), &fixed_priority_policy());
-  EXPECT_EQ(policy_by_name("dm"), &fixed_priority_policy());
-  EXPECT_EQ(policy_by_name("edf"), &edf_policy());
-  EXPECT_EQ(policy_by_name("llf"), &llf_policy());
-  EXPECT_EQ(policy_by_name("rms"), nullptr);
-  EXPECT_EQ(policy_by_name(""), nullptr);
-}
-
-TEST(PolicyRegistryTest, CanonicalNamesRoundTrip) {
-  for (std::string_view name : policy_names()) {
-    const SchedulingPolicy* p = policy_by_name(name);
-    ASSERT_NE(p, nullptr) << name;
-    EXPECT_EQ(p->name(), name);
-  }
-}
-
 TEST(PolicyKeyTest, DispatchKeyValues) {
   Job job(1, 7.0, {Segment{2.0, kNoLock}});
   job.absolute_deadline = 12.0;

@@ -4,8 +4,6 @@
 
 #include "core/feasible_region.h"
 #include "core/reservation.h"
-#include "core/synthetic_utilization.h"
-#include "sim/simulator.h"
 
 namespace frap::core {
 namespace {
@@ -53,32 +51,6 @@ TEST(ReservationPlannerTest, OverCommittedFailsCertification) {
   ReservationPlanner p({Rule::kSum, Rule::kSum});
   p.add_contributions({0.5, 0.5});
   EXPECT_FALSE(p.certifies(FeasibleRegion::deadline_monotonic(2)));
-}
-
-TEST(ReservationPlannerTest, AddTaskUsesContributions) {
-  ReservationPlanner p({Rule::kSum, Rule::kSum});
-  TaskSpec spec;
-  spec.id = 1;
-  spec.deadline = 2.0;
-  spec.stages.resize(2);
-  spec.stages[0].compute = 0.5;  // -> 0.25
-  spec.stages[1].compute = 1.0;  // -> 0.5
-  p.add_task(spec);
-  const auto r = p.reserved();
-  EXPECT_DOUBLE_EQ(r[0], 0.25);
-  EXPECT_DOUBLE_EQ(r[1], 0.5);
-}
-
-TEST(ReservationPlannerTest, ApplyInstallsFloors) {
-  sim::Simulator sim;
-  SyntheticUtilizationTracker tracker(sim, 2);
-  ReservationPlanner p({Rule::kSum, Rule::kMax});
-  p.add_contributions({0.2, 0.3});
-  p.add_contributions({0.1, 0.1});
-  p.apply(tracker);
-  EXPECT_DOUBLE_EQ(tracker.utilization(0), 0.3);
-  EXPECT_DOUBLE_EQ(tracker.utilization(1), 0.3);
-  EXPECT_DOUBLE_EQ(tracker.reservation(0), 0.3);
 }
 
 TEST(ReservationPlannerTest, EmptyPlannerReservesNothing) {

@@ -79,22 +79,6 @@ TEST(StageDelayTest, BalancedBoundScalesAsOneOverN) {
   }
 }
 
-TEST(StageDelayTest, DerivativeMatchesFiniteDifference) {
-  const double h = 1e-7;
-  for (double u = 0.05; u < 0.95; u += 0.05) {
-    const double numeric =
-        (stage_delay_factor(u + h) - stage_delay_factor(u - h)) / (2 * h);
-    EXPECT_NEAR(stage_delay_factor_derivative(u), numeric, 1e-4)
-        << "u=" << u;
-  }
-}
-
-TEST(StageDelayTest, StageDelayBoundScalesWithDmax) {
-  EXPECT_DOUBLE_EQ(stage_delay_bound(0.5, 2.0), 1.5);
-  EXPECT_DOUBLE_EQ(stage_delay_bound(0.0, 5.0), 0.0);
-  EXPECT_TRUE(std::isinf(stage_delay_bound(1.0, 1.0)));
-}
-
 // Property sweep: monotonicity and convexity of f on a fine grid.
 class StageDelayGridTest : public ::testing::TestWithParam<int> {};
 

@@ -34,12 +34,6 @@ TEST(TaskGraphTest, Fig3IsValid) {
   EXPECT_FALSE(g.valid(3));  // node 3 uses resource 3
 }
 
-TEST(TaskGraphTest, SourcesAndSinks) {
-  const auto g = fig3_task();
-  EXPECT_EQ(g.sources(), (std::vector<std::size_t>{0}));
-  EXPECT_EQ(g.sinks(), (std::vector<std::size_t>{3}));
-}
-
 TEST(TaskGraphTest, TopologicalOrderRespectsEdges) {
   const auto g = fig3_task();
   const auto order = g.topological_order();
@@ -196,8 +190,10 @@ TEST(GraphRegionTest, ChainBlockingReducesToEq15) {
 TEST(GraphRegionTest, FeasibleDecision) {
   const auto g = fig3_task();
   GraphRegionEvaluator eval(1.0, {});
-  EXPECT_TRUE(eval.feasible(g, std::vector<double>{0.2, 0.2, 0.2, 0.2}));
-  EXPECT_FALSE(eval.feasible(g, std::vector<double>{0.5, 0.5, 0.5, 0.5}));
+  const std::vector<double> light{0.2, 0.2, 0.2, 0.2};
+  const std::vector<double> heavy{0.5, 0.5, 0.5, 0.5};
+  EXPECT_TRUE(FeasibleRegion::admits_lhs(eval.lhs(g, light), eval.bound(g)));
+  EXPECT_FALSE(FeasibleRegion::admits_lhs(eval.lhs(g, heavy), eval.bound(g)));
 }
 
 }  // namespace

@@ -39,17 +39,6 @@ TEST(StageDemandTest, NegativeComputeInvalid) {
   EXPECT_FALSE(d.valid());
 }
 
-TEST(TaskSpecTest, TotalComputeSumsStages) {
-  TaskSpec spec;
-  spec.deadline = 1.0;
-  spec.stages.resize(3);
-  spec.stages[0].compute = 0.1;
-  spec.stages[1].compute = 0.2;
-  spec.stages[2].compute = 0.3;
-  EXPECT_NEAR(spec.total_compute(), 0.6, 1e-12);
-  EXPECT_EQ(spec.num_stages(), 3u);
-}
-
 TEST(TaskSpecTest, ContributionsAreCOverD) {
   TaskSpec spec;
   spec.deadline = 2.0;

@@ -60,6 +60,31 @@ std::vector<std::byte> frame_copy(std::span<const std::byte> frame) {
   return std::vector<std::byte>(frame.begin(), frame.end());
 }
 
+// Decodes a frame into `*out` (replaced) the way the programs read one: a
+// WireView cursor, with each record assembled by IngestSession::assemble.
+// Class records resolve through `classes` when given. Returns the parse
+// outcome (open() or the session's check()); on failure `*out` is empty.
+ingest::WireParse decode_via_session(
+    std::span<const std::byte> frame, workload::ArrivalTrace* out,
+    const ingest::TaskClassTable* classes = nullptr) {
+  *out = workload::ArrivalTrace{};
+  ingest::WireParse parse;
+  const auto view = ingest::WireView::open(frame, &parse);
+  if (!parse.ok()) return parse;
+  ingest::IngestSession session(
+      view.num_stages(),
+      classes != nullptr ? *classes : ingest::TaskClassTable{});
+  parse = session.check(view);
+  if (!parse.ok()) return parse;
+  workload::ArrivalTrace trace(view.num_stages());
+  ingest::WireArrival a;
+  for (auto cur = view.cursor(); cur.next(a);) {
+    trace.append(a.arrival(), session.assemble(a));
+  }
+  *out = std::move(trace);
+  return parse;
+}
+
 bool bit_equal(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
@@ -109,7 +134,7 @@ TEST(WireFormat, TraceRoundTripIsBitExact) {
   const auto frame = ingest::encode_trace(trace, enc);
 
   workload::ArrivalTrace back;
-  const auto parse = ingest::decode_trace(frame, &back);
+  const auto parse = decode_via_session(frame, &back);
   ASSERT_TRUE(parse.ok()) << ingest::wire_error_name(parse.error);
   ASSERT_EQ(back.size(), trace.size());
   ASSERT_EQ(back.num_stages(), trace.num_stages());
@@ -132,7 +157,7 @@ TEST(WireFormat, DecodeReencodeIsByteIdentical) {
       frame_copy(ingest::encode_trace(random_trace(300, 17), enc));
 
   workload::ArrivalTrace decoded;
-  ASSERT_TRUE(ingest::decode_trace(original, &decoded).ok());
+  ASSERT_TRUE(decode_via_session(original, &decoded).ok());
   ingest::WireEncoder enc2(kStages);
   const auto reencoded = ingest::encode_trace(decoded, enc2);
   ASSERT_EQ(reencoded.size(), original.size());
@@ -148,7 +173,7 @@ TEST(WireFormat, ZeroTimestampsAndTiesRoundTrip) {
   trace.append(0.5, sparse_task(3, rng));
   ingest::WireEncoder enc(kStages);
   workload::ArrivalTrace back;
-  ASSERT_TRUE(ingest::decode_trace(ingest::encode_trace(trace, enc), &back)
+  ASSERT_TRUE(decode_via_session(ingest::encode_trace(trace, enc), &back)
                   .ok());
   ASSERT_EQ(back.size(), 3u);
   EXPECT_TRUE(bit_equal(back[1].time, 0.0));
@@ -169,7 +194,7 @@ TEST(WireFormat, ClassRecordsRoundTripThroughTable) {
   const auto frame = enc.frame();
 
   workload::ArrivalTrace back;
-  ASSERT_TRUE(ingest::decode_trace(frame, &back, &table).ok());
+  ASSERT_TRUE(decode_via_session(frame, &back, &table).ok());
   ASSERT_EQ(back.size(), 2u);
   EXPECT_EQ(back[0].task.id, 9u);
   EXPECT_TRUE(bit_equal(back[0].task.stages[1].compute, 2e-3));
@@ -178,7 +203,7 @@ TEST(WireFormat, ClassRecordsRoundTripThroughTable) {
 
   // Without the table the ids cannot resolve: typed error, empty output.
   workload::ArrivalTrace none;
-  const auto parse = ingest::decode_trace(frame, &none);
+  const auto parse = decode_via_session(frame, &none);
   EXPECT_EQ(parse.error, WireError::kUnknownClass);
   EXPECT_TRUE(none.empty());
 }
@@ -441,7 +466,7 @@ TEST(WireFormatProperty, AgreesWithTextTraceFormatOnValues) {
   ingest::WireEncoder enc(kStages);
   workload::ArrivalTrace wire_back;
   ASSERT_TRUE(
-      ingest::decode_trace(ingest::encode_trace(trace, enc), &wire_back)
+      decode_via_session(ingest::encode_trace(trace, enc), &wire_back)
           .ok());
 
   std::stringstream text;

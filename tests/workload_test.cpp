@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "core/stage_delay.h"
-#include "workload/periodic.h"
 #include "workload/pipeline_workload.h"
 #include "workload/tsce.h"
 
@@ -111,7 +110,7 @@ TEST(PipelineWorkloadGeneratorTest, RealizedResolutionMatches) {
   for (int i = 0; i < n; ++i) {
     const auto t = g.next_task();
     d += t.deadline;
-    comp += t.total_compute();
+    for (const auto& s : t.stages) comp += s.compute;
   }
   EXPECT_NEAR((d / n) / (comp / n), 40.0, 1.0);
 }
@@ -124,135 +123,6 @@ TEST(PipelineWorkloadGeneratorTest, IdsAreSequentialUnique) {
     const auto t = g.next_task();
     EXPECT_GT(t.id, prev);
     prev = t.id;
-  }
-}
-
-// ------------------------------------------------------------- periodic ---
-
-TEST(PeriodicStreamTest, ReleasesAtMultiplesOfPeriod) {
-  PeriodicStreamConfig c;
-  c.name = "p";
-  c.period = 0.5;
-  c.deadline = 0.5;
-  c.stages.resize(1);
-  c.stages[0].compute = 0.01;
-  PeriodicStream s(c, 100, 1);
-  EXPECT_DOUBLE_EQ(s.next_release(), 0.0);
-  EXPECT_DOUBLE_EQ(s.next_release(), 0.5);
-  EXPECT_DOUBLE_EQ(s.next_release(), 1.0);
-}
-
-TEST(PeriodicStreamTest, JitterBoundsReleases) {
-  PeriodicStreamConfig c;
-  c.name = "p";
-  c.period = 1.0;
-  c.deadline = 1.0;
-  c.jitter = 0.3;
-  c.stages.resize(1);
-  c.stages[0].compute = 0.01;
-  PeriodicStream s(c, 100, 2);
-  for (int k = 0; k < 100; ++k) {
-    const Time r = s.next_release();
-    EXPECT_GE(r, static_cast<double>(k));
-    EXPECT_LT(r, static_cast<double>(k) + 0.3);
-  }
-}
-
-TEST(PeriodicStreamTest, InvocationIdsAreDistinct) {
-  PeriodicStreamConfig c;
-  c.name = "p";
-  c.period = 1.0;
-  c.deadline = 0.8;
-  c.importance = 3.0;
-  c.stages.resize(2);
-  c.stages[0].compute = 0.01;
-  c.stages[1].compute = 0.02;
-  PeriodicStream s(c, 1000, 3);
-  s.next_release();
-  const auto a = s.current_invocation();
-  s.next_release();
-  const auto b = s.current_invocation();
-  EXPECT_EQ(a.id, 1000u);
-  EXPECT_EQ(b.id, 1001u);
-  EXPECT_DOUBLE_EQ(a.deadline, 0.8);
-  EXPECT_DOUBLE_EQ(a.importance, 3.0);
-  ASSERT_EQ(a.stages.size(), 2u);
-}
-
-TEST(PeriodicStreamTest, InvocationContributions) {
-  PeriodicStreamConfig c;
-  c.name = "p";
-  c.period = 0.5;
-  c.deadline = 0.5;
-  c.stages.resize(2);
-  c.stages[0].compute = 0.05;
-  c.stages[1].compute = 0.1;
-  PeriodicStream s(c, 0, 4);
-  const auto contrib = s.invocation_contributions();
-  ASSERT_EQ(contrib.size(), 2u);
-  EXPECT_DOUBLE_EQ(contrib[0], 0.1);
-  EXPECT_DOUBLE_EQ(contrib[1], 0.2);
-}
-
-TEST(PeriodicStreamTest, MaxConcurrentInvocations) {
-  PeriodicStreamConfig c;
-  c.name = "p";
-  c.period = 1.0;
-  c.deadline = 1.0;
-  c.stages.resize(1);
-  c.stages[0].compute = 0.1;
-  // Sporadic case: D = P, no jitter -> 1.
-  EXPECT_EQ(max_concurrent_invocations(c), 1u);
-  // D = 1.5 P: adjacent windows overlap -> 2.
-  c.deadline = 1.5;
-  EXPECT_EQ(max_concurrent_invocations(c), 2u);
-  // Jitter a full period: a delayed and an on-time invocation coexist.
-  c.deadline = 1.0;
-  c.jitter = 1.0;
-  EXPECT_EQ(max_concurrent_invocations(c), 2u);
-  // Heavy jitter.
-  c.jitter = 3.2;
-  EXPECT_EQ(max_concurrent_invocations(c), 5u);  // ceil(4.2)
-}
-
-TEST(PeriodicStreamTest, WorstCaseContributionsScaleByConcurrency) {
-  PeriodicStreamConfig c;
-  c.name = "p";
-  c.period = 0.1;
-  c.deadline = 0.1;
-  c.jitter = 0.1;  // -> 2 concurrent
-  c.stages.resize(2);
-  c.stages[0].compute = 0.005;
-  c.stages[1].compute = 0.01;
-  const auto w = worst_case_contributions(c);
-  ASSERT_EQ(w.size(), 2u);
-  EXPECT_DOUBLE_EQ(w[0], 2 * 0.005 / 0.1);
-  EXPECT_DOUBLE_EQ(w[1], 2 * 0.01 / 0.1);
-}
-
-TEST(PeriodicStreamTest, EmpiricalConcurrencyNeverExceedsBound) {
-  // Simulate release times and count concurrent windows directly.
-  PeriodicStreamConfig c;
-  c.name = "p";
-  c.period = 0.1;
-  c.deadline = 0.13;
-  c.jitter = 0.25;
-  c.stages.resize(1);
-  c.stages[0].compute = 0.01;
-  const std::size_t bound = max_concurrent_invocations(c);
-  PeriodicStream s(c, 0, 77);
-  std::vector<std::pair<Time, Time>> windows;
-  for (int k = 0; k < 2000; ++k) {
-    const Time r = s.next_release();
-    windows.push_back({r, r + c.deadline});
-  }
-  // Check concurrency at every window start.
-  for (const auto& [start, end] : windows) {
-    std::size_t live = 0;
-    for (const auto& [s2, e2] : windows) {
-      if (s2 <= start && start < e2) ++live;
-    }
-    ASSERT_LE(live, bound);
   }
 }
 
