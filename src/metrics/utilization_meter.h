@@ -3,8 +3,18 @@
 // 4-6 ("average real stage utilization ... the percentage of time the
 // processor is busy"), as opposed to synthetic utilization, which is an
 // analytical quantity.
+//
+// Layout: the whole busy history stays queryable, because experiments ask
+// for arbitrary past windows. Each closed busy period is one 16-byte
+// {begin, end} record in a std::deque, whose fixed-size chunks are never
+// copied as it grows, so memory is 16 bytes per period with no reallocation
+// peak. One cumulative busy time is kept per block of kBlock periods; a
+// query re-sums at most one block from that prefix, in append order, so its
+// result is bit-identical to a running sum kept per period.
 #pragma once
 
+#include <cstddef>
+#include <deque>
 #include <vector>
 
 #include "util/time.h"
@@ -31,18 +41,22 @@ class UtilizationMeter {
   double utilization(Time from, Time to) const;
 
  private:
+  static constexpr std::size_t kBlock = 256;
+
   struct Interval {
     Time begin;
     Time end;
-    // Cumulative busy time of intervals[0..this], maintained on append so a
-    // window query is two binary searches plus one subtraction instead of a
-    // scan over the whole history (long simulations accumulate millions of
-    // intervals; experiments query many windows).
-    Duration cum;
   };
+
+  // Busy time of closed intervals [0..k], summed left to right.
+  Duration cum_through(std::size_t k) const;
+
   // Closed intervals are appended in ascending, non-overlapping order
   // (set_busy enforces t >= the previous end).
-  std::vector<Interval> intervals_;
+  std::deque<Interval> intervals_;
+  // block_cum_[b]: busy time of intervals [0, b * kBlock).
+  std::vector<Duration> block_cum_;
+  Duration total_ = 0;  // busy time of every closed interval
   bool busy_ = false;
   Time busy_since_ = kTimeZero;
 };

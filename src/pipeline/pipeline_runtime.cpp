@@ -96,35 +96,43 @@ std::size_t TaskRuntime<Spec>::node_stage(const Exec& exec, std::size_t node) {
 }
 
 template <typename Spec>
-std::vector<sched::Segment> TaskRuntime<Spec>::node_segments(
-    const Exec& exec, std::size_t node) {
+std::span<const sched::Segment> TaskRuntime<Spec>::node_segments(
+    Exec& exec, std::size_t node) {
+  const auto demand = [&](const core::StageDemand& d)
+      -> std::span<const sched::Segment> {
+    if (!d.segments.empty()) return d.segments;
+    sched::Segment& single = exec.nodes[node].single;
+    single = sched::Segment{d.compute, sched::kNoLock};
+    return {&single, 1};
+  };
   if constexpr (kIsPipeline<Spec>) {
-    return exec.spec.stages[node].make_segments();
+    return demand(exec.spec.stages[node]);
   } else {
-    if (exec.spec.shape == nullptr) {
-      return exec.spec.nodes[node].demand.make_segments();
-    }
-    const auto segs = exec.spec.shape->node_segments(node);
-    return {segs.begin(), segs.end()};
+    if (exec.spec.shape == nullptr) return demand(exec.spec.nodes[node].demand);
+    return exec.spec.shape->node_segments(node);
   }
 }
 
 template <typename Spec>
 void TaskRuntime<Spec>::init_precedence(Exec& exec) {
+  const std::size_t n = exec.num_nodes;
   if constexpr (kIsPipeline<Spec>) {
-    for (std::size_t v = 1; v < exec.nodes.size(); ++v) {
-      exec.nodes[v].pending_preds = 1;
-    }
+    for (std::size_t v = 1; v < n; ++v) exec.nodes[v].pending_preds = 1;
   } else if (exec.spec.shape != nullptr) {
     // The shape holds the whole layout (resources, segments, indegrees,
     // CSR adjacency), so no successor list is built and the Exec's spec
     // copy is O(1).
     const auto indeg = exec.spec.shape->indegree();
-    for (std::size_t v = 0; v < exec.nodes.size(); ++v) {
+    for (std::size_t v = 0; v < n; ++v) {
       exec.nodes[v].pending_preds = indeg[v];
     }
   } else {
-    exec.successors.assign(exec.nodes.size(), {});
+    // Reused lists keep their capacity.
+    if (exec.successors.size() < n) exec.successors.resize(n);
+    for (std::size_t v = 0; v < n; ++v) {
+      exec.nodes[v].pending_preds = 0;
+      exec.successors[v].clear();
+    }
     for (const auto& e : exec.spec.edges) {
       ++exec.nodes[e.to].pending_preds;
       exec.successors[e.from].push_back(e.to);
@@ -139,7 +147,7 @@ void TaskRuntime<Spec>::release_successors(Exec& exec, std::size_t node) {
     if (--exec.nodes[succ].pending_preds == 0) release_node(exec, succ);
   };
   if constexpr (kIsPipeline<Spec>) {
-    if (node + 1 < exec.nodes.size()) ready(node + 1);
+    if (node + 1 < exec.num_nodes) ready(node + 1);
   } else if (exec.spec.shape != nullptr) {
     for (std::uint32_t succ : exec.spec.shape->successors(node)) ready(succ);
   } else {
@@ -152,18 +160,30 @@ void TaskRuntime<Spec>::release_successors(Exec& exec, std::size_t node) {
 template <typename Spec>
 void TaskRuntime<Spec>::start_task(const Spec& spec, Time absolute_deadline) {
   expect_valid(spec, servers_.size());
-  auto [it, inserted] = execs_.try_emplace(spec.id);
-  FRAP_EXPECTS(inserted);
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(std::make_unique<Exec>());
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  slot_of_.insert(spec.id, slot);  // the id must not be in flight
 
-  Exec& exec = it->second;
+  Exec& exec = *slots_[slot];
   exec.spec = spec;
   exec.release = sim_.now();
   exec.absolute_deadline = absolute_deadline;
   exec.priority = policy_(spec);
-  exec.nodes = std::vector<Node>(node_count(spec));
-  exec.nodes_remaining = exec.nodes.size();
+  exec.num_nodes = node_count(spec);
+  if (exec.nodes.size() < exec.num_nodes) {
+    // Grows only between tasks: no job of this slot is on a server.
+    exec.nodes = std::vector<Node>(exec.num_nodes);
+  }
+  exec.nodes_remaining = exec.num_nodes;
   exec.left_on_stage.assign(servers_.size(), 0);
-  for (std::size_t v = 0; v < exec.nodes.size(); ++v) {
+  for (std::size_t v = 0; v < exec.num_nodes; ++v) {
+    exec.nodes[v].job.reset();
     ++exec.left_on_stage[node_stage(exec, v)];
   }
   init_precedence(exec);
@@ -171,7 +191,7 @@ void TaskRuntime<Spec>::start_task(const Spec& spec, Time absolute_deadline) {
 
   // Releasing a source submits to a server, whose completions arrive as
   // later events, so the loop never re-enters this Exec.
-  for (std::size_t v = 0; v < exec.nodes.size(); ++v) {
+  for (std::size_t v = 0; v < exec.num_nodes; ++v) {
     if (exec.nodes[v].pending_preds == 0) release_node(exec, v);
   }
 }
@@ -197,9 +217,9 @@ void TaskRuntime<Spec>::on_job_complete(sched::StageServer& stage,
                                         sched::Job& job) {
   const std::uint64_t task_id = job.task_id;
   const std::size_t node = job.node;
-  auto et = execs_.find(task_id);
-  FRAP_ASSERT(et != execs_.end());
-  Exec& exec = et->second;
+  const std::uint32_t slot = slot_of_.find(task_id);
+  FRAP_ASSERT(slot != util::IdMap::kNotFound);
+  Exec& exec = *slots_[slot];
   FRAP_ASSERT(&*exec.nodes[node].job == &job);
   const std::size_t j = stage.tag();
   FRAP_ASSERT(node_stage(exec, node) == j);
@@ -217,28 +237,26 @@ void TaskRuntime<Spec>::on_job_complete(sched::StageServer& stage,
   release_successors(exec, node);
   if (exec.nodes_remaining > 0) return;
 
-  // End-to-end completion.
+  // End-to-end completion. The id leaves the in-flight map first, so the
+  // callback sees the task as finished; the slot is freed only after the
+  // callback returns, so the spec it reads stays put even if it starts
+  // new tasks.
   const Duration response = sim_.now() - exec.release;
   const bool missed = sim_.now() > exec.absolute_deadline + 1e-12;
   ++completed_;
   misses_.record(missed);
   response_.add(response);
-  if (on_complete_) {
-    // Move the spec out before erasing so the callback sees stable data.
-    Spec spec = std::move(exec.spec);
-    execs_.erase(et);
-    on_complete_(spec, response, missed);
-  } else {
-    execs_.erase(et);
-  }
+  slot_of_.erase(task_id);
+  if (on_complete_) on_complete_(exec.spec, response, missed);
+  free_slots_.push_back(slot);
 }
 
 template <typename Spec>
 void TaskRuntime<Spec>::abort_task(std::uint64_t task_id) {
-  auto et = execs_.find(task_id);
-  if (et == execs_.end()) return;
-  Exec& exec = et->second;
-  for (std::size_t v = 0; v < exec.nodes.size(); ++v) {
+  const std::uint32_t slot = slot_of_.find(task_id);
+  if (slot == util::IdMap::kNotFound) return;
+  Exec& exec = *slots_[slot];
+  for (std::size_t v = 0; v < exec.num_nodes; ++v) {
     Node& n = exec.nodes[v];
     // Unreleased nodes have no job; finished ones are off their server.
     if (!n.job || !n.job->on_server) continue;
@@ -250,19 +268,21 @@ void TaskRuntime<Spec>::abort_task(std::uint64_t task_id) {
       stage_obs_->on_depart(stage, n.released, sim_.now());
     }
   }
-  execs_.erase(et);
+  slot_of_.erase(task_id);
+  free_slots_.push_back(slot);
   ++aborted_;
 }
 
 template <typename Spec>
 bool TaskRuntime<Spec>::task_started_executing(std::uint64_t task_id) const {
-  auto et = execs_.find(task_id);
-  if (et == execs_.end()) return true;  // completed or unknown: conservative
-  const Exec& exec = et->second;
-  if (exec.nodes_remaining < exec.nodes.size()) return true;
-  return std::any_of(exec.nodes.begin(), exec.nodes.end(), [](const Node& n) {
-    return n.job && n.job->has_started;
-  });
+  const std::uint32_t slot = slot_of_.find(task_id);
+  if (slot == util::IdMap::kNotFound) return true;  // conservative
+  const Exec& exec = *slots_[slot];
+  if (exec.nodes_remaining < exec.num_nodes) return true;
+  return std::any_of(exec.nodes.begin(),
+                     exec.nodes.begin() +
+                         static_cast<std::ptrdiff_t>(exec.num_nodes),
+                     [](const Node& n) { return n.job && n.job->has_started; });
 }
 
 template <typename Spec>

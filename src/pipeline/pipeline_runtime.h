@@ -17,6 +17,14 @@
 // the optional per-stage StageObserver (queue depth, sojourn histogram and
 // max sojourn — for a pipeline the Theorem 1 residence L_j).
 //
+// Task start and stage completion allocate nothing in steady state. Each
+// in-flight task lives in a recycled slot (an Exec record found through a
+// task-id -> slot map); a finished or aborted task's slot goes on a free
+// list, and the next task reuses its vectors' capacity. A node's job
+// borrows its segments from the Exec's spec copy or the interned shape (a
+// plain demand's one lock-free segment is held inline in the node), and
+// the stage servers schedule segment completions as typed timers.
+//
 // The class is a template over the spec type; only the topology reads
 // (node count, node -> stage, successors, indegrees, node segments) depend
 // on it:
@@ -31,7 +39,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/synthetic_utilization.h"
@@ -41,6 +48,7 @@
 #include "obs/stage_observer.h"
 #include "sched/stage_server.h"
 #include "sim/simulator.h"
+#include "util/id_map.h"
 
 namespace frap::pipeline {
 
@@ -115,7 +123,7 @@ class TaskRuntime : private sched::StageListener {
 
   // True while the task is still executing.
   bool task_in_flight(std::uint64_t task_id) const {
-    return execs_.find(task_id) != execs_.end();
+    return slot_of_.find(task_id) != util::IdMap::kNotFound;
   }
 
   // True once any node of the task has consumed processor time. Shedding a
@@ -144,16 +152,23 @@ class TaskRuntime : private sched::StageListener {
  private:
   struct Node {
     std::optional<sched::Job> job;  // engaged once released
-    Time released = kTimeZero;      // when it entered its stage's queue
+    // A plain demand's single lock-free segment, lent to the job.
+    sched::Segment single;
+    Time released = kTimeZero;  // when it entered its stage's queue
     std::uint32_t pending_preds = 0;
   };
 
+  // One in-flight task. Records are recycled through the free list, and a
+  // reused one keeps the capacity of its spec copy and vectors.
   struct Exec {
     Spec spec;
     Time release = kTimeZero;
     Time absolute_deadline = kTimeZero;
     sched::PriorityValue priority = 0;
-    std::vector<Node> nodes;  // sized once at start: jobs never move
+    // The task's nodes are nodes[0, num_nodes); the array only grows, and
+    // never while a task is in flight, so released jobs never move.
+    std::vector<Node> nodes;
+    std::size_t num_nodes = 0;
     std::size_t nodes_remaining = 0;
     std::vector<std::uint32_t> left_on_stage;  // unfinished nodes per stage
     // Per-node successor lists, built per task ONLY for an un-interned
@@ -173,8 +188,9 @@ class TaskRuntime : private sched::StageListener {
   static void expect_valid(const Spec& spec, std::size_t stages);
   static std::size_t node_count(const Spec& spec);
   static std::size_t node_stage(const Exec& exec, std::size_t node);
-  static std::vector<sched::Segment> node_segments(const Exec& exec,
-                                                   std::size_t node);
+  // The segments `node`'s job runs, borrowed from the Exec (or its shape).
+  static std::span<const sched::Segment> node_segments(Exec& exec,
+                                                       std::size_t node);
   // Sets every node's pending-predecessor count (and, for an un-interned
   // graph, builds the successor lists).
   static void init_precedence(Exec& exec);
@@ -188,7 +204,9 @@ class TaskRuntime : private sched::StageListener {
   CompletionCallback on_complete_;
   obs::StageObserver* stage_obs_ = nullptr;
 
-  std::unordered_map<std::uint64_t, Exec> execs_;  // by task id
+  std::vector<std::unique_ptr<Exec>> slots_;  // never shrinks
+  std::vector<std::uint32_t> free_slots_;
+  util::IdMap slot_of_;  // in-flight task id -> slot
   std::uint64_t next_job_id_ = 1;  // job ids are unique per runtime
 
   std::uint64_t started_ = 0;

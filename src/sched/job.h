@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sched/priority.h"
@@ -27,10 +28,21 @@ class StageServer;
 
 // Plain state holder; all scheduling decisions live in StageServer. Jobs are
 // owned by the runtime that created them and must outlive their time on the
-// server.
+// server. A job never moves, so its segment view stays valid.
 struct Job {
+  // Owning: the job keeps `segs` (tests, benches and examples).
   Job(std::uint64_t id_, PriorityValue priority, std::vector<Segment> segs)
-      : id(id_), priority_value(priority), segments(std::move(segs)) {}
+      : id(id_),
+        priority_value(priority),
+        owned_(std::move(segs)),
+        segments(owned_) {}
+
+  // Borrowing: `segs` must outlive the job's time on a server. The task
+  // runtime lends its spec's (or interned shape's) segments, so releasing
+  // a node copies nothing.
+  Job(std::uint64_t id_, PriorityValue priority,
+      std::span<const Segment> segs)
+      : id(id_), priority_value(priority), segments(segs) {}
 
   Job(const Job&) = delete;
   Job& operator=(const Job&) = delete;
@@ -44,7 +56,12 @@ struct Job {
 
   const std::uint64_t id;
   const PriorityValue priority_value;
-  std::vector<Segment> segments;
+
+ private:
+  std::vector<Segment> owned_;  // empty for a borrowing job
+
+ public:
+  const std::span<const Segment> segments;
 
   // Owner, set by the runtime that created the job: its task's id and the
   // job's node index within that task. Completion handlers read them

@@ -174,14 +174,14 @@ void StageServer::dispatch() {
     free_proc->running = j;
     j->has_started = true;
     free_proc->started = sim_.now();
-    Segment& seg = j->segments[j->segment_index];
+    const Segment& seg = j->segments[j->segment_index];
     if (seg.lock != kNoLock && j->held_lock != seg.lock) {
       locks_.acquire(*j, seg.lock);
     }
     const std::size_t index =
         static_cast<std::size_t>(free_proc - procs_.begin());
-    free_proc->completion = sim_.after(
-        j->remaining / speed_, [this, index] { handle_completion(index); });
+    free_proc->completion =
+        sim_.timer_at(sim_.now() + j->remaining / speed_, this, index);
   }
   // Meters transition only on busy <-> idle edges.
   for (auto& p : procs_) {
@@ -195,7 +195,7 @@ void StageServer::dispatch() {
   }
 }
 
-void StageServer::handle_completion(std::size_t processor) {
+void StageServer::on_timer(std::uint64_t processor) {
   Processor& p = procs_[processor];
   Job* job = p.running;
   FRAP_ASSERT(job != nullptr);
@@ -206,7 +206,7 @@ void StageServer::handle_completion(std::size_t processor) {
     timeline_->record(job->id, p.started, sim_.now(), job->segment_index);
   }
 
-  Segment& seg = job->segments[job->segment_index];
+  const Segment& seg = job->segments[job->segment_index];
   if (seg.lock != kNoLock && job->held_lock == seg.lock) {
     locks_.release(*job, seg.lock);
   }

@@ -18,10 +18,12 @@
 // single processor (PCP is a uniprocessor protocol); otherwise jobs must be
 // lock-free.
 //
+// Dispatch is allocation-free end to end. A running job's segment
+// completion is a typed simulator timer (the server is its TimerClient and
+// the payload is the processor index), so a start builds no closure.
 // Completion/idle notification goes through the typed StageListener
-// interface so dispatch stays allocation-free end to end: installing a
-// listener stores one raw pointer, and firing it is a virtual call with no
-// std::function machinery on the hot path.
+// interface: installing a listener stores one raw pointer, and firing it is
+// a virtual call with no std::function machinery on the hot path.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +57,7 @@ class StageListener {
   virtual void on_stage_idle(StageServer& stage) = 0;
 };
 
-class StageServer {
+class StageServer final : private sim::TimerClient {
  public:
   explicit StageServer(sim::Simulator& sim, std::string name = {},
                        const SchedulingPolicy& policy = fixed_priority_policy(),
@@ -148,8 +150,9 @@ class StageServer {
   // active.
   void stop(Processor& p);
 
-  // Segment-completion event handler for `processor`'s job.
-  void handle_completion(std::size_t processor);
+  // Segment-completion event of `processor`'s job: a typed timer whose
+  // payload is the processor index, so starting a job schedules no closure.
+  void on_timer(std::uint64_t processor) override;
 
   // Effective remaining demand of `job`'s CURRENT segment: banked remainder
   // minus any in-progress execution not yet banked.

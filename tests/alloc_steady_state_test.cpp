@@ -375,18 +375,18 @@ TEST(AllocSteadyStateTest, PooledDispatchCycleIsAllocationFree) {
   EXPECT_EQ(server.active_jobs(), 4u);
 }
 
-// Running a pipeline task through the task runtime is not allocation-free
-// (the task's spec copy, node array, per-stage departure counts, and each
-// stage's segment list), but its steady-state cost per started 8-stage task
-// is pinned: the chain is read in place from the TaskSpec, never converted
-// to a graph spec, and a job carries its owner, so no job-lookup entry is
-// allocated per node. It measures 12: the spec copy, the node array, the
-// departure counts, the task's hash-map entry and one segment list per
-// stage.
+// Starting and running a pipeline task through the task runtime allocates
+// nothing of its own in steady state: the task lives in a recycled slot
+// whose spec copy, node array and departure counts keep their capacity,
+// its jobs borrow their segments from that spec, and segment completions
+// are typed timers. What remains is the stage meters' busy history: each
+// task closes one busy period per stage (8 per task here), and a meter's
+// deque allocates one chunk per 32 periods, so the measured cost is ~0.25
+// per task.
 TEST(AllocSteadyStateTest, PipelineRuntimeTaskAllocationsAreBounded) {
   constexpr std::size_t kChain = 8;
   constexpr Duration kSpacing = 1e-3;
-  constexpr std::uint64_t kMaxAllocsPerTask = 12;
+  constexpr std::uint64_t kMaxAllocsPerTask = 1;
 
   sim::Simulator sim;
   SyntheticUtilizationTracker tracker(sim, kChain);

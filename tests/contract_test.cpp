@@ -103,7 +103,7 @@ TEST(ContractDeathTest, ServerRejectsEmptyJob) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   sim::Simulator sim;
   sched::StageServer server(sim);
-  sched::Job job(1, 1.0, {});
+  sched::Job job(1, 1.0, std::vector<sched::Segment>{});
   EXPECT_DEATH(server.submit(job), "precondition");
 }
 

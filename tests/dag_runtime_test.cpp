@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -430,6 +431,113 @@ TEST_F(DagRuntimeTest, StartedExecutingPredicate) {
   });
   sim_.run();
   EXPECT_TRUE(runtime_->task_started_executing(1));  // completed
+}
+
+// A random DAG of 1-9 nodes on `resources` resources; some demands carry
+// explicit (lock-free) segment lists, the rest one implicit segment.
+core::GraphTaskSpec random_graph(util::Rng& rng, std::uint64_t id,
+                                 std::size_t resources) {
+  core::GraphTaskSpec g;
+  g.id = id;
+  g.deadline = 1000.0;
+  const auto n = static_cast<std::size_t>(rng.uniform_int(1, 9));
+  for (std::size_t v = 0; v < n; ++v) {
+    core::StageDemand d;
+    if (rng.bernoulli(0.3)) {
+      const auto segs = rng.uniform_int(2, 3);
+      for (std::int64_t k = 0; k < segs; ++k) {
+        d.segments.push_back(
+            sched::Segment{rng.uniform(0.05, 0.5), sched::kNoLock});
+        d.compute += d.segments.back().length;
+      }
+    } else {
+      d.compute = rng.uniform(0.1, 2.0);
+    }
+    g.nodes.push_back(core::GraphNode{
+        static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(resources) - 1)),
+        d});
+  }
+  for (std::size_t u = 0; u < n; ++u) {
+    for (std::size_t v = u + 1; v < n; ++v) {
+      if (rng.bernoulli(0.3)) g.edges.push_back(core::GraphEdge{u, v});
+    }
+  }
+  return g;
+}
+
+// Tasks of different node counts, half of them interned, run one at a
+// time, so each reuses the slot (node array, departure counts, successor
+// lists) its predecessor freed: growing and shrinking node counts. Each
+// must complete exactly as the same task alone in a fresh runtime,
+// released at the same instant.
+TEST(DagRuntimeSlotTest, TasksOfDifferentSizesCycleThroughOneSlot) {
+  constexpr std::size_t kResources = 4;
+  constexpr std::size_t kTasks = 120;
+  util::Rng rng(77);
+  core::TaskGraphShapeRegistry registry;
+  std::vector<core::GraphTaskSpec> specs;
+  std::size_t total_nodes = 0;
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    core::GraphTaskSpec g = random_graph(rng, i + 1, kResources);
+    total_nodes += g.num_nodes();
+    specs.push_back(i % 2 == 1 ? registry.canonicalize(g) : g);
+  }
+
+  struct Completion {
+    std::uint64_t id;
+    Time at;
+    Duration response;
+    bool missed;
+    bool operator==(const Completion&) const = default;
+  };
+  sim::Simulator sim;
+  DagRuntime runtime(sim, kResources, nullptr);
+  obs::StageObserver observer(kResources);
+  runtime.set_stage_observer(&observer);
+  std::vector<Completion> done;
+  std::vector<Time> released;
+  const std::function<void()> start_next = [&] {
+    const core::GraphTaskSpec& g = specs[released.size()];
+    released.push_back(sim.now());
+    runtime.start_task(g, sim.now() + g.deadline);
+  };
+  runtime.set_on_task_complete(
+      [&](const core::GraphTaskSpec& g, Duration r, bool m) {
+        EXPECT_FALSE(runtime.task_in_flight(g.id));
+        done.push_back({g.id, sim.now(), r, m});
+        // A later event, so the next task starts once this slot is free.
+        if (released.size() < kTasks) sim.after(0.0, start_next);
+      });
+  sim.at(0.0, start_next);
+  sim.run();
+  ASSERT_EQ(done.size(), kTasks);
+  EXPECT_EQ(runtime.started(), kTasks);
+  EXPECT_EQ(runtime.completed(), kTasks);
+
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    SCOPED_TRACE(testing::Message() << "task " << i);
+    sim::Simulator rsim;
+    DagRuntime fresh(rsim, kResources, nullptr);
+    std::vector<Completion> ref;
+    fresh.set_on_task_complete(
+        [&](const core::GraphTaskSpec& g, Duration r, bool m) {
+          ref.push_back({g.id, rsim.now(), r, m});
+        });
+    rsim.at(released[i], [&] {
+      fresh.start_task(specs[i], released[i] + specs[i].deadline);
+    });
+    rsim.run();
+    ASSERT_EQ(ref.size(), 1u);
+    EXPECT_EQ(done[i], ref[0]);
+  }
+
+  std::uint64_t enqueued = 0;
+  for (const auto& st : observer.snapshot()) {
+    EXPECT_EQ(st.queue_depth, 0u);
+    enqueued += st.enqueued;
+  }
+  EXPECT_EQ(enqueued, total_nodes);
 }
 
 TEST_F(DagRuntimeTest, ResourceUtilizations) {

@@ -173,6 +173,95 @@ TEST_F(PipelineRuntimeTest, AbortRemovesTaskMidPipeline) {
   EXPECT_DOUBLE_EQ(runtime_->stage(1).meter().busy_time(0.0, 10.0), 0.0);
 }
 
+// A completion callback may start new tasks (here the next one, and one
+// reusing the finished id): the finished id already reads not in flight,
+// and the spec the callback holds stays intact while it starts tasks,
+// because the finished task's slot is recycled only after it returns.
+TEST_F(PipelineRuntimeTest, CompletionCallbackMayStartTasks) {
+  build(2);
+  std::vector<bool> in_flight_at_callback;
+  runtime_->set_on_task_complete(
+      [this, &in_flight_at_callback](const core::TaskSpec& s, Duration r,
+                                     bool m) {
+        const std::uint64_t id = s.id;
+        const Duration deadline = s.deadline;
+        const bool first_run = s.deadline < 50.0;
+        in_flight_at_callback.push_back(runtime_->task_in_flight(id));
+        if (first_run && id < 4) {
+          runtime_->start_task(make_task(id + 1, 10.0 + id, {1.0, 2.0}),
+                               sim_.now() + 10.0 + id);
+        }
+        if (first_run && id == 2) {
+          runtime_->start_task(make_task(2, 50.0, {0.5, 0.5}),
+                               sim_.now() + 50.0);
+        }
+        EXPECT_EQ(s.id, id);
+        EXPECT_EQ(s.deadline, deadline);
+        done_.push_back({id, r, m});
+      });
+  sim_.at(0.0, [&] {
+    runtime_->start_task(make_task(1, 10.0, {1.0, 2.0}), 10.0);
+  });
+  sim_.run();
+  // Task 1 ends at 3; tasks 2 and 3 start at 3 and 6 and take 3 each. The
+  // reused id 2 (D = 50) starts at 6 behind task 3 (D = 12) and finishes
+  // at 9.5 on stage 1; task 4 starts at 9.
+  ASSERT_EQ(done_.size(), 5u);
+  const std::vector<std::uint64_t> ids = {1, 2, 3, 2, 4};
+  const std::vector<Duration> responses = {3.0, 3.0, 3.0, 3.5, 3.0};
+  for (std::size_t i = 0; i < done_.size(); ++i) {
+    EXPECT_EQ(done_[i].id, ids[i]) << i;
+    EXPECT_DOUBLE_EQ(done_[i].response, responses[i]) << i;
+    EXPECT_FALSE(done_[i].missed) << i;
+  }
+  EXPECT_EQ(in_flight_at_callback, std::vector<bool>(5, false));
+  EXPECT_EQ(runtime_->started(), 5u);
+  EXPECT_EQ(runtime_->completed(), 5u);
+}
+
+// An aborted task's slot goes back on the free list at once. The next task
+// reuses it: no completion of the aborted task fires, and the new task
+// reads as not started while it waits, although the slot's old jobs ran.
+TEST_F(PipelineRuntimeTest, AbortedSlotIsReusedWithoutStaleCompletion) {
+  build(2);
+  sim_.at(0.0, [&] {
+    runtime_->start_task(make_task(1, 10.0, {1.0, 3.0}), 10.0);
+    runtime_->start_task(make_task(2, 20.0, {2.0, 1.0}), 20.0);
+  });
+  sim_.at(2.0, [&] {
+    // Task 1 runs on stage 1, task 2 on stage 0.
+    runtime_->abort_task(1);
+    // Task 3 queues behind task 2 in the slot task 1 left.
+    runtime_->start_task(make_task(3, 30.0, {1.0, 1.0}), 32.0);
+    EXPECT_TRUE(runtime_->task_in_flight(3));
+    EXPECT_FALSE(runtime_->task_in_flight(1));
+    EXPECT_FALSE(runtime_->task_started_executing(3));
+    EXPECT_TRUE(runtime_->task_started_executing(2));
+  });
+  sim_.at(3.5, [&] {
+    // Task 2 is on stage 1, task 3 on stage 0: abort task 3 mid-run and
+    // reuse its slot once more.
+    EXPECT_TRUE(runtime_->task_started_executing(3));
+    runtime_->abort_task(3);
+    runtime_->start_task(make_task(4, 5.0, {0.25, 0.25}), 8.5);
+  });
+  sim_.run();
+  // Task 4 (D = 5) runs stage 0 on [3.5, 3.75] and preempts task 2
+  // (D = 20) on stage 1, finishing at 4; task 2 resumes and ends at 4.25.
+  ASSERT_EQ(done_.size(), 2u);
+  EXPECT_EQ(done_[0].id, 4u);
+  EXPECT_DOUBLE_EQ(done_[0].response, 0.5);
+  EXPECT_EQ(done_[1].id, 2u);
+  EXPECT_DOUBLE_EQ(done_[1].response, 4.25);
+  EXPECT_EQ(runtime_->aborted(), 2u);
+  EXPECT_EQ(runtime_->started(), 4u);
+  EXPECT_EQ(runtime_->completed(), 2u);
+  // Stage 0 ran tasks 1, 2, 3 and 4 back to back on [0, 3.75]; stage 1
+  // ran task 1 on [1, 2] and tasks 2 and 4 on [3, 4.25].
+  EXPECT_DOUBLE_EQ(runtime_->stage(0).meter().busy_time(0.0, 10.0), 3.75);
+  EXPECT_DOUBLE_EQ(runtime_->stage(1).meter().busy_time(0.0, 10.0), 2.25);
+}
+
 TEST_F(PipelineRuntimeTest, AbortUnknownTaskIsNoop) {
   build(1);
   runtime_->abort_task(42);

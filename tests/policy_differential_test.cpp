@@ -131,7 +131,7 @@ class LegacyStageServer {
         running_ = next;
         next->has_started = true;
         run_started_ = sim_.now();
-        Segment& seg = next->segments[next->segment_index];
+        const Segment& seg = next->segments[next->segment_index];
         if (seg.lock != kNoLock && next->held_lock != seg.lock) {
           locks_.acquire(*next, seg.lock);
         }
@@ -157,7 +157,7 @@ class LegacyStageServer {
       timeline_->record(job->id, run_started_, sim_.now(),
                         job->segment_index);
     }
-    Segment& seg = job->segments[job->segment_index];
+    const Segment& seg = job->segments[job->segment_index];
     if (seg.lock != kNoLock && job->held_lock == seg.lock) {
       locks_.release(*job, seg.lock);
     }
