@@ -1,4 +1,4 @@
-// DAG admission bound bench (docs/dag_bounds.md). Four sweeps over
+// DAG admission bound bench (docs/dag_bounds.md). Five sweeps over
 // randomized Erdős–Rényi DAGs of 100 / 1k / 10k nodes:
 //
 //   * DagAdmitIncremental/N: attempts/sec of the interned long-path fast
@@ -11,9 +11,14 @@
 //     the gray band (kept profiles under budget, envelope over it) and the
 //     path-cap tier settles them without the O(V + E) DP.
 //   * DagAdmitRewalk/N: the same decision recomputed the pre-interning way
-//     — snapshot every utilization, walk all N nodes, run the exact
-//     critical-path DP. O(V + E) per attempt; the acceptance criterion is
-//     incremental >= 5x this at N = 10k.
+//     — snapshot every utilization into a reused buffer, walk all N nodes,
+//     run the exact DP (exact_lhs_from_snapshot, allocation-free when
+//     warm). O(V + E) per attempt; the acceptance criterion is incremental
+//     >= 5x this at N = 10k.
+//   * DagExactDp/N: TaskGraphShape::longest_path_weight alone on the probe
+//     shape: the cost of the evaluator's last tier, the DP over the
+//     shape's label-sequence quotient. Counters carry the shape's and the
+//     quotient's node and edge counts.
 //   * DagAdmittedLoad/N: an overloaded arrival stream committed through the
 //     long-path controller (expiries via the simulator), with the
 //     critical-path test at the worst-case alpha evaluated pointwise on the
@@ -22,8 +27,9 @@
 //     which evaluator tier settled each path value.
 //
 // Writes BENCH_dag.json (override with FRAP_BENCH_JSON) with attempts/sec
-// per variant, the incremental speedups, the per-size admit gains, and the
-// per-size tier shares.
+// per variant, the incremental speedups, the per-size admit gains, the
+// per-size tier shares, and the exact DP's ns per call with the quotient's
+// size.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -183,11 +189,12 @@ void DagAdmitRewalk(benchmark::State& state) {
   core::GraphTaskSpec spec = fixture.probe;
   std::uint64_t id = 2'000'000;
   const double inv_d = util::safe_inv(spec.deadline);
+  std::vector<double> u(kResources);
   for (auto _ : state) {
     spec.id = id++;
     // The pre-interning recipe per attempt: full snapshot, before/with
-    // values via the exact all-nodes walk + critical-path DP.
-    auto u = tracker.utilizations();
+    // values via the exact all-nodes walk + DP.
+    tracker.utilizations(u);
     const double before = rewalk.exact_lhs_from_snapshot(spec, u);
     const auto resource = spec.shape->node_resource();
     const auto compute = spec.shape->node_compute();
@@ -201,6 +208,35 @@ void DagAdmitRewalk(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(DagAdmitRewalk)
+    ->Arg(100)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Unit(benchmark::kMicrosecond);
+
+void DagExactDp(benchmark::State& state) {
+  const auto nodes = static_cast<std::size_t>(state.range(0));
+  const core::TaskGraphShape& shape = *fixture_for(nodes).probe.shape;
+  // A few weight vectors in turn, so no two consecutive calls repeat.
+  util::Rng rng(17);
+  std::vector<std::vector<double>> weights(8, std::vector<double>(kResources));
+  for (auto& w : weights) {
+    for (double& x : w) x = rng.uniform(0.0, 1.0);
+  }
+  std::vector<double> scratch;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(shape.longest_path_weight(weights[next], scratch));
+    next = (next + 1) % weights.size();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["nodes"] = static_cast<double>(shape.num_nodes());
+  state.counters["edges"] = static_cast<double>(shape.num_edges());
+  state.counters["quotient_nodes"] =
+      static_cast<double>(shape.quotient_num_nodes());
+  state.counters["quotient_edges"] =
+      static_cast<double>(shape.quotient_num_edges());
+}
+BENCHMARK(DagExactDp)
     ->Arg(100)
     ->Arg(1000)
     ->Arg(10000)
@@ -296,6 +332,13 @@ int main(int argc, char** argv) {
         reporter.counter_of("DagAdmittedLoad/" + size, "crit_only");
     summary["gray_band_attempts_per_sec_" + size] = reporter.counter_of(
         "DagAdmitGrayBand/" + size, "items_per_second");
+    const std::string dp = "DagExactDp/" + size;
+    const double dp_rate = reporter.counter_of(dp, "items_per_second");
+    summary["exact_dp_ns_" + size] = dp_rate > 0 ? 1e9 / dp_rate : 0;
+    for (const char* key :
+         {"nodes", "edges", "quotient_nodes", "quotient_edges"}) {
+      summary[std::string(key) + "_" + size] = reporter.counter_of(dp, key);
+    }
     for (const char* tier :
          {"complete", "envelope", "kept", "path_cap", "dp"}) {
       const std::string key = std::string(tier) + "_share";

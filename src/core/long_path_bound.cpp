@@ -218,6 +218,20 @@ double LongPathEvaluator::exact_lhs_from_snapshot(
     const GraphTaskSpec& spec, std::span<const double> utilizations) {
   FRAP_EXPECTS(spec.deadline > 0);
   const double inv_d = util::safe_inv(spec.deadline);
+  if (spec.shape != nullptr) {
+    // Interned: the DP tier's scratch, no allocation once warm. weight_of
+    // checks k against the ceilings before the store.
+    if (w_resource_.size() < ceiling_.size()) {
+      w_resource_.resize(ceiling_.size());
+    }
+    for (std::uint32_t k : spec.shape->touched_resources()) {
+      FRAP_EXPECTS(k < utilizations.size());
+      if (utilizations[k] >= 1.0) return util::kInf;
+      w_resource_[k] = weight_of(k, stage_delay_factor(utilizations[k]),
+                                 spec.deadline, inv_d);
+    }
+    return spec.shape->longest_path_weight(w_resource_, dp_dist_);
+  }
   std::vector<double> w(utilizations.size());
   for (std::uint32_t k : spec.touched_resources()) {
     FRAP_EXPECTS(k < utilizations.size());

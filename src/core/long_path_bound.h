@@ -28,9 +28,10 @@
 // three more O(touched) tiers settle most values: the envelope admits, a
 // kept profile over budget rejects, and the path-cap knapsack bound admits.
 // Only when all three are inconclusive does the exact DP run, and that tier
-// alone walks the graph (O(V + E)). Decisions always equal the exact
-// all-paths test. Without a shape the evaluator runs the exact per-node DP
-// (reference path).
+// alone walks a graph: the shape's label-sequence quotient, O(V + E) of the
+// quotient, which returns the canonical graph's DP value bit for bit.
+// Decisions always equal the exact all-paths test. Without a shape the
+// evaluator runs the exact per-node DP (reference path).
 #pragma once
 
 #include <limits>
@@ -103,8 +104,10 @@ class LongPathEvaluator {
   [[nodiscard]] double lhs_from_snapshot(const GraphTaskSpec& spec,
                                          std::span<const double> utilizations);
 
-  // Exact all-paths value (per-node DP), bypassing the profile fast path;
-  // the differential and property tests compare against it.
+  // Exact all-paths value (the DP), bypassing the profile fast path; the
+  // differential and property tests compare against it. An interned spec
+  // runs the shape's DP in the evaluator's scratch (no allocation once
+  // warm); an un-interned one walks its own layout.
   [[nodiscard]] double exact_lhs_from_snapshot(
       const GraphTaskSpec& spec, std::span<const double> utilizations);
 
@@ -115,7 +118,7 @@ class LongPathEvaluator {
     std::uint64_t envelope_admit = 0;  // max(kept, envelope) within budget
     std::uint64_t kept_reject = 0;     // a kept profile over budget
     std::uint64_t path_cap_admit = 0;  // path-cap bound within budget
-    std::uint64_t dp = 0;              // exact DP over the shape's CSR
+    std::uint64_t dp = 0;              // exact DP over the shape's quotient
   };
   const TierCounts& tier_counts() const { return tiers_; }
 

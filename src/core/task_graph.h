@@ -66,7 +66,7 @@ struct GraphTaskSpec {
   double critical_path(std::span<const double> node_weights) const;
 
   // Critical path with node i weighted weight_by_resource[resource(i)]:
-  // over the shape's CSR when interned, else over the spec's own layout.
+  // the shape's DP when interned, else a DP over the spec's own layout.
   // Bit-identical either way (each path sums in source-to-sink order).
   double critical_path_by_resource(
       std::span<const double> weight_by_resource) const;

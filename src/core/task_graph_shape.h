@@ -15,11 +15,12 @@
 // changed demand or lock layout never aliases. Canonical node order is
 // Kahn's topological order taking the lowest-index ready node first (the
 // identity for a spec laid out in index-topological order). Equality on a
-// hash hit compares the full canonical encoding, so a hash collision can
-// never alias two distinct shapes. A relabeled presentation of a
-// registered graph interns as a separate shape: one more registration,
-// never a wrong decision (the long-path values do not depend on node
-// numbering).
+// hash hit compares the full canonical encoding with the registered
+// shape's own layout arrays (they hold the same words, so no copy of the
+// encoding is kept), and a hash collision can never alias two distinct
+// shapes. A relabeled presentation of a registered graph interns as a
+// separate shape: one more registration, never a wrong decision (the
+// long-path values do not depend on node numbering).
 //
 // Canonical specs are layout-free: canonicalize() returns a spec whose
 // `shape` is set and whose `nodes`/`edges` are empty, so the shape is the
@@ -41,6 +42,17 @@
 // path makes to each resource, and the most nodes on any path), and runs
 // the exact DP only when all three are inconclusive
 // (core/long_path_bound.h).
+//
+// Exact DP quotient: the DP's value is the max over paths of the left-to-
+// right binary64 sum of w[resource(i)]. fl(x + w) is monotone in x and max
+// is exact, so the value depends only on the SET of resource-label
+// sequences of the shape's paths. Registration therefore also builds a
+// quotient graph with the same set: one forward pass merges nodes with the
+// same resource and the same set of predecessor classes, then one backward
+// pass merges classes with the same resource and the same set of successor
+// classes. longest_path_weight() walks the quotient (a third of the nodes
+// of a 10k-node random shape) and returns the same bits the DP over the
+// canonical graph would, for any weights (docs/dag_bounds.md).
 #pragma once
 
 #include <cstdint>
@@ -124,20 +136,38 @@ class TaskGraphShape {
   std::span<const std::uint32_t> path_caps() const { return path_caps_; }
   std::uint32_t max_path_nodes() const { return max_path_nodes_; }
 
-  // Longest source->sink path with per-node weights w[resource(node)],
-  // computed by the exact DP over the canonical CSR into caller scratch
-  // (resized to num_nodes()). Reference / fallback path for the evaluator.
+  // Longest source->sink path with per-node weights w[resource(node)]: the
+  // exact DP over the label-sequence quotient into caller scratch (grown to
+  // quotient_num_nodes(), never shrunk; no allocation once warm). Bit-
+  // identical to the same DP over the canonical graph. The evaluator's
+  // last tier.
   [[nodiscard]] double longest_path_weight(
       std::span<const double> weight_by_resource,
       std::vector<double>& scratch_dist) const;
+
+  // The quotient the DP walks, in pull form. Quotient order is
+  // topological: every predecessor has a lower index.
+  std::size_t quotient_num_nodes() const { return quotient_resource_.size(); }
+  std::size_t quotient_num_edges() const { return quotient_pred_.size(); }
+  std::span<const std::uint32_t> quotient_resource() const {
+    return quotient_resource_;
+  }
+  std::span<const std::uint32_t> quotient_predecessors(std::size_t q) const {
+    return {quotient_pred_.data() + quotient_pred_offset_[q],
+            quotient_pred_offset_[q + 1] - quotient_pred_offset_[q]};
+  }
 
  private:
   friend class TaskGraphShapeRegistry;
   TaskGraphShape() = default;
 
+  // True when `encoding` is this layout's canonical encoding: the
+  // registry's equality proof on a hash hit.
+  [[nodiscard]] bool layout_equals(
+      std::span<const std::uint64_t> encoding) const;
+
   std::uint64_t id_ = 0;
   std::uint64_t hash_ = 0;
-  std::vector<std::uint64_t> encoding_;  // canonical bytes; equality proof
 
   std::vector<std::uint32_t> node_resource_;
   std::vector<Duration> node_compute_;
@@ -156,6 +186,10 @@ class TaskGraphShape {
   bool profiles_complete_ = true;
   std::vector<std::uint32_t> path_caps_;
   std::uint32_t max_path_nodes_ = 0;
+
+  std::vector<std::uint32_t> quotient_resource_;
+  std::vector<std::uint32_t> quotient_pred_offset_{0};
+  std::vector<std::uint32_t> quotient_pred_;
 };
 
 // Hash-consing registry. Owns the shapes; pointers remain stable for the
@@ -201,8 +235,14 @@ class TaskGraphShapeRegistry {
   };
   static CanonicalForm canonical_form(const GraphTaskSpec& spec);
   static std::unique_ptr<TaskGraphShape> build_shape(
-      const GraphTaskSpec& spec, CanonicalForm form);
-  static void enumerate_profiles(TaskGraphShape& shape);
+      const GraphTaskSpec& spec, const CanonicalForm& form);
+  // Both passes read the canonical predecessor CSR (pred_offset, pred).
+  static void enumerate_profiles(TaskGraphShape& shape,
+                                 std::span<const std::uint32_t> pred_offset,
+                                 std::span<const std::uint32_t> pred);
+  static void build_quotient(TaskGraphShape& shape,
+                             std::span<const std::uint32_t> pred_offset,
+                             std::span<const std::uint32_t> pred);
 
   std::vector<std::unique_ptr<TaskGraphShape>> shapes_;
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> by_hash_;

@@ -247,6 +247,44 @@ TEST(AllocSteadyStateTest, LongPathGrayBandAdmitCycleIsAllocationFree) {
   tracker.verify_lhs_cache(1e-9);
 }
 
+// The exact DP tier: once the evaluator's scratch is warm, the exact value
+// of an interned spec and the shape's quotient DP itself allocate nothing,
+// whatever the weights.
+TEST(AllocSteadyStateTest, LongPathExactDpIsAllocationFree) {
+  TaskGraphShapeRegistry registry;
+  util::Rng rng(5);
+  workload::RandomDagConfig cfg;
+  cfg.kind = workload::RandomDagConfig::Kind::kErdosRenyi;
+  cfg.num_nodes = 1000;
+  cfg.num_resources = kStages;
+  cfg.edge_prob = 4.0 / 1000.0;
+  const GraphTaskSpec spec =
+      registry.canonicalize(workload::random_dag(rng, cfg, 1, 1.0));
+  const TaskGraphShape& shape = *spec.shape;
+  LongPathEvaluator eval(std::vector<double>(kStages, 1.0), {},
+                         LongPathEvaluator::kNoStageCap);
+  std::vector<double> u(kStages, 0.2);
+  std::vector<double> w(kStages, 0.1);
+  std::vector<double> scratch;
+  double sum = eval.exact_lhs_from_snapshot(spec, u) +
+               shape.longest_path_weight(w, scratch);
+
+  g_allocs.store(0);
+  g_counting.store(true);
+  for (int i = 0; i < 200; ++i) {
+    for (std::size_t k = 0; k < kStages; ++k) {
+      u[k] = rng.uniform(0.0, 0.5);
+      w[k] = rng.uniform(0.0, 1.0);
+    }
+    sum += eval.exact_lhs_from_snapshot(spec, u);
+    sum += shape.longest_path_weight(w, scratch);
+  }
+  g_counting.store(false);
+
+  EXPECT_EQ(g_allocs.load(), 0u) << "warm exact DP must not allocate";
+  EXPECT_GT(sum, 0.0);
+}
+
 // The ISSUE 10 extension: the full wire-ingest cycle — zero-copy cursor
 // decode, TaskSpec assembly through the session scratch, rebased replay
 // (run_until + admit + commit + expiry) — must be allocation-free once the
