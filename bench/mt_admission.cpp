@@ -6,7 +6,7 @@
 // balanced per-stage cap IN ITS SCALED VIEW, and each thread hammers its
 // own home shard with a sparse probe that is rejected right at the
 // boundary — the full test runs, nothing commits, state stays constant.
-// The fallback is disabled and nothing rebalances, so the measurement
+// The fallback is disabled, so no weight moves and the measurement
 // isolates the scaling claim. Two sharded variants bracket the design space:
 //   * MtShardedHotPath       — atomic fast path OFF: the per-shard MUTEX
 //     baseline (lock/unlock plus the exact test per probe).

@@ -212,7 +212,6 @@ GraphAdmissionController::GraphAdmissionController(
     LongPathEvaluator evaluator)
     : sim_(sim), tracker_(tracker), long_path_(std::move(evaluator)) {
   FRAP_EXPECTS(long_path_->num_resources() == tracker_.num_stages());
-  scratch_u_.resize(tracker_.num_stages());
   commit_stages_.reserve(tracker_.num_stages());
   commit_values_.reserve(tracker_.num_stages());
 }
@@ -269,7 +268,10 @@ AdmissionDecision GraphAdmissionController::try_admit_interned(
 AdmissionDecision GraphAdmissionController::try_admit(const GraphTaskSpec& spec,
                                                       Time now) {
   ++attempts_;
-  if (long_path_ && spec.shape != nullptr) {
+  if (long_path_) {
+    // Long-path mode decides interned specs only
+    // (TaskGraphShapeRegistry::canonicalize).
+    FRAP_EXPECTS(spec.shape != nullptr);
     return try_admit_interned(spec, now);
   }
   const std::uint64_t t0 = sink_ != nullptr ? sink_->begin_decision() : 0;
@@ -281,17 +283,10 @@ AdmissionDecision GraphAdmissionController::try_admit(const GraphTaskSpec& spec,
   AdmissionDecision d;
   d.arrival = now;
   d.decided_at = sim_.now();
-  if (long_path_) {
-    d.bound = LongPathEvaluator::kDelayBudget;
-    d.lhs_before = long_path_->lhs_from_snapshot(spec, u);
-    for (std::size_t j = 0; j < u.size(); ++j) u[j] += add[j];
-    d.lhs_with_task = long_path_->lhs_from_snapshot(spec, u);
-  } else {
-    d.bound = evaluator_->bound(spec);
-    d.lhs_before = evaluator_->lhs(spec, u);
-    for (std::size_t j = 0; j < u.size(); ++j) u[j] += add[j];
-    d.lhs_with_task = evaluator_->lhs(spec, u);
-  }
+  d.bound = evaluator_->bound(spec);
+  d.lhs_before = evaluator_->lhs(spec, u);
+  for (std::size_t j = 0; j < u.size(); ++j) u[j] += add[j];
+  d.lhs_with_task = evaluator_->lhs(spec, u);
   d.admitted = FeasibleRegion::admits_lhs(d.lhs_with_task, d.bound);
   d.reason = d.admitted ? AdmissionDecision::Reason::kAdmitted
                         : reject_reason(d.lhs_with_task);

@@ -232,11 +232,11 @@ class SheddingAdmissionController {
 // Two pluggable bounds (docs/dag_bounds.md):
 //   * GraphRegionEvaluator — the paper's single-critical-path test;
 //     evaluated from a full utilization snapshot (re-walk per attempt).
-//   * LongPathEvaluator — the per-path long-path bound. Canonicalized specs
-//     (spec.shape set) take the incremental fast path: O(touched resources
-//     + cached profile entries) per attempt unless the evaluator's last
-//     tier, the exact DP, runs, with an allocation-free sparse commit;
-//     specs without a shape fall back to the snapshot walk.
+//   * LongPathEvaluator — the per-path long-path bound, for canonicalized
+//     specs only (spec.shape set; TaskGraphShapeRegistry::canonicalize):
+//     O(touched resources + cached profile entries) per attempt unless the
+//     evaluator's last tier, the exact DP, runs, with an allocation-free
+//     sparse commit.
 class GraphAdmissionController {
  public:
   GraphAdmissionController(sim::Simulator& sim,
@@ -246,10 +246,11 @@ class GraphAdmissionController {
                            SyntheticUtilizationTracker& tracker,
                            LongPathEvaluator evaluator);
 
+  // In long-path mode `spec` must be canonical (spec.shape set).
   [[nodiscard]] AdmissionDecision try_admit(const GraphTaskSpec& spec,
                                             Time now);
 
-  [[nodiscard]] bool long_path() const { return long_path_.has_value(); }
+  // Null in critical-path mode.
   LongPathEvaluator* long_path_evaluator() {
     return long_path_ ? &*long_path_ : nullptr;
   }
@@ -264,14 +265,14 @@ class GraphAdmissionController {
   void set_sink(obs::DecisionSink* sink) { sink_ = sink; }
 
  private:
-  // Incremental long-path fast path; requires spec.shape.
+  // Long-path mode: the incremental evaluation; requires spec.shape.
   AdmissionDecision try_admit_interned(const GraphTaskSpec& spec, Time now);
 
   sim::Simulator& sim_;
   SyntheticUtilizationTracker& tracker_;
   std::optional<GraphRegionEvaluator> evaluator_;  // critical-path mode
   std::optional<LongPathEvaluator> long_path_;     // long-path mode
-  std::vector<double> scratch_u_;  // reused utilization snapshot buffer
+  std::vector<double> scratch_u_;  // critical-path utilization snapshot
   // Reused sparse (stage, value) buffers for the interned commit; reserved
   // to num_stages() up front so the hot path never grows them.
   std::vector<std::uint32_t> commit_stages_;

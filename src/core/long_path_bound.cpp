@@ -193,53 +193,40 @@ LongPathEvaluator::Eval LongPathEvaluator::evaluate(
 
 double LongPathEvaluator::lhs_from_snapshot(
     const GraphTaskSpec& spec, std::span<const double> utilizations) {
+  FRAP_EXPECTS(spec.shape != nullptr);
+  FRAP_EXPECTS(spec.nodes.empty() && spec.edges.empty());
   FRAP_EXPECTS(spec.deadline > 0);
   const double inv_d = util::safe_inv(spec.deadline);
-  if (spec.shape != nullptr) {
-    const TaskGraphShape& shape = *spec.shape;
-    FRAP_EXPECTS(spec.nodes.empty() && spec.edges.empty());
-    const auto touched = shape.touched_resources();
-    const std::size_t t_count = touched.size();
-    if (w_with_.size() < t_count) w_with_.resize(t_count);
-    for (std::size_t t = 0; t < t_count; ++t) {
-      const std::size_t k = touched[t];
-      FRAP_EXPECTS(k < utilizations.size());
-      w_with_[t] = utilizations[k] >= 1.0
-                       ? util::kInf
-                       : weight_of(k, stage_delay_factor(utilizations[k]),
-                                   spec.deadline, inv_d);
-    }
-    return path_value(shape, {w_with_.data(), t_count});
+  const TaskGraphShape& shape = *spec.shape;
+  const auto touched = shape.touched_resources();
+  const std::size_t t_count = touched.size();
+  if (w_with_.size() < t_count) w_with_.resize(t_count);
+  for (std::size_t t = 0; t < t_count; ++t) {
+    const std::size_t k = touched[t];
+    FRAP_EXPECTS(k < utilizations.size());
+    w_with_[t] = utilizations[k] >= 1.0
+                     ? util::kInf
+                     : weight_of(k, stage_delay_factor(utilizations[k]),
+                                 spec.deadline, inv_d);
   }
-  return exact_lhs_from_snapshot(spec, utilizations);
+  return path_value(shape, {w_with_.data(), t_count});
 }
 
 double LongPathEvaluator::exact_lhs_from_snapshot(
     const GraphTaskSpec& spec, std::span<const double> utilizations) {
+  FRAP_EXPECTS(spec.shape != nullptr);
   FRAP_EXPECTS(spec.deadline > 0);
   const double inv_d = util::safe_inv(spec.deadline);
-  if (spec.shape != nullptr) {
-    // Interned: the DP tier's scratch, no allocation once warm. weight_of
-    // checks k against the ceilings before the store.
-    if (w_resource_.size() < ceiling_.size()) {
-      w_resource_.resize(ceiling_.size());
-    }
-    for (std::uint32_t k : spec.shape->touched_resources()) {
-      FRAP_EXPECTS(k < utilizations.size());
-      if (utilizations[k] >= 1.0) return util::kInf;
-      w_resource_[k] = weight_of(k, stage_delay_factor(utilizations[k]),
-                                 spec.deadline, inv_d);
-    }
-    return spec.shape->longest_path_weight(w_resource_, dp_dist_);
-  }
-  std::vector<double> w(utilizations.size());
-  for (std::uint32_t k : spec.touched_resources()) {
+  // The DP tier's scratch, no allocation once warm. weight_of checks k
+  // against the ceilings before the store.
+  if (w_resource_.size() < ceiling_.size()) w_resource_.resize(ceiling_.size());
+  for (std::uint32_t k : spec.shape->touched_resources()) {
     FRAP_EXPECTS(k < utilizations.size());
     if (utilizations[k] >= 1.0) return util::kInf;
-    w[k] = weight_of(k, stage_delay_factor(utilizations[k]), spec.deadline,
-                     inv_d);
+    w_resource_[k] = weight_of(k, stage_delay_factor(utilizations[k]),
+                               spec.deadline, inv_d);
   }
-  return spec.critical_path_by_resource(w);
+  return spec.shape->longest_path_weight(w_resource_, dp_dist_);
 }
 
 }  // namespace frap::core

@@ -30,8 +30,8 @@
 // Only when all three are inconclusive does the exact DP run, and that tier
 // alone walks a graph: the shape's label-sequence quotient, O(V + E) of the
 // quotient, which returns the canonical graph's DP value bit for bit.
-// Decisions always equal the exact all-paths test. Without a shape the
-// evaluator runs the exact per-node DP (reference path).
+// Decisions always equal the exact all-paths test. Every entry point takes
+// a canonical spec (TaskGraphShapeRegistry::canonicalize).
 #pragma once
 
 #include <limits>
@@ -97,17 +97,17 @@ class LongPathEvaluator {
   [[nodiscard]] Eval evaluate(const GraphTaskSpec& spec,
                               const SyntheticUtilizationTracker& tracker);
 
-  // Reference evaluation from an explicit utilization snapshot. With a
-  // shape this runs the identical profile logic as evaluate() (bit-identical
-  // values given bit-identical utilizations — the identity test's hook);
-  // without one it runs the exact per-node DP over the spec.
+  // Reference evaluation from an explicit utilization snapshot: the
+  // identical profile logic as evaluate() (bit-identical values given
+  // bit-identical utilizations — the identity test's hook). Requires a
+  // canonical spec.
   [[nodiscard]] double lhs_from_snapshot(const GraphTaskSpec& spec,
                                          std::span<const double> utilizations);
 
   // Exact all-paths value (the DP), bypassing the profile fast path; the
-  // differential and property tests compare against it. An interned spec
-  // runs the shape's DP in the evaluator's scratch (no allocation once
-  // warm); an un-interned one walks its own layout.
+  // differential and property tests compare against it. Requires a
+  // canonical spec; runs the shape's DP in the evaluator's scratch (no
+  // allocation once warm).
   [[nodiscard]] double exact_lhs_from_snapshot(
       const GraphTaskSpec& spec, std::span<const double> utilizations);
 

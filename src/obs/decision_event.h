@@ -2,7 +2,7 @@
 //
 // One DecisionEvent is emitted for every decision a traced admission
 // controller takes, plus span events for the sharded service's rare global
-// operations (quota steal / fallback, rebalance). The struct is the PUBLIC
+// operations (fallback, incl. quota steal). The struct is the PUBLIC
 // form; inside the TraceRing it is stored field-for-field in relaxed
 // atomics so concurrent snapshot readers never race producers.
 #pragma once
@@ -18,13 +18,12 @@ namespace frap::obs {
 enum class SpanKind : std::uint8_t {
   kDecision = 0,  // one try_admit() outcome
   kFallback,      // sharded service global fallback pass (incl. quota steal)
-  kRebalance,     // sharded service demand-proportional rebalance
 };
 
 const char* to_string(SpanKind kind);
 
-// Shard id carried by events recorded at the service level (fallback /
-// rebalance spans) rather than by one shard's sink.
+// Shard id carried by events recorded at the service level (fallback
+// spans) rather than by one shard's sink.
 inline constexpr std::uint16_t kServiceShard = 0xFFFF;
 
 // Largest latency a ring slot can carry (24-bit field in the packed meta

@@ -109,7 +109,7 @@ class DecisionSink {
     push_event(SpanKind::kDecision, d, task_id, touched, latency);
   }
 
-  // Record a service-level span (fallback / rebalance). Spans go into the
+  // Record a service-level span (fallback). Spans go into the
   // ring and the span counter but not the per-reason decision counters —
   // the underlying decision is already counted by its home shard.
   void record_span(SpanKind kind, const core::AdmissionDecision& d,

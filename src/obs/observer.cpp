@@ -8,8 +8,7 @@
 namespace frap::obs {
 
 Observer::Observer(std::size_t num_sinks, const SinkConfig& cfg,
-                   const Clock* clock, std::size_t num_stages,
-                   const StageConfig& stage_cfg)
+                   const Clock* clock, std::size_t num_stages)
     : clock_(clock != nullptr ? clock : &monotonic_clock()) {
   FRAP_EXPECTS(num_sinks >= 1);
   FRAP_EXPECTS(num_sinks < kServiceShard);
@@ -20,7 +19,7 @@ Observer::Observer(std::size_t num_sinks, const SinkConfig& cfg,
   }
   service_sink_ = std::make_unique<DecisionSink>(kServiceShard, cfg, *clock_);
   if (num_stages > 0) {
-    stage_observer_ = std::make_unique<StageObserver>(num_stages, stage_cfg);
+    stage_observer_ = std::make_unique<StageObserver>(num_stages);
   }
 }
 

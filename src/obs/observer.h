@@ -2,7 +2,7 @@
 //
 // Owns N per-shard DecisionSinks (N = 1 for a plain AdmissionController),
 // one extra service-level sink for the sharded service's global span events
-// (fallback / rebalance), and an optional StageObserver for pipeline-stage
+// (fallback), and an optional StageObserver for pipeline-stage
 // gauges. Wire-up pattern:
 //
 //     obs::Observer observer(1, cfg);                // or num_shards
@@ -37,8 +37,7 @@ class Observer {
   // `clock == nullptr` wires the real monotonic clock; tests pass a
   // ManualClock. `num_stages == 0` skips the stage observer.
   explicit Observer(std::size_t num_sinks, const SinkConfig& cfg = {},
-                    const Clock* clock = nullptr, std::size_t num_stages = 0,
-                    const StageConfig& stage_cfg = {});
+                    const Clock* clock = nullptr, std::size_t num_stages = 0);
 
   Observer(const Observer&) = delete;
   Observer& operator=(const Observer&) = delete;

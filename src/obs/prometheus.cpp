@@ -101,7 +101,7 @@ void render_prometheus(const MetricsSnapshot& snap, std::ostream& os) {
   }
 
   header(os, "frap_span_events_total", "counter",
-         "Service-level span events (fallback, rebalance)");
+         "Service-level span events (fallback)");
   for (const SinkSnapshot& s : snap.sinks) {
     sample(os, "frap_span_events_total",
            "shard=\"" + shard_label(s.shard) + "\"", u64(s.span_events));

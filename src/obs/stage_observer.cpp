@@ -4,10 +4,9 @@
 
 namespace frap::obs {
 
-StageObserver::StageObserver(std::size_t num_stages, const StageConfig& cfg) {
+StageObserver::StageObserver(std::size_t num_stages) {
   FRAP_EXPECTS(num_stages >= 1);
-  stages_.reserve(num_stages);
-  for (std::size_t j = 0; j < num_stages; ++j) stages_.emplace_back(cfg);
+  stages_.resize(num_stages);
 }
 
 void StageObserver::on_enqueue(std::size_t stage, Time now) {

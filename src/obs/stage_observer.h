@@ -20,13 +20,6 @@
 
 namespace frap::obs {
 
-struct StageConfig {
-  // Sojourn histogram range, simulated seconds.
-  double sojourn_lo = 0.0;
-  double sojourn_hi = 1.0;
-  std::size_t sojourn_buckets = 50;
-};
-
 struct StageSnapshot {
   std::size_t stage = 0;
   std::uint64_t enqueued = 0;
@@ -39,7 +32,7 @@ struct StageSnapshot {
 
 class StageObserver {
  public:
-  StageObserver(std::size_t num_stages, const StageConfig& cfg = {});
+  explicit StageObserver(std::size_t num_stages);
 
   StageObserver(const StageObserver&) = delete;
   StageObserver& operator=(const StageObserver&) = delete;
@@ -55,14 +48,17 @@ class StageObserver {
   std::vector<StageSnapshot> snapshot() const;
 
  private:
+  // Sojourn histogram range: [0, kSojournHi) simulated seconds.
+  static constexpr double kSojournHi = 1.0;
+  static constexpr std::size_t kSojournBuckets = 50;
+
   struct Stage {
     std::uint64_t enqueued = 0;
     std::uint64_t departed = 0;
     std::uint64_t peak_depth = 0;
     metrics::Histogram sojourn;
     Duration max_sojourn = 0;
-    explicit Stage(const StageConfig& cfg)
-        : sojourn(cfg.sojourn_lo, cfg.sojourn_hi, cfg.sojourn_buckets) {}
+    Stage() : sojourn(0.0, kSojournHi, kSojournBuckets) {}
   };
 
   std::vector<Stage> stages_;

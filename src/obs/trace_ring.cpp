@@ -139,8 +139,6 @@ const char* to_string(SpanKind kind) {
       return "decision";
     case SpanKind::kFallback:
       return "fallback";
-    case SpanKind::kRebalance:
-      return "rebalance";
   }
   return "unknown";
 }

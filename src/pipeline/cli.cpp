@@ -277,6 +277,15 @@ IngestCliParseResult parse_ingest_args(const std::vector<std::string>& args) {
     } else if (key == "seed" && parse_u64(value, u)) {
       r.config.seed = u;
     } else if (key == "shards" && parse_u64(value, u) && u >= 1) {
+      // Every shard keeps at least the service's weight floor.
+      constexpr double kFloor = service::ShardedAdmissionService::kMinWeight;
+      if (static_cast<double>(u) * kFloor > 1.0) {
+        r.error = "--shards=" + value + " exceeds the shard bound of " +
+                  std::to_string(static_cast<std::uint64_t>(1.0 / kFloor)) +
+                  " (shards * ShardedAdmissionService::kMinWeight must be "
+                  "<= 1)";
+        return r;
+      }
       r.config.shards = static_cast<std::size_t>(u);
     } else if (key == "mmpp" && value.empty()) {
       r.config.mmpp = true;
@@ -387,7 +396,7 @@ std::string ingest_cli_usage() {
       "  --capture=PATH      also write the encoded frame to PATH\n"
       "  --in=PATH           decode PATH instead of generating (other\n"
       "                      workload flags are ignored)\n"
-      "  --shards=K          sharded-service shard count (4)\n"
+      "  --shards=K          sharded-service shard count, 1-100 (4)\n"
       "  --format=F          prom (default) or jsonl (decision trace)\n"
       "  --out=PATH          write to PATH instead of stdout\n"
       "  --ring=N            trace-ring capacity (default 65536)\n";

@@ -39,12 +39,12 @@
 //     must retry on the exact mutex path. Boundary TIES quantize here, by
 //     design — never into kAdmit.
 //
-// Weight changes: a rebalance alters the scaled view mid-flight, which can
-// invalidate an outstanding reservation's d_hi bound. The sharded service
-// therefore re-runs the exact test under the mutex as the final authority
-// on every commit; the guard's guarantee is "provably re-admittable while
-// the shard's weight is unchanged", which is exactly what the A/B mirror
-// harness exercises.
+// Weight changes: a fallback quota steal alters the scaled view mid-flight,
+// which can invalidate an outstanding reservation's d_hi bound. The sharded
+// service therefore re-runs the exact test under the mutex as the final
+// authority on every commit; the guard's guarantee is "provably
+// re-admittable while the shard's weight is unchanged", which is exactly
+// what the A/B mirror harness exercises.
 //
 // Thread safety: classify() from any thread; reconcile_locked() only under
 // the owning shard's mutex. frap-lint R5 sanctions the atomics (src/service

@@ -18,9 +18,8 @@ using core::AdmissionDecision;
 // bisection away from f's pole).
 constexpr double kMaxScaledUtil = 0.999;
 
-// Weight moves smaller than this are not worth a rebalance (a move rebuilds
-// every shard's LHS cache and republishes its guard).
-constexpr double kRebalanceDeadband = 0.02;
+// Each weight >= kMinWeight and Σ w = 1, up to accumulated FP noise.
+constexpr double kWeightTolerance = 1e-9;
 
 }  // namespace
 
@@ -36,13 +35,13 @@ ShardedAdmissionService::Shard::Shard(const core::FeasibleRegion& region,
 
 ShardedAdmissionService::ShardedAdmissionService(core::FeasibleRegion region,
                                                  ShardedAdmissionConfig config)
-    : region_(std::move(region)),
-      cfg_(config),
-      quota_(config.num_shards, config.min_weight) {
+    : region_(std::move(region)), cfg_(config) {
   FRAP_EXPECTS(cfg_.num_shards >= 1);
+  FRAP_EXPECTS(kMinWeight * static_cast<double>(cfg_.num_shards) <= 1.0);
+  const double equal = 1.0 / static_cast<double>(cfg_.num_shards);
   shards_.reserve(cfg_.num_shards);
   for (std::size_t k = 0; k < cfg_.num_shards; ++k) {
-    shards_.push_back(std::make_unique<Shard>(region_, quota_.weight(k)));
+    shards_.push_back(std::make_unique<Shard>(region_, equal));
   }
 }
 
@@ -59,7 +58,7 @@ core::AdmissionDecision ShardedAdmissionService::try_admit(
     // untraced during attach, never corrupts a decision)
     const bool allow_fast_reject = !tracing_.load(std::memory_order_relaxed);
     const AtomicAdmissionGuard::FastResult fast =
-        // frap:contract(order: relaxed; a rebalance-stale inv_weight only
+        // frap:contract(order: relaxed; a steal-stale inv_weight only
         // yields kInconclusive, and the exact mutex path re-reads it)
         sh.guard.classify(spec, sh.inv_weight.load(std::memory_order_relaxed),
                           now, allow_fast_reject);
@@ -210,12 +209,11 @@ double ShardedAdmissionService::min_feasible_weight_locked(
     return region_.admits(scaled_lhs);
   };
 
-  const double floor = cfg_.min_weight;
-  if (feasible(floor)) return floor;
+  if (feasible(kMinWeight)) return kMinWeight;
   // feasible is monotone in w and holds at the current weight (the shard's
   // running LHS is kept within the bound by every admission); bisect to the
   // boundary from there.
-  double lo = floor;
+  double lo = kMinWeight;
   double hi = sh.weight;
   for (int i = 0; i < 60; ++i) {
     const double mid = 0.5 * (lo + hi);
@@ -334,7 +332,15 @@ core::AdmissionDecision ShardedAdmissionService::fallback_decide_locked(
 
     std::vector<double> w = minw;
     w[r] = w_r;
-    quota_.set_weights(w);  // validates floors and Σ = 1
+    // The one place weights change: every weight finite and at or above
+    // the floor, and the split sums to 1.
+    double sum = 0;
+    for (double wk : w) {
+      FRAP_EXPECTS(std::isfinite(wk));
+      FRAP_EXPECTS(wk + kWeightTolerance >= kMinWeight);
+      sum += wk;
+    }
+    FRAP_EXPECTS(std::fabs(sum - 1.0) <= kWeightTolerance);
     for (std::size_t k = 0; k < shards_.size(); ++k) {
       apply_weight_locked(*shards_[k], w[k]);
     }
@@ -354,57 +360,8 @@ core::AdmissionDecision ShardedAdmissionService::fallback_decide_locked(
   return reject();
 }
 
-void ShardedAdmissionService::rebalance(Time now) {
-  std::scoped_lock g(global_mu_);
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(shards_.size());
-  for (const auto& sh : shards_) locks.emplace_back(sh->mu);
-  advance_all_locked(now);
-  sync_all_guards_locked();
-
-  // Demand proxy: each shard's true utilization mass. Floors: whatever
-  // weight its current load needs to stay feasible.
-  std::vector<double> demand(shards_.size(), 0.0);
-  std::vector<double> floor(shards_.size(), 0.0);
-  for (std::size_t k = 0; k < shards_.size(); ++k) {
-    const Shard& sh = *shards_[k];
-    for (std::size_t j = 0; j < region_.num_stages(); ++j) {
-      demand[k] += sh.tracker.unscaled_load(j);
-    }
-    floor[k] = min_feasible_weight_locked(sh);
-  }
-
-  std::vector<double> w = QuotaPlan::proportional(demand, floor);
-  double max_move = 0;
-  for (std::size_t k = 0; k < w.size(); ++k) {
-    max_move = std::max(max_move, std::fabs(w[k] - shards_[k]->weight));
-  }
-  if (max_move < kRebalanceDeadband) return;
-
-  quota_.set_weights(w);
-  for (std::size_t k = 0; k < shards_.size(); ++k) {
-    apply_weight_locked(*shards_[k], w[k]);
-  }
-  rebalances_.increment();
-  if (observer_ != nullptr) {
-    // Rebalance span: no task, but the global LHS at the instant the
-    // weights moved (lhs_before == lhs_with_task) anchors the event in the
-    // region's trajectory.
-    AdmissionDecision d;
-    d.admitted = true;
-    d.reason = AdmissionDecision::Reason::kAdmitted;
-    d.bound = region_.bound();
-    d.lhs_before = region_.lhs(true_utilizations_locked());
-    d.lhs_with_task = d.lhs_before;
-    d.arrival = now;
-    d.decided_at = now;
-    observer_->service_sink().record_span(obs::SpanKind::kRebalance, d, 0, 0);
-  }
-}
-
 ServiceStats ShardedAdmissionService::stats() const {
   ServiceStats s;
-  s.rebalances = rebalances_.value();
   s.shards.reserve(shards_.size());
   for (const auto& sh : shards_) {
     ShardStats out;

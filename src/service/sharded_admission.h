@@ -1,16 +1,24 @@
 // K-way sharded concurrent admission service.
 //
-// Partitions the region budget Σ_j f(U_j) ≤ B across K shards by quota
-// WEIGHTS (service/quota.h): shard k holds weight w_k, Σ w_k = 1, and runs
-// an unmodified single-threaded core::AdmissionController over a tracker
-// that stores contributions unscaled and views them at scale 1/w_k, tested
-// against the full bound B. A weight move changes only that view scale.
-// Convexity of f (Jensen) makes every purely local admission globally
-// sound, so the hot path takes exactly one uncontended shard mutex and
-// never synchronizes across shards (docs/admission_service.md derives the
-// invariant and its limits).
+// The region budget Σ_j f(U_j) ≤ B is partitioned across K shards by
+// WEIGHTS w_k with Σ w_k = 1, not by splitting B itself. Shard k runs an
+// unmodified single-threaded core::AdmissionController over a tracker that
+// stores its tasks' contributions unscaled and views them through one
+// scale 1/w_k (Ũ_jk = U_jk / w_k), tested against the FULL bound B. A
+// weight move changes only that view scale. Because f is convex with
+// f(0) = 0 (so f(w·x) ≤ w·f(x)), Jensen gives per stage
 //
-// Four paths:
+//   f(Σ_k U_jk) = f(Σ_k w_k · Ũ_jk) ≤ Σ_k w_k f(Ũ_jk)
+//
+// hence Σ_j f(Σ_k U_jk) ≤ Σ_k w_k [Σ_j f(Ũ_jk)] ≤ max_k L_k ≤ B whenever
+// every shard's scaled LHS L_k stays within B: per-shard admissions are
+// globally sound with no cross-shard communication, so the hot path takes
+// exactly one uncontended shard mutex (docs/admission_service.md derives
+// the invariant and its limits). Splitting B into per-shard bounds would be
+// UNSOUND: convexity makes f superadditive, so K shards each inside B/K can
+// jointly sit outside B.
+//
+// Three paths:
 //   * ATOMIC FAST PATH (enable_atomic_fast_path, default on) — each shard
 //     additionally keeps its region LHS quantized into a 64-bit fixed-point
 //     atomic (service/atomic_admission.h). Certain rejects return without
@@ -26,16 +34,13 @@
 //     the global mutex (all shard locks, fixed order): first against every
 //     other shard's existing headroom, then by shrinking donor shards to
 //     their minimum feasible weights and growing one receiver so the task
-//     fits (work-stealing of unused quota). A task the TRUE global region
+//     fits (work-stealing of unused quota). That steal is the only place
+//     weights change; shards start at 1/K. A task the TRUE global region
 //     rejects skips the stealing: no weight split could admit it. A task
 //     rejected here is reported with the TRUE global LHS pair and
 //     Reason::kQuotaFallbackRejected. The weight partition makes per-shard
 //     tests conservative, so the fallback can only ever admit MORE than
 //     pure-local quotas — never a task the unsharded region test rejects.
-//   * REBALANCE — on demand (rebalance()), weights are reassigned
-//     demand-proportionally, floored at each shard's minimum feasible
-//     weight, so persistent skew does not keep forcing arrivals through the
-//     fallback lock.
 //
 // Time: each shard owns a private sim::Simulator. Shard clocks are advanced
 // to the caller-presented `now` lazily; a caller presenting a timestamp
@@ -44,9 +49,9 @@
 // decisions and the true global LHS for fallback rejections; `bound` is
 // always the full region bound B.
 //
-// Thread safety: try_admit / rebalance / stats / global_utilizations may be
-// called from any thread. Lock order is global_mu_ before shard mutexes in
-// index order; the hot path holds only the home shard's mutex.
+// Thread safety: try_admit / stats / global_utilizations may be called from
+// any thread. Lock order is global_mu_ before shard mutexes in index order;
+// the hot path holds only the home shard's mutex.
 #pragma once
 
 #include <atomic>
@@ -63,17 +68,14 @@
 #include "metrics/counters.h"
 #include "obs/observer.h"
 #include "service/atomic_admission.h"
-#include "service/quota.h"
 #include "sim/simulator.h"
 #include "util/time.h"
 
 namespace frap::service {
 
 struct ShardedAdmissionConfig {
+  // At most 1 / ShardedAdmissionService::kMinWeight shards.
   std::size_t num_shards = 4;
-  // Weight floor per shard (see QuotaPlan): keeps every shard able to admit
-  // small tasks locally even after aggressive stealing.
-  double min_weight = QuotaPlan::kDefaultMinWeight;
   // When false, a local rejection is final (pure-local quotas): used by the
   // soundness A/B tests as the comparison baseline and by benchmarks to
   // measure the uncontended hot path.
@@ -103,6 +105,8 @@ struct ServiceStats {
   // Every try_admit call, whichever path settled it (the sum of the
   // per-shard outcome counters).
   std::uint64_t decisions = 0;
+  // Always 0: no program rebalances weights. perfbench's sharded_skew
+  // still reads it; it goes with the next declared benchmark change.
   std::uint64_t rebalances = 0;
 
   std::uint64_t total_admits() const {
@@ -123,6 +127,12 @@ struct ServiceStats {
 
 class ShardedAdmissionService final {
  public:
+  // Weight floor per shard: keeps every shard able to admit small tasks
+  // locally even after aggressive stealing (a zero-weight shard could admit
+  // nothing and would divide by zero in the scaled view). The constructor
+  // requires num_shards · kMinWeight ≤ 1.
+  static constexpr double kMinWeight = 0.01;
+
   ShardedAdmissionService(core::FeasibleRegion region,
                           ShardedAdmissionConfig config = {});
 
@@ -142,11 +152,6 @@ class ShardedAdmissionService final {
     return static_cast<std::size_t>(task_id % shards_.size());
   }
 
-  // Demand-proportional weight reassignment, floored at each shard's
-  // minimum feasible weight. No-op (not counted) when every weight would
-  // move by less than the deadband.
-  void rebalance(Time now);
-
   // Snapshot of per-shard counters and weights. Counters are relaxed
   // atomics: a snapshot taken concurrently with admissions is eventually
   // consistent.
@@ -157,12 +162,11 @@ class ShardedAdmissionService final {
   std::vector<double> global_utilizations(Time now);
 
   const core::FeasibleRegion& region() const { return region_; }
-  const ShardedAdmissionConfig& config() const { return cfg_; }
 
   // Decision tracing (docs/observability.md): builds one Observer with a
   // DecisionSink per shard (ring + histograms, serialized by that shard's
-  // mutex) plus a service-level sink that receives kFallback / kRebalance
-  // span events under global_mu_. Call once, before concurrent use; a null
+  // mutex) plus a service-level sink that receives kFallback span events
+  // under global_mu_. Call once, before concurrent use; a null
   // clock wires the real monotonic clock (tests pass a ManualClock).
   void enable_tracing(const obs::SinkConfig& sink_cfg = {},
                       const obs::Clock* clock = nullptr);
@@ -185,6 +189,9 @@ class ShardedAdmissionService final {
     sim::Simulator sim;
     core::SyntheticUtilizationTracker tracker;
     core::AdmissionController controller;
+    // The shard's quota weight, the one store of it: 1/K at construction,
+    // moved only by the fallback's quota steal. inv_weight and the
+    // tracker's view scale are derived from it in apply_weight_locked.
     double weight;  // guarded by mu (plus global_mu_ for writers)
     // Lock-free quantized view + the 1/weight the fast path scales
     // contributions by (written under mu, read without it).
@@ -204,7 +211,7 @@ class ShardedAdmissionService final {
   std::vector<std::size_t> shards_by_headroom_locked() const;
   std::vector<double> true_utilizations_locked() const;
   // Smallest weight at which the shard's current true load still passes the
-  // region test in the scaled view (>= cfg_.min_weight; bisection).
+  // region test in the scaled view (>= kMinWeight; bisection).
   double min_feasible_weight_locked(const Shard& sh) const;
   // Would the shard pass the region test at weight `w` with `add` (true,
   // unscaled contributions) on top of its current load?
@@ -233,10 +240,8 @@ class ShardedAdmissionService final {
 
   core::FeasibleRegion region_;
   ShardedAdmissionConfig cfg_;
-  QuotaPlan quota_;  // guarded by global_mu_ + all shard mutexes
   std::vector<std::unique_ptr<Shard>> shards_;
   mutable std::mutex global_mu_;
-  metrics::AtomicCounter rebalances_;
   // Set once by enable_tracing (before concurrent use); the fast path
   // reads it lock-free to disable fast rejects, which would otherwise
   // bypass the per-shard recording sinks.

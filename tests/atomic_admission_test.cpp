@@ -266,7 +266,7 @@ TEST(AtomicStressTest, MirrorReplayFindsNoUnsoundAdmits) {
   constexpr std::size_t kStages = 5;
   constexpr std::size_t kShards = 4;
   const auto region = core::FeasibleRegion::deadline_monotonic(kStages);
-  // No fallback, no rebalance, one fixed presentation instant and deadlines
+  // No fallback, one fixed presentation instant and deadlines
   // far in the future: shard weights never move and nothing expires, so the
   // committed set is exactly the admitted set and — every prefix of a
   // feasible set being feasible — an exact mirror may replay it in ANY

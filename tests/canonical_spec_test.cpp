@@ -184,5 +184,29 @@ TEST(CanonicalSpecDeathTest, LayoutNextToAShapeIsRefused) {
   EXPECT_DEATH(runtime.start_task(spec, 1.0), "nodes.empty");
 }
 
+// Long-path mode decides canonical specs only: an un-interned spec, which
+// carries its own layout and no shape, is refused by the controller and by
+// both snapshot evaluations.
+TEST(CanonicalSpecDeathTest, LongPathModeRefusesAnUninternedSpec) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const auto spec = fork_join(1, 0.5, false);
+  ASSERT_TRUE(spec.valid(kResources));
+  ASSERT_EQ(spec.shape, nullptr);
+
+  sim::Simulator sim;
+  core::SyntheticUtilizationTracker tracker(sim, kResources);
+  core::GraphAdmissionController controller(
+      sim, tracker,
+      core::LongPathEvaluator(std::vector<double>(kResources, 1.0), {},
+                              core::LongPathEvaluator::kNoStageCap));
+  EXPECT_DEATH((void)controller.try_admit(spec, sim.now()), "spec.shape");
+
+  core::LongPathEvaluator eval(std::vector<double>(kResources, 1.0), {},
+                               core::LongPathEvaluator::kNoStageCap);
+  const std::vector<double> u(kResources, 0.1);
+  EXPECT_DEATH((void)eval.lhs_from_snapshot(spec, u), "spec.shape");
+  EXPECT_DEATH((void)eval.exact_lhs_from_snapshot(spec, u), "spec.shape");
+}
+
 }  // namespace
 }  // namespace frap

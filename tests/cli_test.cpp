@@ -274,6 +274,24 @@ TEST(IngestCliTest, RejectsBadFlags) {
   EXPECT_FALSE(parse_ingest_args({"notaflag"}).ok);
 }
 
+// Every shard keeps a weight of at least kMinWeight = 0.01, so 100 shards
+// is the bound: 100 parses and runs, 101 is refused with an error naming
+// the bound instead of aborting in the service's constructor.
+TEST(IngestCliTest, ShardCountIsBoundedByTheWeightFloor) {
+  const auto at_bound = parse_ingest_args({"--shards=100", "--count=10"});
+  ASSERT_TRUE(at_bound.ok) << at_bound.error;
+  EXPECT_EQ(at_bound.config.shards, 100u);
+  std::ostringstream os;
+  std::ostringstream err;
+  EXPECT_EQ(run_ingest_command(at_bound.config, os, err), 0);
+  EXPECT_TRUE(err.str().empty()) << err.str();
+
+  const auto over = parse_ingest_args({"--shards=101", "--count=10"});
+  EXPECT_FALSE(over.ok);
+  EXPECT_NE(over.error.find("--shards=101"), std::string::npos) << over.error;
+  EXPECT_NE(over.error.find("bound of 100"), std::string::npos) << over.error;
+}
+
 TEST(IngestCliTest, UsageMentionsEveryIngestFlag) {
   const auto usage = ingest_cli_usage();
   for (const char* flag :

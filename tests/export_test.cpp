@@ -164,8 +164,7 @@ TEST(PrometheusRenderTest, GoldenPageForTwoDecisionRun) {
       "# TYPE frap_decisions_total counter\n"
       "frap_decisions_total{shard=\"0\",reason=\"admitted\"} 1\n"
       "frap_decisions_total{shard=\"0\",reason=\"region-full\"} 1\n"
-      "# HELP frap_span_events_total Service-level span events (fallback, "
-      "rebalance)\n"
+      "# HELP frap_span_events_total Service-level span events (fallback)\n"
       "# TYPE frap_span_events_total counter\n"
       "frap_span_events_total{shard=\"0\"} 0\n"
       "frap_span_events_total{shard=\"service\"} 0\n"

@@ -26,6 +26,7 @@
 #include "obs/observer.h"
 #include "obs/trace_ring.h"
 #include "service/sharded_admission.h"
+#include "util/math.h"
 #include "util/rng.h"
 
 namespace frap::obs {
@@ -210,8 +211,6 @@ TEST(ObsMtShardedTest, EightThreadsTracedConservationHolds) {
         } else {
           rejects.fetch_add(1, std::memory_order_relaxed);
         }
-        // Rebalance spans during the run: every 1000 decisions per thread.
-        if (i % 1000 == 999) svc.rebalance(now);
       }
     });
   }
@@ -275,14 +274,20 @@ TEST(ObsMtShardedTest, EightThreadsTracedConservationHolds) {
   EXPECT_EQ(traced_admits, admits.load());
 
   // The service-level sink saw only spans: one kFallback per global-path
-  // attempt plus one kRebalance per effective rebalance.
+  // attempt.
   const auto& service_snap = snap.sinks.back();
   EXPECT_EQ(service_snap.shard, kServiceShard);
   for (std::size_t r = 0; r < kReasonCount; ++r) {
     EXPECT_EQ(service_snap.decisions_by_reason[r], 0u);
   }
-  EXPECT_EQ(service_snap.span_events,
-            fb_admits + fb_rejects + stats.rebalances);
+  EXPECT_EQ(service_snap.span_events, fb_admits + fb_rejects);
+  // Some fallback stole quota, so weights moved while other threads read
+  // them on the lock-free path.
+  bool weight_moved = false;
+  for (const auto& s : stats.shards) {
+    weight_moved = weight_moved || !util::almost_equal(s.weight, 0.25);
+  }
+  EXPECT_TRUE(weight_moved) << "no fallback steal ran";
   const auto& service_ring = svc.observer().service_sink().ring();
   EXPECT_EQ(service_ring.snapshot().size(),
             service_ring.pushed() - service_ring.dropped() -

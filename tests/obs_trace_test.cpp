@@ -155,7 +155,7 @@ TEST(ObsTraceRingTest, MetaPackingRoundTripsExtremeFieldValues) {
   TraceRing ring(8);
   DecisionEvent ev = sample_event(std::numeric_limits<std::uint64_t>::max());
   ev.reason = AdmissionDecision::Reason::kQuotaFallbackRejected;  // value 6
-  ev.kind = SpanKind::kRebalance;
+  ev.kind = SpanKind::kFallback;
   ev.admitted = false;
   ev.shard = kServiceShard;  // 0xFFFF
   ev.touched = 0xFFFF;
@@ -167,7 +167,7 @@ TEST(ObsTraceRingTest, MetaPackingRoundTripsExtremeFieldValues) {
   EXPECT_EQ(events[0].task_id, std::numeric_limits<std::uint64_t>::max());
   EXPECT_EQ(events[0].reason,
             AdmissionDecision::Reason::kQuotaFallbackRejected);
-  EXPECT_EQ(events[0].kind, SpanKind::kRebalance);
+  EXPECT_EQ(events[0].kind, SpanKind::kFallback);
   EXPECT_FALSE(events[0].admitted);
   EXPECT_EQ(events[0].shard, kServiceShard);
   EXPECT_EQ(events[0].touched, 0xFFFFu);
@@ -276,7 +276,7 @@ TEST(ObsSinkTest, SpansCountSeparatelyFromDecisions) {
   ManualClock clock;
   DecisionSink sink(kServiceShard, SinkConfig{}, clock);
   sink.record_span(SpanKind::kFallback, admitted_decision(), 9, 1);
-  sink.record_span(SpanKind::kRebalance, AdmissionDecision{}, 0, 0);
+  sink.record_span(SpanKind::kFallback, AdmissionDecision{}, 0, 0);
 
   const SinkSnapshot snap = sink.snapshot();
   EXPECT_EQ(snap.span_events, 2u);
@@ -286,7 +286,7 @@ TEST(ObsSinkTest, SpansCountSeparatelyFromDecisions) {
   const auto events = sink.ring().snapshot();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].kind, SpanKind::kFallback);
-  EXPECT_EQ(events[1].kind, SpanKind::kRebalance);
+  EXPECT_EQ(events[1].kind, SpanKind::kFallback);
   EXPECT_EQ(events[0].shard, kServiceShard);
 }
 

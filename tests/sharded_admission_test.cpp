@@ -11,7 +11,6 @@
 #include "support/reference_admitter.h"
 #include "core/synthetic_utilization.h"
 #include "core/task.h"
-#include "service/quota.h"
 #include "service/sharded_admission.h"
 #include "sim/simulator.h"
 #include "util/math.h"
@@ -32,43 +31,6 @@ core::TaskSpec make_task(std::uint64_t id, double deadline,
   return spec;
 }
 
-// ------------------------------------------------------------- QuotaPlan ---
-
-TEST(QuotaPlanTest, EqualSplitByDefault) {
-  QuotaPlan q(4);
-  ASSERT_EQ(q.size(), 4u);
-  for (std::size_t k = 0; k < 4; ++k) EXPECT_DOUBLE_EQ(q.weight(k), 0.25);
-}
-
-TEST(QuotaPlanTest, SetWeightsAcceptsValidPartition) {
-  QuotaPlan q(3, 0.05);
-  q.set_weights({0.5, 0.3, 0.2});
-  EXPECT_DOUBLE_EQ(q.weight(0), 0.5);
-  EXPECT_DOUBLE_EQ(q.weight(1), 0.3);
-  EXPECT_DOUBLE_EQ(q.weight(2), 0.2);
-}
-
-TEST(QuotaPlanTest, ProportionalSplitsSparebyDemand) {
-  const std::vector<double> demand = {3.0, 1.0};
-  const std::vector<double> floor = {0.1, 0.1};
-  const auto w = QuotaPlan::proportional(demand, floor);
-  ASSERT_EQ(w.size(), 2u);
-  // spare = 0.8, split 3:1.
-  EXPECT_NEAR(w[0], 0.1 + 0.8 * 0.75, 1e-12);
-  EXPECT_NEAR(w[1], 0.1 + 0.8 * 0.25, 1e-12);
-  EXPECT_NEAR(w[0] + w[1], 1.0, 1e-12);
-}
-
-TEST(QuotaPlanTest, ProportionalWithZeroDemandSplitsEqually) {
-  const std::vector<double> demand = {0.0, 0.0, 0.0};
-  const std::vector<double> floor = {0.2, 0.1, 0.1};
-  const auto w = QuotaPlan::proportional(demand, floor);
-  const double spare = 1.0 - 0.4;
-  EXPECT_NEAR(w[0], 0.2 + spare / 3, 1e-12);
-  EXPECT_NEAR(w[1], 0.1 + spare / 3, 1e-12);
-  EXPECT_NEAR(w[2], 0.1 + spare / 3, 1e-12);
-}
-
 // ------------------------------------------------------- basic semantics ---
 
 TEST(ShardedAdmissionTest, RoutesByIdModulo) {
@@ -78,6 +40,38 @@ TEST(ShardedAdmissionTest, RoutesByIdModulo) {
   EXPECT_EQ(svc.route(0), 0u);
   EXPECT_EQ(svc.route(5), 1u);
   EXPECT_EQ(svc.route(7), 3u);
+}
+
+TEST(ShardedAdmissionTest, ShardsStartAtEqualWeights) {
+  ShardedAdmissionService svc(core::FeasibleRegion::deadline_monotonic(2),
+                              {.num_shards = 3});
+  const auto s = svc.stats();
+  ASSERT_EQ(s.shards.size(), 3u);
+  for (const auto& sh : s.shards) EXPECT_EQ(sh.weight, 1.0 / 3.0);
+}
+
+// Sum of the weights, checking each against the floor on the way.
+double checked_weight_sum(const ServiceStats& s) {
+  double sum = 0;
+  for (const auto& sh : s.shards) {
+    EXPECT_TRUE(std::isfinite(sh.weight));
+    EXPECT_GE(sh.weight, ShardedAdmissionService::kMinWeight - 1e-9);
+    sum += sh.weight;
+  }
+  return sum;
+}
+
+// A shard below the weight floor could admit nothing locally, so the
+// service refuses a shard count that cannot give every shard the floor.
+TEST(ShardedAdmissionDeathTest, RefusesMoreShardsThanTheWeightFloorAllows) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const auto region = core::FeasibleRegion::deadline_monotonic(2);
+  const auto max_shards = static_cast<std::size_t>(
+      1.0 / ShardedAdmissionService::kMinWeight);
+  ShardedAdmissionService at_bound(region, {.num_shards = max_shards});
+  EXPECT_EQ(at_bound.num_shards(), max_shards);
+  EXPECT_DEATH(ShardedAdmissionService(region, {.num_shards = max_shards + 1}),
+               "kMinWeight");
 }
 
 TEST(ShardedAdmissionTest, HotPathAdmitsSmallTask) {
@@ -132,7 +126,7 @@ TEST(ShardedAdmissionTest, LocalRejectIsFinalWithoutFallback) {
 TEST(ShardedAdmissionTest, FallbackStealsQuotaForOversizedTask) {
   // Same task, fallback enabled: every shard's equal slice saturates, but
   // shrinking the three empty donors to the weight floor grows the receiver
-  // to w = 1 - 3*min_weight, where u = 0.25/w < 1 passes the region test.
+  // to w = 1 - 3*kMinWeight, where u = 0.25/w < 1 passes the region test.
   ShardedAdmissionService svc(
       core::FeasibleRegion::deadline_monotonic(2),
       {.num_shards = 4});
@@ -142,13 +136,20 @@ TEST(ShardedAdmissionTest, FallbackStealsQuotaForOversizedTask) {
   const auto s = svc.stats();
   EXPECT_EQ(s.total_admits(), 1u);
   std::uint64_t fb = 0;
-  double weight_sum = 0;
-  for (const auto& sh : s.shards) {
-    fb += sh.fallback_admits;
-    weight_sum += sh.weight;
-  }
+  for (const auto& sh : s.shards) fb += sh.fallback_admits;
   EXPECT_EQ(fb, 1u);
-  EXPECT_NEAR(weight_sum, 1.0, 1e-9);
+  // The steal moved the weights: the three empty donors sit at the floor,
+  // the receiver holds the rest, and the split still sums to 1.
+  constexpr double kFloor = ShardedAdmissionService::kMinWeight;
+  std::size_t at_floor = 0;
+  double w_max = 0;
+  for (const auto& sh : s.shards) {
+    if (std::fabs(sh.weight - kFloor) <= 1e-9) ++at_floor;
+    w_max = std::max(w_max, sh.weight);
+  }
+  EXPECT_EQ(at_floor, 3u);
+  EXPECT_NEAR(w_max, 1.0 - 3 * kFloor, 1e-9);
+  EXPECT_NEAR(checked_weight_sum(s), 1.0, 1e-9);
 }
 
 TEST(ShardedAdmissionTest, GlobalRejectionReportsTrueLhs) {
@@ -170,8 +171,8 @@ TEST(ShardedAdmissionTest, GlobalRejectionReportsTrueLhs) {
 }
 
 // A quota move changes only each shard's view scale: the stored (true)
-// loads stay bit-identical across a rebalance and across a quota steal.
-// Rescaling the stored entries on each move would round them.
+// loads stay bit-identical across a quota steal. Rescaling the stored
+// entries on each move would round them.
 TEST(ShardedAdmissionTest, QuotaMovesLeaveTrueLoadBitIdentical) {
   constexpr std::size_t kStages = 8;
   ShardedAdmissionService svc(
@@ -200,16 +201,7 @@ TEST(ShardedAdmissionTest, QuotaMovesLeaveTrueLoadBitIdentical) {
     expected[j] += steal.stages[j].compute * util::safe_inv(steal.deadline);
   }
   EXPECT_EQ(svc.global_utilizations(now), expected);
-  const auto after_steal = svc.stats();
-  EXPECT_NE(after_steal.shards[0].weight, 0.25);
-
-  // Rebalance toward demand moves the weights again.
-  const auto u_before_rebalance = svc.global_utilizations(now);
-  svc.rebalance(now);
-  const auto after_rebalance = svc.stats();
-  ASSERT_EQ(after_rebalance.rebalances, 1u);
-  EXPECT_NE(after_rebalance.shards[0].weight, after_steal.shards[0].weight);
-  EXPECT_EQ(svc.global_utilizations(now), u_before_rebalance);
+  EXPECT_NE(svc.stats().shards[0].weight, 0.25);
 }
 
 // A task the unsharded region rejects is rejected before any quota is
@@ -353,72 +345,13 @@ TEST(ShardedAdmissionSoundnessTest, FallbackAdmitsAtLeastPureLocal) {
   }
 }
 
-// ------------------------------------------------------------- rebalance ---
-
-TEST(ShardedAdmissionTest, RebalanceShiftsWeightTowardLoadedShard) {
-  // All arrivals target shard 0 (ids ≡ 0 mod 4). Under equal quotas the
-  // shard saturates its slice; an explicit rebalance must grow its weight at
-  // the expense of the idle shards.
-  ShardedAdmissionService svc(
-      core::FeasibleRegion::deadline_monotonic(2),
-      {.num_shards = 4, .enable_fallback = false});
-  Time now = 0.0;
-  for (std::uint64_t i = 0; i < 64; ++i) {
-    const auto d =
-        svc.try_admit(make_task(4 * (i + 1), 100.0, {0.1, 0.1}), now);
-    ASSERT_TRUE(d.admitted);
-  }
-  const double w_before = svc.stats().shards[0].weight;
-  EXPECT_DOUBLE_EQ(w_before, 0.25);
-
-  svc.rebalance(now);
-
-  const auto s = svc.stats();
-  EXPECT_EQ(s.rebalances, 1u);
-  EXPECT_GT(s.shards[0].weight, w_before);
-  double sum = 0;
-  for (const auto& sh : s.shards) {
-    EXPECT_GE(sh.weight, svc.config().min_weight - 1e-9);
-    sum += sh.weight;
-  }
-  EXPECT_NEAR(sum, 1.0, 1e-9);
-}
-
-TEST(ShardedAdmissionTest, RebalanceUnlocksLocalAdmissionUnderSkew) {
-  // With equal quotas a 0.2-per-stage task does not fit shard 0's quarter
-  // slice on top of existing load; after skew-driven rebalance it does —
-  // via the HOT path, without the fallback lock.
-  ShardedAdmissionService svc(
-      core::FeasibleRegion::deadline_monotonic(2),
-      {.num_shards = 4, .enable_fallback = false});
-  Time now = 0.0;
-  for (std::uint64_t i = 0; i < 32; ++i) {
-    const auto d =
-        svc.try_admit(make_task(4 * (i + 1), 100.0, {0.1, 0.1}), now);
-    ASSERT_TRUE(d.admitted);
-  }
-  const auto before = svc.try_admit(make_task(400, 100.0, {8.0, 8.0}), now);
-  EXPECT_FALSE(before.admitted);
-
-  svc.rebalance(now);
-
-  const auto after = svc.try_admit(make_task(404, 100.0, {8.0, 8.0}), now);
-  EXPECT_TRUE(after.admitted);
-  // Locally decided (CAS reservation or exact retry inside the rounding
-  // slack) — the point is that it is NOT a kQuotaFallback admission.
-  EXPECT_TRUE(
-      after.reason == core::AdmissionDecision::Reason::kAtomicFastPath ||
-      after.reason == core::AdmissionDecision::Reason::kSlowPathFallback)
-      << to_string(after.reason);
-  EXPECT_GT(svc.stats().shards[0].weight, 0.25);
-}
-
 // ---------------------------------------------------------- concurrency ---
 
-// Stress the hot path, fallback, and rebalance from many threads at once
-// (each thread also calls rebalance() every 500 of its own decisions). Run
-// under TSan in CI. Assertions are conservation laws: every attempt is
-// counted exactly once somewhere.
+// Stress the hot path and the fallback from many threads at once. Run under
+// TSan in CI, where the fallback's quota steals move weights while other
+// threads read them on the lock-free path. Assertions are conservation
+// laws (every attempt is counted exactly once somewhere) and the weight
+// invariants.
 TEST(ShardedAdmissionStressTest, ConcurrentCountersConserveDecisions) {
   constexpr std::size_t kThreads = 8;
   constexpr std::uint64_t kPerThread = 1'500;
@@ -439,7 +372,6 @@ TEST(ShardedAdmissionStressTest, ConcurrentCountersConserveDecisions) {
         if (d.admitted) {
           ASSERT_LE(d.lhs_with_task, d.bound + 1e-9);
         }
-        if (i % 500 == 499) svc.rebalance(now);
       }
     });
   }
@@ -448,14 +380,15 @@ TEST(ShardedAdmissionStressTest, ConcurrentCountersConserveDecisions) {
   const auto s = svc.stats();
   EXPECT_EQ(s.decisions, kThreads * kPerThread);
   std::uint64_t counted = 0;
-  double weight_sum = 0;
+  bool weight_moved = false;
   for (const auto& sh : s.shards) {
     counted += sh.admits + sh.rejects + sh.fallback_admits +
                sh.fallback_rejects + sh.atomic_admits + sh.atomic_rejects;
-    weight_sum += sh.weight;
+    weight_moved = weight_moved || !util::almost_equal(sh.weight, 0.25);
   }
   EXPECT_EQ(counted, kThreads * kPerThread);
-  EXPECT_NEAR(weight_sum, 1.0, 1e-9);
+  EXPECT_TRUE(weight_moved) << "no fallback steal ran";
+  EXPECT_NEAR(checked_weight_sum(s), 1.0, 1e-9);
 
   // The aggregate state must still be inside the region.
   Time horizon = 0.0;
