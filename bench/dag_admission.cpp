@@ -21,10 +21,11 @@
 //     quotient's node and edge counts.
 //   * DagAdmittedLoad/N: an overloaded arrival stream committed through the
 //     long-path controller (expiries via the simulator), with the
-//     critical-path test at the worst-case alpha evaluated pointwise on the
-//     same states. Counters pin the admit-count gain, that dominance
-//     violations stay at zero (every crit admit is a long-path admit), and
-//     which evaluator tier settled each path value.
+//     critical-path test at the worst-case alpha (the evaluator's ratio-1
+//     mode) evaluated pointwise on the same states. Counters pin the
+//     admit-count gain, that dominance violations stay at zero (every crit
+//     admit is a long-path admit), and which evaluator tier settled each
+//     path value.
 //
 // Writes BENCH_dag.json (override with FRAP_BENCH_JSON) with attempts/sec
 // per variant, the incremental speedups, the per-size admit gains, the
@@ -197,7 +198,7 @@ void DagAdmitRewalk(benchmark::State& state) {
     tracker.utilizations(u);
     const double before = rewalk.exact_lhs_from_snapshot(spec, u);
     const auto resource = spec.shape->node_resource();
-    const auto compute = spec.shape->node_compute();
+    const auto& compute = spec.demands->node_compute;
     for (std::size_t v = 0; v < resource.size(); ++v) {
       u[resource[v]] += compute[v] * inv_d;
     }
@@ -248,7 +249,7 @@ void DagAdmittedLoad(benchmark::State& state) {
   sim::Simulator sim;
   core::SyntheticUtilizationTracker tracker(sim, kResources);
   core::GraphAdmissionController controller(sim, tracker, make_evaluator());
-  core::GraphRegionEvaluator crit_eval(kAlpha, {});
+  auto crit_eval = core::LongPathEvaluator::ratio_one(kResources, kAlpha, {});
   // Per-entry working copies so the measured loop mutates ids only.
   std::vector<core::GraphTaskSpec> specs(fixture.pool.begin(),
                                          fixture.pool.end());
@@ -269,7 +270,8 @@ void DagAdmittedLoad(benchmark::State& state) {
     const auto add = spec.resource_contributions(kResources);
     for (std::size_t k = 0; k < kResources; ++k) u[k] += add[k];
     const bool crit_admit = core::FeasibleRegion::admits_lhs(
-        crit_eval.lhs(spec, u), crit_eval.bound(spec));
+        crit_eval.lhs_from_snapshot(spec, u),
+        core::LongPathEvaluator::kDelayBudget);
 
     const auto d = controller.try_admit(spec, sim.now());
     if (d.admitted) ++long_admits;

@@ -1,8 +1,11 @@
 // Ablation A5: Theorem 2 on arbitrary task graphs.
 //
 // Aperiodic tasks shaped like Fig. 3 (fork/join over four resources) are
-// admitted with the per-task critical-path region d(f(U_ki)) <= 1 and
-// executed on the DAG runtime. Also compares against treating the same
+// admitted with the per-task critical-path region d(f(U_ki)) <= 1 (the
+// ratio-1 mode of the long-path evaluator at alpha = 1) and executed on the
+// DAG runtime. Every task is canonicalized: all of them share one interned
+// fork/join topology (and the chain variant one more), each with its own
+// demands. Also compares against treating the same
 // tasks as 4-stage chains (the pipeline-sum region): the critical-path
 // region admits more because parallel branches do not add their delays.
 #include <cstdio>
@@ -13,9 +16,11 @@
 #include <vector>
 
 #include "core/admission.h"
+#include "core/long_path_bound.h"
 #include "core/stage_delay.h"
 #include "core/synthetic_utilization.h"
 #include "core/task_graph.h"
+#include "core/task_graph_shape.h"
 #include "pipeline/pipeline_runtime.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
@@ -58,7 +63,8 @@ DagResult run_dag(double load, bool as_chain, std::uint64_t seed) {
   core::SyntheticUtilizationTracker tracker(sim, 4);
   pipeline::DagRuntime runtime(sim, 4, &tracker);
   core::GraphAdmissionController controller(
-      sim, tracker, core::GraphRegionEvaluator(1.0, {}));
+      sim, tracker, core::LongPathEvaluator::ratio_one(4, 1.0, {}));
+  core::TaskGraphShapeRegistry shapes;
 
   util::Rng rng(seed);
   const Duration mean_c = 10 * kMilli;
@@ -76,12 +82,13 @@ DagResult run_dag(double load, bool as_chain, std::uint64_t seed) {
       std::vector<Duration> c(4);
       for (auto& v : c) v = rng.exponential(mean_c);
       const Duration d = rng.uniform(0.5 * mean_deadline, 1.5 * mean_deadline);
-      auto spec = make_fork_join(next_id++, d, c);
+      auto raw = make_fork_join(next_id++, d, c);
+      const auto spec = shapes.canonicalize(raw);
       if (as_chain) {
         // Serialize the branches for the ADMISSION TEST only.
-        auto chain = spec;
-        chain.edges = {core::GraphEdge{0, 1}, core::GraphEdge{1, 2},
-                       core::GraphEdge{2, 3}};
+        raw.edges = {core::GraphEdge{0, 1}, core::GraphEdge{1, 2},
+                     core::GraphEdge{2, 3}};
+        const auto chain = shapes.canonicalize(raw);
         const auto decision = controller.try_admit(chain, sim.now());
         if (decision.admitted) {
           ++admitted;

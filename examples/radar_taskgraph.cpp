@@ -2,17 +2,21 @@
 //
 // Radar contacts fan out after ingest into two parallel analyses (track
 // correlation and threat classification) that rejoin for display — the
-// Fig. 3 shape on four resources. Admission uses Theorem 2's per-task
-// critical-path region; execution uses the DAG runtime with fork/join
-// precedence. Every admitted contact meets its end-to-end deadline.
+// Fig. 3 shape on four resources. Every contact shares one interned
+// topology and carries its own demands. Admission uses Theorem 2's per-task
+// critical-path region (the ratio-1 mode of the long-path evaluator at
+// alpha = 1); execution uses the DAG runtime with fork/join precedence.
+// Every admitted contact meets its end-to-end deadline.
 #include <cstdio>
 #include <functional>
 #include <memory>
 #include <vector>
 
 #include "core/admission.h"
-#include "core/task_graph.h"
+#include "core/long_path_bound.h"
 #include "core/synthetic_utilization.h"
+#include "core/task_graph.h"
+#include "core/task_graph_shape.h"
 #include "pipeline/pipeline_runtime.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
@@ -55,7 +59,9 @@ int main() {
   core::SyntheticUtilizationTracker tracker(sim, kNumResources);
   pipeline::DagRuntime runtime(sim, kNumResources, &tracker);
   core::GraphAdmissionController admission(
-      sim, tracker, core::GraphRegionEvaluator(/*alpha=*/1.0, {}));
+      sim, tracker,
+      core::LongPathEvaluator::ratio_one(kNumResources, /*alpha=*/1.0, {}));
+  core::TaskGraphShapeRegistry shapes;
 
   const Duration horizon = 60.0;
   util::Rng rng(4242);
@@ -64,7 +70,7 @@ int main() {
   // Contacts at ~90 Hz: correlator (15 ms mean) is the bottleneck at
   // ~135% of its capacity — the admission controller earns its keep.
   workload::schedule_poisson(sim, 90.0, horizon, 4242, [&](Time) {
-    const auto contact = radar_contact(next_id++, rng);
+    const auto contact = shapes.canonicalize(radar_contact(next_id++, rng));
     if (admission.try_admit(contact, sim.now()).admitted) {
       runtime.start_task(contact, sim.now() + contact.deadline);
     }

@@ -202,16 +202,9 @@ void SheddingAdmissionController::prune_importance_index() {
 
 GraphAdmissionController::GraphAdmissionController(
     sim::Simulator& sim, SyntheticUtilizationTracker& tracker,
-    GraphRegionEvaluator evaluator)
-    : sim_(sim), tracker_(tracker), evaluator_(std::move(evaluator)) {
-  scratch_u_.resize(tracker_.num_stages());
-}
-
-GraphAdmissionController::GraphAdmissionController(
-    sim::Simulator& sim, SyntheticUtilizationTracker& tracker,
     LongPathEvaluator evaluator)
-    : sim_(sim), tracker_(tracker), long_path_(std::move(evaluator)) {
-  FRAP_EXPECTS(long_path_->num_resources() == tracker_.num_stages());
+    : sim_(sim), tracker_(tracker), evaluator_(std::move(evaluator)) {
+  FRAP_EXPECTS(evaluator_.num_resources() == tracker_.num_stages());
   commit_stages_.reserve(tracker_.num_stages());
   commit_values_.reserve(tracker_.num_stages());
 }
@@ -219,15 +212,16 @@ GraphAdmissionController::GraphAdmissionController(
 // frap:contract(hotpath) -- the per-attempt cost is O(touched resources +
 // cached profile entries), independent of graph size; push_back only into
 // vectors reserved to capacity at construction.
-AdmissionDecision GraphAdmissionController::try_admit_interned(
-    const GraphTaskSpec& spec, Time now) {
+AdmissionDecision GraphAdmissionController::try_admit(const GraphTaskSpec& spec,
+                                                      Time now) {
+  ++attempts_;
   const std::uint64_t t0 = sink_ != nullptr ? sink_->begin_decision() : 0;
-  // The full spec.valid() walk is the canonicalization precondition
-  // (TaskGraphShapeRegistry interns only valid layouts). A canonical spec
-  // carries no layout of its own, so there is nothing to re-check against
-  // the shape; evaluate() checks that in O(1).
+  // The layout was checked when the spec was canonicalized
+  // (TaskGraphShapeRegistry interns only valid layouts); a canonical spec
+  // carries no layout of its own to re-check, and evaluate() checks that
+  // it is canonical in O(1).
   FRAP_EXPECTS(spec.deadline > 0);
-  const LongPathEvaluator::Eval e = long_path_->evaluate(spec, tracker_);
+  const LongPathEvaluator::Eval e = evaluator_.evaluate(spec, tracker_);
 
   AdmissionDecision d;
   d.arrival = now;
@@ -240,7 +234,7 @@ AdmissionDecision GraphAdmissionController::try_admit_interned(
                         : reject_reason(d.lhs_with_task);
 
   const auto touched = spec.shape->touched_resources();
-  const auto compute = spec.shape->resource_compute();
+  const auto& compute = spec.demands->resource_compute;
   if (d.admitted) {
     ++admitted_;
     // Sparse commit over the shape's touched-resource layout: ascending
@@ -261,46 +255,6 @@ AdmissionDecision GraphAdmissionController::try_admit_interned(
   }
   if (sink_ != nullptr) {
     sink_->record(d, spec.id, static_cast<std::uint16_t>(touched.size()), t0);
-  }
-  return d;
-}
-
-AdmissionDecision GraphAdmissionController::try_admit(const GraphTaskSpec& spec,
-                                                      Time now) {
-  ++attempts_;
-  if (long_path_) {
-    // Long-path mode decides interned specs only
-    // (TaskGraphShapeRegistry::canonicalize).
-    FRAP_EXPECTS(spec.shape != nullptr);
-    return try_admit_interned(spec, now);
-  }
-  const std::uint64_t t0 = sink_ != nullptr ? sink_->begin_decision() : 0;
-  FRAP_EXPECTS(spec.valid(tracker_.num_stages()));
-  const auto add = spec.resource_contributions(tracker_.num_stages());
-  std::span<double> u{scratch_u_};
-  tracker_.utilizations(u);
-
-  AdmissionDecision d;
-  d.arrival = now;
-  d.decided_at = sim_.now();
-  d.bound = evaluator_->bound(spec);
-  d.lhs_before = evaluator_->lhs(spec, u);
-  for (std::size_t j = 0; j < u.size(); ++j) u[j] += add[j];
-  d.lhs_with_task = evaluator_->lhs(spec, u);
-  d.admitted = FeasibleRegion::admits_lhs(d.lhs_with_task, d.bound);
-  d.reason = d.admitted ? AdmissionDecision::Reason::kAdmitted
-                        : reject_reason(d.lhs_with_task);
-
-  if (d.admitted) {
-    ++admitted_;
-    tracker_.add(spec.id, add, now + spec.deadline);
-  }
-  if (sink_ != nullptr) {
-    std::uint16_t touched = 0;
-    for (double a : add) {
-      if (a > 0) ++touched;
-    }
-    sink_->record(d, spec.id, touched, t0);
   }
   return d;
 }

@@ -44,7 +44,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -226,34 +225,26 @@ class SheddingAdmissionController {
 };
 
 // Theorem 2: admission for DAG-structured tasks. The region is evaluated
-// per task over its graph; contributions are per-resource sums. A pipeline
-// is admitted here in its chain-graph form (GraphTaskSpec::from_pipeline).
-//
-// Two pluggable bounds (docs/dag_bounds.md):
-//   * GraphRegionEvaluator — the paper's single-critical-path test;
-//     evaluated from a full utilization snapshot (re-walk per attempt).
-//   * LongPathEvaluator — the per-path long-path bound, for canonicalized
-//     specs only (spec.shape set; TaskGraphShapeRegistry::canonicalize):
-//     O(touched resources + cached profile entries) per attempt unless the
-//     evaluator's last tier, the exact DP, runs, with an allocation-free
-//     sparse commit.
+// per task over every path of its graph, by one LongPathEvaluator
+// (docs/dag_bounds.md) in either weight mode:
+//   * ratio_one(num_resources, alpha, beta) — Theorem 2's critical-path
+//     test, weights f(U_k)/alpha + β_k;
+//   * the deadline-ceiling constructor — the long-path bound, weights
+//     f(U_k)·D̂_k/D_n + β_k.
+// Specs must be canonical (TaskGraphShapeRegistry::canonicalize): an
+// attempt costs O(touched resources + cached profile entries) unless the
+// evaluator's last tier, the exact DP, runs, and the commit is sparse and
+// allocation-free.
 class GraphAdmissionController {
  public:
   GraphAdmissionController(sim::Simulator& sim,
                            SyntheticUtilizationTracker& tracker,
-                           GraphRegionEvaluator evaluator);
-  GraphAdmissionController(sim::Simulator& sim,
-                           SyntheticUtilizationTracker& tracker,
                            LongPathEvaluator evaluator);
 
-  // In long-path mode `spec` must be canonical (spec.shape set).
   [[nodiscard]] AdmissionDecision try_admit(const GraphTaskSpec& spec,
                                             Time now);
 
-  // Null in critical-path mode.
-  LongPathEvaluator* long_path_evaluator() {
-    return long_path_ ? &*long_path_ : nullptr;
-  }
+  LongPathEvaluator* long_path_evaluator() { return &evaluator_; }
 
   SyntheticUtilizationTracker& tracker() { return tracker_; }
 
@@ -265,16 +256,11 @@ class GraphAdmissionController {
   void set_sink(obs::DecisionSink* sink) { sink_ = sink; }
 
  private:
-  // Long-path mode: the incremental evaluation; requires spec.shape.
-  AdmissionDecision try_admit_interned(const GraphTaskSpec& spec, Time now);
-
   sim::Simulator& sim_;
   SyntheticUtilizationTracker& tracker_;
-  std::optional<GraphRegionEvaluator> evaluator_;  // critical-path mode
-  std::optional<LongPathEvaluator> long_path_;     // long-path mode
-  std::vector<double> scratch_u_;  // critical-path utilization snapshot
-  // Reused sparse (stage, value) buffers for the interned commit; reserved
-  // to num_stages() up front so the hot path never grows them.
+  LongPathEvaluator evaluator_;
+  // Reused sparse (stage, value) buffers for the commit; reserved to
+  // num_stages() up front so the hot path never grows them.
   std::vector<std::uint32_t> commit_stages_;
   std::vector<double> commit_values_;
   std::uint64_t attempts_ = 0;

@@ -48,7 +48,7 @@ class FeasibleRegion {
   // against `bound` iff lhs <= bound, boundary ties included. This is the
   // single sanctioned spelling in the tree (frap-lint rule R2): every
   // decision path — admits(), contains(), the admission controllers, the
-  // batch path, GraphRegionEvaluator, the adaptive-alpha controller —
+  // batch path, LongPathEvaluator, the adaptive-alpha controller —
   // funnels through it so no two paths can disagree on a tie.
   [[nodiscard]] static bool admits_lhs(double lhs, double bound) {
     return lhs <= bound;

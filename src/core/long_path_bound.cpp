@@ -10,40 +10,61 @@
 
 namespace frap::core {
 
-LongPathEvaluator::LongPathEvaluator(std::vector<double> deadline_ceiling,
-                                     std::vector<double> beta,
-                                     double stage_cap)
-    : ceiling_(std::move(deadline_ceiling)),
-      beta_(std::move(beta)),
-      stage_cap_(stage_cap) {
-  FRAP_EXPECTS(!ceiling_.empty());
-  for (double c : ceiling_) FRAP_EXPECTS(c > 0 && std::isfinite(c));
-  FRAP_EXPECTS(beta_.empty() || beta_.size() == ceiling_.size());
-  for (double b : beta_) FRAP_EXPECTS(b >= 0);
-  FRAP_EXPECTS(stage_cap_ > 0);
+LongPathEvaluator::LongPathEvaluator(
+    const std::vector<double>& deadline_ceiling,
+    const std::vector<double>& beta, double stage_cap)
+    : per_deadline_(true) {
+  FRAP_EXPECTS(!deadline_ceiling.empty());
+  FRAP_EXPECTS(beta.empty() || beta.size() == deadline_ceiling.size());
+  FRAP_EXPECTS(stage_cap > 0);
+  terms_.resize(deadline_ceiling.size());
+  for (std::size_t k = 0; k < terms_.size(); ++k) {
+    const double c = deadline_ceiling[k];
+    FRAP_EXPECTS(c > 0 && std::isfinite(c));
+    terms_[k] = {c, c, beta.empty() ? 0.0 : beta[k], stage_cap};
+    FRAP_EXPECTS(terms_[k].beta >= 0);
+  }
+}
+
+LongPathEvaluator::LongPathEvaluator(std::vector<Terms> terms,
+                                     bool per_deadline)
+    : terms_(std::move(terms)), per_deadline_(per_deadline) {}
+
+LongPathEvaluator LongPathEvaluator::ratio_one(
+    std::size_t num_resources, double alpha, const std::vector<double>& beta) {
+  FRAP_EXPECTS(num_resources > 0);
+  FRAP_EXPECTS(alpha > 0 && alpha <= 1.0);
+  FRAP_EXPECTS(beta.empty() || beta.size() == num_resources);
+  std::vector<Terms> terms(num_resources);
+  for (std::size_t k = 0; k < num_resources; ++k) {
+    const double b = beta.empty() ? 0.0 : beta[k];
+    FRAP_EXPECTS(b >= 0);
+    terms[k] = {util::kInf, util::safe_inv(alpha), b, alpha * (1.0 - b)};
+  }
+  return LongPathEvaluator(std::move(terms), false);
 }
 
 bool LongPathEvaluator::respects_ceilings(const GraphTaskSpec& spec) const {
-  for (std::uint32_t k : spec.touched_resources()) {
-    if (k >= ceiling_.size()) return false;
-    if (spec.deadline > ceiling_[k]) return false;
+  expect_canonical(spec);
+  for (std::uint32_t k : spec.shape->touched_resources()) {
+    if (k >= terms_.size()) return false;
+    if (spec.deadline > terms_[k].ceiling) return false;
   }
   return true;
 }
 
 double LongPathEvaluator::weight_of(std::size_t k, double f_term,
-                                    Duration deadline,
-                                    double inv_deadline) const {
-  FRAP_EXPECTS(k < ceiling_.size());
+                                    Duration deadline, double s) const {
+  FRAP_EXPECTS(k < terms_.size());
+  const Terms& t = terms_[k];
   // Static ceiling contract: Theorem 1's D_max role is only played by D̂_k
   // if no task with a larger deadline can ever interfere at k.
-  FRAP_EXPECTS(deadline <= ceiling_[k]);
+  FRAP_EXPECTS(deadline <= t.ceiling);
   // Victim guard (see the ctor comment): an f-term above the per-stage cap
   // would break the state envelope earlier admits relied on, so the weight
   // saturates and the path value rejects through admits_lhs.
-  if (f_term > stage_cap_) return util::kInf;
-  const double beta = beta_.empty() ? 0.0 : beta_[k];
-  return f_term * (ceiling_[k] * inv_deadline) + beta;
+  if (f_term > t.cap) return util::kInf;
+  return f_term * (t.scale * s) + t.beta;
 }
 
 // frap:contract(hotpath) -- profile dot products and the path-cap bound
@@ -91,7 +112,7 @@ double LongPathEvaluator::path_value(const TaskGraphShape& shape,
   // Still inconclusive: the exact DP settles it.
   ++tiers_.dp;
   const auto touched = shape.touched_resources();
-  if (w_resource_.size() < ceiling_.size()) w_resource_.resize(ceiling_.size());
+  if (w_resource_.size() < terms_.size()) w_resource_.resize(terms_.size());
   for (std::size_t t = 0; t < touched.size(); ++t) {
     w_resource_[touched[t]] = w_local[t];  // stale untouched entries unread
   }
@@ -138,13 +159,13 @@ double LongPathEvaluator::path_cap_bound(const TaskGraphShape& shape,
 
 LongPathEvaluator::Eval LongPathEvaluator::evaluate(
     const GraphTaskSpec& spec, const SyntheticUtilizationTracker& tracker) {
-  const TaskGraphShape* shape = spec.shape;
-  FRAP_EXPECTS(shape != nullptr);
-  FRAP_EXPECTS(spec.nodes.empty() && spec.edges.empty());
+  expect_canonical(spec);
   FRAP_EXPECTS(spec.deadline > 0);
+  const TaskGraphShape* shape = spec.shape;
   const double inv_d = util::safe_inv(spec.deadline);
+  const double s = deadline_scale(inv_d);
   const auto touched = shape->touched_resources();
-  const auto compute = shape->resource_compute();
+  const std::vector<Duration>& compute = spec.demands->resource_compute;
   const std::size_t t_count = touched.size();
   if (w_before_.size() < t_count) {
     w_before_.resize(t_count);
@@ -152,12 +173,12 @@ LongPathEvaluator::Eval LongPathEvaluator::evaluate(
   }
   for (std::size_t t = 0; t < t_count; ++t) {
     const std::size_t k = touched[t];
-    w_before_[t] = weight_of(k, tracker.stage_lhs_term(k), spec.deadline, inv_d);
+    w_before_[t] = weight_of(k, tracker.stage_lhs_term(k), spec.deadline, s);
     const double u_new = tracker.utilization(k) + compute[t] * inv_d;
     w_with_[t] = u_new >= 1.0
                      ? util::kInf
                      : weight_of(k, stage_delay_factor(u_new),
-                                 spec.deadline, inv_d);
+                                 spec.deadline, s);
   }
   Eval e;
   e.lhs_before = path_value(*shape, {w_before_.data(), t_count});
@@ -193,10 +214,9 @@ LongPathEvaluator::Eval LongPathEvaluator::evaluate(
 
 double LongPathEvaluator::lhs_from_snapshot(
     const GraphTaskSpec& spec, std::span<const double> utilizations) {
-  FRAP_EXPECTS(spec.shape != nullptr);
-  FRAP_EXPECTS(spec.nodes.empty() && spec.edges.empty());
+  expect_canonical(spec);
   FRAP_EXPECTS(spec.deadline > 0);
-  const double inv_d = util::safe_inv(spec.deadline);
+  const double s = deadline_scale(util::safe_inv(spec.deadline));
   const TaskGraphShape& shape = *spec.shape;
   const auto touched = shape.touched_resources();
   const std::size_t t_count = touched.size();
@@ -207,24 +227,24 @@ double LongPathEvaluator::lhs_from_snapshot(
     w_with_[t] = utilizations[k] >= 1.0
                      ? util::kInf
                      : weight_of(k, stage_delay_factor(utilizations[k]),
-                                 spec.deadline, inv_d);
+                                 spec.deadline, s);
   }
   return path_value(shape, {w_with_.data(), t_count});
 }
 
 double LongPathEvaluator::exact_lhs_from_snapshot(
     const GraphTaskSpec& spec, std::span<const double> utilizations) {
-  FRAP_EXPECTS(spec.shape != nullptr);
+  expect_canonical(spec);
   FRAP_EXPECTS(spec.deadline > 0);
-  const double inv_d = util::safe_inv(spec.deadline);
+  const double s = deadline_scale(util::safe_inv(spec.deadline));
   // The DP tier's scratch, no allocation once warm. weight_of checks k
   // against the ceilings before the store.
-  if (w_resource_.size() < ceiling_.size()) w_resource_.resize(ceiling_.size());
+  if (w_resource_.size() < terms_.size()) w_resource_.resize(terms_.size());
   for (std::uint32_t k : spec.shape->touched_resources()) {
     FRAP_EXPECTS(k < utilizations.size());
     if (utilizations[k] >= 1.0) return util::kInf;
     w_resource_[k] = weight_of(k, stage_delay_factor(utilizations[k]),
-                               spec.deadline, inv_d);
+                               spec.deadline, s);
   }
   return spec.shape->longest_path_weight(w_resource_, dp_dist_);
 }

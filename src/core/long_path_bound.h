@@ -21,6 +21,13 @@
 // worst-case alpha = D_min/D_max and splits the f- and β-paths; the
 // dominance proof is in docs/dag_bounds.md.
 //
+// Theorem 2's critical-path test itself is a weight mode of the same
+// evaluator, ratio_one(): weights f(U_k)/alpha + β_k against the same
+// budget, with no deadline ceiling. Its value is at most
+// d(f)/alpha + d(β), so it admits whatever the critical-path test
+// d(f) <= alpha·(1 - d(β)) admits, and at alpha = 1 with β empty the exact
+// DP returns the critical-path value bit for bit (docs/dag_bounds.md).
+//
 // Evaluation cost: with an interned shape (core/task_graph_shape.h) the
 // per-path maximum is taken over the shape's cached dominant path profiles
 // in O(touched resources + profile entries), and the "before" value reuses
@@ -67,19 +74,27 @@ class LongPathEvaluator {
   // keeps the dominance direction exact (docs/dag_bounds.md). Required:
   // kNoStageCap disables the guard, which leaves only the admission-instant
   // guarantee and admits deadline misses (docs/dag_bounds.md).
-  LongPathEvaluator(std::vector<double> deadline_ceiling,
-                    std::vector<double> beta, double stage_cap);
+  LongPathEvaluator(const std::vector<double>& deadline_ceiling,
+                    const std::vector<double>& beta, double stage_cap);
+
+  // Theorem 2's critical-path test as a weight mode ("ratio-1"): weight
+  // f(U_k)/alpha + β_k per node against kDelayBudget, for every path. No
+  // deadline ceiling applies, and the victim guard caps f(U_k) at
+  // alpha·(1 - β_k) per resource, which every critical-path admit
+  // satisfies (docs/dag_bounds.md). beta may be empty (all zeros).
+  [[nodiscard]] static LongPathEvaluator ratio_one(
+      std::size_t num_resources, double alpha, const std::vector<double>& beta);
 
   static constexpr double kNoStageCap =
       std::numeric_limits<double>::infinity();
-  double stage_cap() const { return stage_cap_; }
 
-  std::size_t num_resources() const { return ceiling_.size(); }
-  double deadline_ceiling(std::size_t k) const { return ceiling_[k]; }
+  std::size_t num_resources() const { return terms_.size(); }
+  // D̂_k; +inf in ratio-1 mode.
+  double deadline_ceiling(std::size_t k) const { return terms_[k].ceiling; }
 
-  // True when the spec honors the static ceiling contract on every touched
-  // resource (D_n <= D̂_k). Admission aborts on violation; callers that
-  // generate tasks use this to pre-filter.
+  // True when the canonical spec honors the static ceiling contract on
+  // every touched resource (D_n <= D̂_k). Admission aborts on violation;
+  // callers that generate tasks use this to pre-filter.
   [[nodiscard]] bool respects_ceilings(const GraphTaskSpec& spec) const;
 
   struct Eval {
@@ -88,8 +103,8 @@ class LongPathEvaluator {
     bool admitted = false;     // admits_lhs(lhs_with_task, kDelayBudget)
   };
 
-  // Incremental admission evaluation: requires a canonical spec (shape set,
-  // nodes and edges empty; an O(1) precondition). Reads the tracker's
+  // Incremental admission evaluation: requires a canonical spec
+  // (expect_canonical, an O(1) precondition). Reads the tracker's
   // cached per-stage f-terms for the "before" weights and recomputes f only
   // at the touched resources for the "with task" weights. No heap
   // allocation once the evaluator's scratch is warm. Debug builds cross-
@@ -123,10 +138,27 @@ class LongPathEvaluator {
   const TierCounts& tier_counts() const { return tiers_; }
 
  private:
-  // Per-resource weight at touched position t of `shape`, given that
-  // resource's f-term: f · D̂_k/D_n + β_k. Aborts on a ceiling violation.
+  // The per-resource constants of the weight f · (scale · s) + beta, where
+  // s is 1/D_n in ceiling mode and 1 in ratio-1 mode (deadline_scale).
+  struct Terms {
+    double ceiling = 0;  // D̂_k: the deadline contract
+    double scale = 0;    // D̂_k in ceiling mode, 1/alpha in ratio-1 mode
+    double beta = 0;
+    double cap = 0;      // victim guard on f(U_k)
+  };
+  LongPathEvaluator(std::vector<Terms> terms, bool per_deadline);
+
+  // s above for a task of deadline D_n: one branch per evaluation, none
+  // per resource.
+  double deadline_scale(double inv_deadline) const {
+    return per_deadline_ ? inv_deadline : 1.0;
+  }
+
+  // Per-resource weight of resource k, given its f-term: f · D̂_k/D_n + β_k
+  // (ceiling mode) or f/alpha + β_k (ratio-1 mode). Aborts on a ceiling
+  // violation.
   double weight_of(std::size_t k, double f_term, Duration deadline,
-                   double inv_deadline) const;
+                   double s) const;
 
   // Max path value over the shape's cached profiles; exact when the profile
   // set is complete, else envelope admit / kept reject / path-cap admit /
@@ -141,9 +173,8 @@ class LongPathEvaluator {
   double path_cap_bound(const TaskGraphShape& shape,
                         std::span<const double> w_local);
 
-  std::vector<double> ceiling_;
-  std::vector<double> beta_;
-  double stage_cap_;
+  std::vector<Terms> terms_;
+  bool per_deadline_;  // ceiling mode: weights scale with 1/D_n
 
   // Reused scratch (sized on first use, stable after warmup).
   std::vector<double> w_before_;

@@ -26,29 +26,6 @@ std::uint64_t combine(std::uint64_t h, std::uint64_t v) {
   return mix(h ^ mix(v));
 }
 
-std::uint64_t duration_bits(Duration d) {
-  return std::bit_cast<std::uint64_t>(static_cast<double>(d));
-}
-
-std::uint64_t lock_word(int lock) { return static_cast<std::uint32_t>(lock); }
-
-// Appends a node's critical-section layout as encoding words: the segment
-// count, then (length, lock) per segment. A demand without explicit
-// segments encodes as its one lock-free segment, the layout it runs with.
-void encode_segments(const StageDemand& demand,
-                     std::vector<std::uint64_t>& out) {
-  const sched::Segment one{demand.compute, sched::kNoLock};
-  const std::span<const sched::Segment> segments =
-      demand.segments.empty() ? std::span<const sched::Segment>(&one, 1)
-                              : std::span<const sched::Segment>(
-                                    demand.segments);
-  out.push_back(segments.size());
-  for (const sched::Segment& seg : segments) {
-    out.push_back(duration_bits(seg.length));
-    out.push_back(lock_word(seg.lock));
-  }
-}
-
 // Profile rows are flat and fixed-width: word 0 holds the row's visit
 // total, words 1..width its multiplicity per touched position. Comparing
 // two rows word by word is therefore the (sum, lexicographic) order.
@@ -218,7 +195,7 @@ double TaskGraphShape::longest_path_weight(
 
 bool TaskGraphShape::layout_equals(
     std::span<const std::uint64_t> encoding) const {
-  // Walks the words canonical_form() would emit for this layout.
+  // Walks the words canonical_form() would emit for this topology.
   std::size_t i = 0;
   auto take = [&](std::uint64_t want) {
     return i < encoding.size() && encoding[i++] == want;
@@ -226,16 +203,7 @@ bool TaskGraphShape::layout_equals(
   const std::size_t n = num_nodes();
   if (!take(n) || !take(num_edges())) return false;
   for (std::size_t v = 0; v < n; ++v) {
-    const auto segments = node_segments(v);
-    if (!take(node_resource_[v]) || !take(duration_bits(node_compute_[v])) ||
-        !take(segments.size())) {
-      return false;
-    }
-    for (const sched::Segment& seg : segments) {
-      if (!take(duration_bits(seg.length)) || !take(lock_word(seg.lock))) {
-        return false;
-      }
-    }
+    if (!take(node_resource_[v])) return false;
   }
   for (std::size_t v = 0; v < n; ++v) {
     for (std::uint32_t s : successors(v)) {
@@ -255,8 +223,8 @@ TaskGraphShapeRegistry::CanonicalForm TaskGraphShapeRegistry::canonical_form(
   const std::size_t n = spec.nodes.size();
   std::vector<std::vector<std::uint32_t>> succ(n);
   std::vector<std::uint32_t> indeg(n, 0);
-  // The layout checks valid() makes: a canonical spec's valid() trusts them.
-  // Resources must fit the shape's 32-bit resource ids.
+  // The layout checks a canonical spec's valid() trusts (edges in range and,
+  // below, no cycle). Resources must fit the shape's 32-bit resource ids.
   for (const auto& node : spec.nodes) {
     FRAP_EXPECTS(node.demand.valid());
     FRAP_EXPECTS(node.resource <= 0xffffffffu);
@@ -294,15 +262,12 @@ TaskGraphShapeRegistry::CanonicalForm TaskGraphShapeRegistry::canonical_form(
     form.canon_of_original[order[pos]] = static_cast<std::uint32_t>(pos);
   }
 
-  // Five words per lock-free node; explicit segments add two each.
-  form.encoding.reserve(2 + 5 * n + spec.edges.size());
+  // Node count, edge count, one resource word per node, then the edges.
+  form.encoding.reserve(2 + n + spec.edges.size());
   form.encoding.push_back(n);
   form.encoding.push_back(spec.edges.size());
   for (std::size_t pos = 0; pos < n; ++pos) {
-    const auto& node = spec.nodes[order[pos]];
-    form.encoding.push_back(node.resource);
-    form.encoding.push_back(duration_bits(node.demand.compute));
-    encode_segments(node.demand, form.encoding);
+    form.encoding.push_back(spec.nodes[order[pos]].resource);
   }
   std::vector<std::uint64_t> edges;
   edges.reserve(spec.edges.size());
@@ -322,33 +287,19 @@ TaskGraphShapeRegistry::CanonicalForm TaskGraphShapeRegistry::canonical_form(
 }
 
 std::unique_ptr<TaskGraphShape> TaskGraphShapeRegistry::build_shape(
-    const GraphTaskSpec& spec, const CanonicalForm& form) {
+    const CanonicalForm& form) {
   auto shape = std::unique_ptr<TaskGraphShape>(new TaskGraphShape());
-  const std::size_t n = spec.nodes.size();
+  const std::size_t n = form.canon_of_original.size();
+  const std::size_t num_edges = form.encoding[1];
   shape->hash_ = form.hash;
-
-  std::vector<std::size_t> original_of(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    original_of[form.canon_of_original[v]] = v;
-  }
-  shape->node_resource_.resize(n);
-  shape->node_compute_.resize(n);
-  shape->segment_offset_.push_back(0);
-  for (std::size_t c = 0; c < n; ++c) {
-    const GraphNode& node = spec.nodes[original_of[c]];
-    shape->node_resource_[c] = static_cast<std::uint32_t>(node.resource);
-    shape->node_compute_[c] = node.demand.compute;
-    for (const sched::Segment& seg : node.demand.make_segments()) {
-      shape->segments_.push_back(seg);
-    }
-    shape->segment_offset_.push_back(
-        static_cast<std::uint32_t>(shape->segments_.size()));
-  }
+  const auto resources = std::span<const std::uint64_t>(form.encoding)
+                             .subspan(2, n);
+  shape->node_resource_.assign(resources.begin(), resources.end());
 
   // The encoding ends with the canonical edges, (from << 32 | to) sorted:
   // each node's successors form one run, in CSR order already.
   const auto edges =
-      std::span<const std::uint64_t>(form.encoding).last(spec.edges.size());
+      std::span<const std::uint64_t>(form.encoding).last(num_edges);
   shape->indegree_.assign(n, 0);
   shape->succ_offset_.assign(n + 1, 0);
   shape->succ_.reserve(edges.size());
@@ -364,22 +315,12 @@ std::unique_ptr<TaskGraphShape> TaskGraphShapeRegistry::build_shape(
     shape->succ_offset_[v + 1] += shape->succ_offset_[v];
   }
 
-  // Touched resources + per-resource compute sums (sorted by resource).
-  std::vector<std::pair<std::uint32_t, Duration>> per_resource;
-  for (std::size_t v = 0; v < n; ++v) {
-    per_resource.emplace_back(shape->node_resource_[v],
-                              shape->node_compute_[v]);
-  }
-  std::sort(per_resource.begin(), per_resource.end());
-  for (const auto& [r, c] : per_resource) {
-    if (!shape->touched_resources_.empty() &&
-        shape->touched_resources_.back() == r) {
-      shape->resource_compute_.back() += c;
-    } else {
-      shape->touched_resources_.push_back(r);
-      shape->resource_compute_.push_back(c);
-    }
-  }
+  shape->touched_resources_ = shape->node_resource_;
+  std::sort(shape->touched_resources_.begin(), shape->touched_resources_.end());
+  shape->touched_resources_.erase(
+      std::unique(shape->touched_resources_.begin(),
+                  shape->touched_resources_.end()),
+      shape->touched_resources_.end());
 
   // Predecessor CSR; the sorted edge tail lists each node's predecessors
   // in ascending order.
@@ -631,8 +572,7 @@ void TaskGraphShapeRegistry::build_quotient(
 }
 
 const TaskGraphShape* TaskGraphShapeRegistry::intern(
-    const GraphTaskSpec& spec) {
-  CanonicalForm form = canonical_form(spec);
+    const CanonicalForm& form) {
   auto& bucket = by_hash_[form.hash];
   for (std::uint32_t idx : bucket) {
     if (shapes_[idx]->layout_equals(form.encoding)) {
@@ -641,7 +581,7 @@ const TaskGraphShape* TaskGraphShapeRegistry::intern(
     }
   }
   ++misses_;
-  auto shape = build_shape(spec, form);
+  auto shape = build_shape(form);
   shape->id_ = shapes_.size();
   bucket.push_back(static_cast<std::uint32_t>(shapes_.size()));
   shapes_.push_back(std::move(shape));
@@ -649,11 +589,46 @@ const TaskGraphShape* TaskGraphShapeRegistry::intern(
 }
 
 GraphTaskSpec TaskGraphShapeRegistry::canonicalize(const GraphTaskSpec& spec) {
+  const CanonicalForm form = canonical_form(spec);
   GraphTaskSpec out;
   out.id = spec.id;
   out.deadline = spec.deadline;
   out.importance = spec.importance;
-  out.shape = intern(spec);
+  out.shape = intern(form);
+
+  const std::size_t n = spec.nodes.size();
+  std::vector<std::size_t> original_of(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    original_of[form.canon_of_original[v]] = v;
+  }
+  auto demands = std::make_shared<GraphDemands>();
+  demands->node_compute.resize(n);
+  demands->segment_offset.push_back(0);
+  // Per-resource compute sums: the (resource, compute) pairs sorted, then
+  // summed in ascending order, so the sums do not depend on the node
+  // numbering.
+  std::vector<std::pair<std::uint32_t, Duration>> per_resource;
+  per_resource.reserve(n);
+  for (std::size_t c = 0; c < n; ++c) {
+    const GraphNode& node = spec.nodes[original_of[c]];
+    demands->node_compute[c] = node.demand.compute;
+    for (const sched::Segment& seg : node.demand.make_segments()) {
+      demands->segments.push_back(seg);
+    }
+    demands->segment_offset.push_back(
+        static_cast<std::uint32_t>(demands->segments.size()));
+    per_resource.emplace_back(static_cast<std::uint32_t>(node.resource),
+                              node.demand.compute);
+  }
+  std::sort(per_resource.begin(), per_resource.end());
+  const auto touched = out.shape->touched_resources();
+  demands->resource_compute.assign(touched.size(), 0);
+  std::size_t t = 0;
+  for (const auto& [r, c] : per_resource) {
+    while (touched[t] != r) ++t;
+    demands->resource_compute[t] += c;
+  }
+  out.demands = std::move(demands);
   return out;
 }
 

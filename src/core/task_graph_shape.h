@@ -1,32 +1,33 @@
-// Hash-consed task-graph shapes (docs/dag_bounds.md).
+// Hash-consed task-graph topologies (docs/dag_bounds.md).
 //
 // A production deployment runs millions of concurrent DAG tasks that share
-// a few hundred graph *shapes*: the topology, the per-node resource
-// assignment, and the per-node demand layout are fixed per request class;
-// only the id, the deadline, and the arrival instant vary per task. The
-// registry here interns each shape once, so every per-shape cost — the
-// topological order, the CSR adjacency, and most importantly the dominant
-// long-path profiles the long-path admission bound evaluates — is paid at
+// a few hundred graph *topologies*: the nodes, their resources and the
+// edges are fixed per request class, while the id, the deadline, the
+// arrival instant and often the per-node demands vary per task. The
+// registry here interns each topology once, so every per-topology cost —
+// the topological order, the CSR adjacency, and most importantly the
+// dominant long-path profiles the admission bound evaluates — is paid at
 // registration, not per admission.
 //
 // Canonicalization: two GraphTaskSpecs intern to the same shape when they
-// have the same layout — the same nodes (resource, demand, and the
-// critical-section segment list) and edges under the same numbering; a
-// changed demand or lock layout never aliases. Canonical node order is
-// Kahn's topological order taking the lowest-index ready node first (the
+// have the same topology — the same per-node resources and edges under the
+// same numbering. Demands take no part in it: a changed compute or lock
+// layout aliases, because the canonical spec carries its own demands
+// (GraphDemands, core/task_graph.h). Canonical node order is Kahn's
+// topological order taking the lowest-index ready node first (the
 // identity for a spec laid out in index-topological order). Equality on a
 // hash hit compares the full canonical encoding with the registered
-// shape's own layout arrays (they hold the same words, so no copy of the
-// encoding is kept), and a hash collision can never alias two distinct
-// shapes. A relabeled presentation of a registered graph interns as a
-// separate shape: one more registration, never a wrong decision (the
-// long-path values do not depend on node numbering).
+// shape's own arrays (they hold the same words, so no copy of the encoding
+// is kept), and a hash collision can never alias two distinct topologies.
+// A relabeled presentation of a registered graph interns as a separate
+// shape: one more registration, never a wrong decision (the long-path
+// values do not depend on node numbering).
 //
 // Canonical specs are layout-free: canonicalize() returns a spec whose
-// `shape` is set and whose `nodes`/`edges` are empty, so the shape is the
-// ONLY copy of the per-node layout and a spec that disagrees with its shape
-// cannot be represented. Every reader of an interned spec's layout reads
-// the shape.
+// `shape` and `demands` are set and whose `nodes`/`edges` are empty, so a
+// spec that disagrees with its shape cannot be represented. Every reader
+// of a canonical spec's topology reads the shape, and every reader of its
+// demands reads `demands`.
 //
 // Dominant path profiles: the long-path bound needs, for nonnegative
 // per-resource weights w, the value max over source->sink paths P of
@@ -75,17 +76,10 @@ class TaskGraphShape {
   std::size_t num_nodes() const { return node_resource_.size(); }
   std::size_t num_edges() const { return succ_.size(); }
 
-  // Canonical per-node layout. Canonical order is topological: every edge
-  // goes from a lower to a higher canonical index.
+  // Canonical per-node resources. Canonical order is topological: every
+  // edge goes from a lower to a higher canonical index.
   std::span<const std::uint32_t> node_resource() const {
     return node_resource_;
-  }
-  std::span<const Duration> node_compute() const { return node_compute_; }
-  // Materialized critical-section segments of `node` (never empty: a node
-  // without explicit segments holds one lock-free segment of its compute).
-  std::span<const sched::Segment> node_segments(std::size_t node) const {
-    return {segments_.data() + segment_offset_[node],
-            segment_offset_[node + 1] - segment_offset_[node]};
   }
 
   // CSR successor adjacency over canonical node ids.
@@ -95,14 +89,10 @@ class TaskGraphShape {
   }
   std::span<const std::uint32_t> indegree() const { return indegree_; }
 
-  // Resources this shape touches (sorted, unique) and the total compute the
-  // shape places on each (same order). A task's per-resource contribution
-  // is resource_compute[k] / deadline — O(touched resources), no node walk.
+  // Resources this shape touches (sorted, unique): the index space of a
+  // canonical spec's GraphDemands::resource_compute.
   std::span<const std::uint32_t> touched_resources() const {
     return touched_resources_;
-  }
-  std::span<const Duration> resource_compute() const {
-    return resource_compute_;
   }
 
   // --- dominant long-path profiles --------------------------------------
@@ -161,7 +151,7 @@ class TaskGraphShape {
   friend class TaskGraphShapeRegistry;
   TaskGraphShape() = default;
 
-  // True when `encoding` is this layout's canonical encoding: the
+  // True when `encoding` is this topology's canonical encoding: the
   // registry's equality proof on a hash hit.
   [[nodiscard]] bool layout_equals(
       std::span<const std::uint64_t> encoding) const;
@@ -170,15 +160,11 @@ class TaskGraphShape {
   std::uint64_t hash_ = 0;
 
   std::vector<std::uint32_t> node_resource_;
-  std::vector<Duration> node_compute_;
-  std::vector<std::uint32_t> segment_offset_;
-  std::vector<sched::Segment> segments_;
   std::vector<std::uint32_t> succ_offset_;
   std::vector<std::uint32_t> succ_;
   std::vector<std::uint32_t> indegree_;
 
   std::vector<std::uint32_t> touched_resources_;
-  std::vector<Duration> resource_compute_;
 
   std::vector<ProfileEntry> profile_entries_;
   std::vector<std::uint32_t> profile_offset_;
@@ -208,17 +194,14 @@ class TaskGraphShapeRegistry {
   TaskGraphShapeRegistry(const TaskGraphShapeRegistry&) = delete;
   TaskGraphShapeRegistry& operator=(const TaskGraphShapeRegistry&) = delete;
 
-  // Interns the spec's shape: returns the existing shape when one with the
-  // same layout is registered, otherwise canonicalizes, enumerates
-  // profiles, and registers a new one. Requires an un-interned spec whose
-  // layout valid() accepts (edges in range, acyclic, valid demands); the
-  // empty graph is allowed. Aborts otherwise.
-  const TaskGraphShape* intern(const GraphTaskSpec& spec);
-
   // Canonical spec for `spec`: id, deadline and importance copied, `shape`
-  // set to the interned shape, `nodes`/`edges` left empty (the shape owns
-  // the layout). O(1) to copy; the form admission and the DAG runtime take
-  // without re-walking the graph per task.
+  // set to the interned topology, `demands` to a new GraphDemands in the
+  // shape's node order, `nodes`/`edges` left empty. O(1) to copy; the form
+  // admission and the DAG runtime take without re-walking the graph per
+  // task. The shape is the registered one with the same topology, or a new
+  // one, canonicalized with its profiles enumerated. Requires an
+  // un-interned spec with edges in range, no cycle and valid demands; the
+  // empty graph is allowed. Aborts otherwise.
   [[nodiscard]] GraphTaskSpec canonicalize(const GraphTaskSpec& spec);
 
   std::size_t size() const { return shapes_.size(); }
@@ -234,8 +217,9 @@ class TaskGraphShapeRegistry {
     std::uint64_t hash = 0;
   };
   static CanonicalForm canonical_form(const GraphTaskSpec& spec);
+  const TaskGraphShape* intern(const CanonicalForm& form);
   static std::unique_ptr<TaskGraphShape> build_shape(
-      const GraphTaskSpec& spec, const CanonicalForm& form);
+      const CanonicalForm& form);
   // Both passes read the canonical predecessor CSR (pred_offset, pred).
   static void enumerate_profiles(TaskGraphShape& shape,
                                  std::span<const std::uint32_t> pred_offset,

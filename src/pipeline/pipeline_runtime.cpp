@@ -67,11 +67,8 @@ void TaskRuntime<Spec>::expect_valid(const Spec& spec, std::size_t stages) {
     FRAP_EXPECTS(spec.valid());
     FRAP_EXPECTS(spec.num_stages() == stages);
   } else {
-    // An interned spec carries no layout of its own, and its shape was
-    // validated at intern time, so valid() is O(1) for it.
-    if (spec.shape != nullptr) {
-      FRAP_EXPECTS(spec.nodes.empty() && spec.edges.empty());
-    }
+    // The shape was validated at intern time, so valid() is O(1).
+    core::expect_canonical(spec);
     FRAP_EXPECTS(spec.valid(stages));
   }
 }
@@ -90,26 +87,21 @@ std::size_t TaskRuntime<Spec>::node_stage(const Exec& exec, std::size_t node) {
   if constexpr (kIsPipeline<Spec>) {
     return node;
   } else {
-    return exec.spec.shape != nullptr ? exec.spec.shape->node_resource()[node]
-                                      : exec.spec.nodes[node].resource;
+    return exec.spec.shape->node_resource()[node];
   }
 }
 
 template <typename Spec>
 std::span<const sched::Segment> TaskRuntime<Spec>::node_segments(
     Exec& exec, std::size_t node) {
-  const auto demand = [&](const core::StageDemand& d)
-      -> std::span<const sched::Segment> {
+  if constexpr (kIsPipeline<Spec>) {
+    const core::StageDemand& d = exec.spec.stages[node];
     if (!d.segments.empty()) return d.segments;
     sched::Segment& single = exec.nodes[node].single;
     single = sched::Segment{d.compute, sched::kNoLock};
     return {&single, 1};
-  };
-  if constexpr (kIsPipeline<Spec>) {
-    return demand(exec.spec.stages[node]);
   } else {
-    if (exec.spec.shape == nullptr) return demand(exec.spec.nodes[node].demand);
-    return exec.spec.shape->node_segments(node);
+    return exec.spec.demands->node_segments(node);
   }
 }
 
@@ -118,24 +110,12 @@ void TaskRuntime<Spec>::init_precedence(Exec& exec) {
   const std::size_t n = exec.num_nodes;
   if constexpr (kIsPipeline<Spec>) {
     for (std::size_t v = 1; v < n; ++v) exec.nodes[v].pending_preds = 1;
-  } else if (exec.spec.shape != nullptr) {
-    // The shape holds the whole layout (resources, segments, indegrees,
-    // CSR adjacency), so no successor list is built and the Exec's spec
-    // copy is O(1).
+  } else {
+    // The shape holds the topology (indegrees, CSR adjacency), so the
+    // Exec's spec copy is O(1).
     const auto indeg = exec.spec.shape->indegree();
     for (std::size_t v = 0; v < n; ++v) {
       exec.nodes[v].pending_preds = indeg[v];
-    }
-  } else {
-    // Reused lists keep their capacity.
-    if (exec.successors.size() < n) exec.successors.resize(n);
-    for (std::size_t v = 0; v < n; ++v) {
-      exec.nodes[v].pending_preds = 0;
-      exec.successors[v].clear();
-    }
-    for (const auto& e : exec.spec.edges) {
-      ++exec.nodes[e.to].pending_preds;
-      exec.successors[e.from].push_back(e.to);
     }
   }
 }
@@ -148,10 +128,8 @@ void TaskRuntime<Spec>::release_successors(Exec& exec, std::size_t node) {
   };
   if constexpr (kIsPipeline<Spec>) {
     if (node + 1 < exec.num_nodes) ready(node + 1);
-  } else if (exec.spec.shape != nullptr) {
-    for (std::uint32_t succ : exec.spec.shape->successors(node)) ready(succ);
   } else {
-    for (std::size_t succ : exec.successors[node]) ready(succ);
+    for (std::uint32_t succ : exec.spec.shape->successors(node)) ready(succ);
   }
 }
 

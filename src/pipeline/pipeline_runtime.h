@@ -21,17 +21,18 @@
 // in-flight task lives in a recycled slot (an Exec record found through a
 // task-id -> slot map); a finished or aborted task's slot goes on a free
 // list, and the next task reuses its vectors' capacity. A node's job
-// borrows its segments from the Exec's spec copy or the interned shape (a
-// plain demand's one lock-free segment is held inline in the node), and
-// the stage servers schedule segment completions as typed timers.
+// borrows its segments from the Exec's spec copy (a pipeline stage's plain
+// demand lends one lock-free segment held inline in the node; a graph
+// spec's demands hold every node's segments materialized), and the stage
+// servers schedule segment completions as typed timers.
 //
 // The class is a template over the spec type; only the topology reads
 // (node count, node -> stage, successors, indegrees, node segments) depend
 // on it:
 //   * core::TaskSpec — read in place from the stage list;
-//   * interned core::GraphTaskSpec — read from the shape's CSR;
-//   * un-interned core::GraphTaskSpec — per-task successor lists built at
-//     start_task.
+//   * core::GraphTaskSpec — canonical specs only
+//     (TaskGraphShapeRegistry::canonicalize): the topology is read from
+//     the shape's CSR and the segments from the spec's demands.
 #pragma once
 
 #include <cstdint>
@@ -171,9 +172,6 @@ class TaskRuntime : private sched::StageListener {
     std::size_t num_nodes = 0;
     std::size_t nodes_remaining = 0;
     std::vector<std::uint32_t> left_on_stage;  // unfinished nodes per stage
-    // Per-node successor lists, built per task ONLY for an un-interned
-    // graph spec; pipelines and interned shapes read theirs in place.
-    std::vector<std::vector<std::size_t>> successors;
   };
 
   // StageListener: servers report completion/idle with their stage index
@@ -188,11 +186,10 @@ class TaskRuntime : private sched::StageListener {
   static void expect_valid(const Spec& spec, std::size_t stages);
   static std::size_t node_count(const Spec& spec);
   static std::size_t node_stage(const Exec& exec, std::size_t node);
-  // The segments `node`'s job runs, borrowed from the Exec (or its shape).
+  // The segments `node`'s job runs, borrowed from the Exec's spec.
   static std::span<const sched::Segment> node_segments(Exec& exec,
                                                        std::size_t node);
-  // Sets every node's pending-predecessor count (and, for an un-interned
-  // graph, builds the successor lists).
+  // Sets every node's pending-predecessor count.
   static void init_precedence(Exec& exec);
   // Releases each successor of `node` whose last predecessor it was.
   void release_successors(Exec& exec, std::size_t node);

@@ -29,24 +29,4 @@ inline double safe_div(double num, double denom) {
 // 1/x with the same contract as safe_div.
 inline double safe_inv(double x) { return safe_div(1.0, x); }
 
-// Clamp helper that tolerates lo > hi inputs from floating-point noise by
-// preferring lo.
-inline double clamp(double x, double lo, double hi) {
-  if (x < lo) return lo;
-  if (x > hi) return hi;
-  return x;
-}
-
-// Arithmetic mean of a container of doubles; 0 for empty input.
-template <typename C>
-double mean_of(const C& c) {
-  double sum = 0;
-  std::size_t n = 0;
-  for (double v : c) {
-    sum += v;
-    ++n;
-  }
-  return n == 0 ? 0.0 : sum / static_cast<double>(n);
-}
-
 }  // namespace frap::util

@@ -40,16 +40,4 @@ bool Rng::bernoulli(double p) {
   return uniform01() < p;
 }
 
-Rng Rng::split() {
-  // Mix two draws through splitmix64 so child streams do not overlap the
-  // parent's output sequence in any obvious way.
-  auto mix = [](std::uint64_t z) {
-    z += 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  };
-  return Rng(mix(engine_()) ^ mix(engine_()));
-}
-
 }  // namespace frap::util

@@ -43,10 +43,6 @@ class Rng {
     }
   }
 
-  // Derive an independent child generator (for splitting one experiment seed
-  // into per-component streams without correlation).
-  Rng split();
-
   std::uint64_t next_u64() { return engine_(); }
 
  private:

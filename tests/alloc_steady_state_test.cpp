@@ -187,6 +187,61 @@ TEST(AllocSteadyStateTest, LongPathGraphAdmitCycleIsAllocationFree) {
   tracker.verify_lhs_cache(1e-9);
 }
 
+// Theorem 2's critical-path test, the evaluator's ratio-1 mode at
+// alpha = 1: the same allocation-free cycle on a Fig. 3 fork/join. Each
+// arrival carries its own demands (one canonical spec per demand draw,
+// made before the counting window), all on one interned topology.
+TEST(AllocSteadyStateTest, RatioOneGraphAdmitCycleIsAllocationFree) {
+  constexpr std::uint64_t kLiveTarget = 5000;
+  constexpr Duration kSpacing = 1.0 / static_cast<double>(kLiveTarget);
+
+  sim::Simulator sim;
+  SyntheticUtilizationTracker tracker(sim, kStages);
+  GraphAdmissionController controller(
+      sim, tracker, LongPathEvaluator::ratio_one(kStages, 1.0, {}));
+
+  TaskGraphShapeRegistry registry;
+  util::Rng rng(11);
+  std::vector<GraphTaskSpec> specs;
+  for (int i = 0; i < 16; ++i) {
+    GraphTaskSpec raw;
+    raw.deadline = 1.0;
+    raw.nodes.resize(4);
+    for (std::size_t v = 0; v < 4; ++v) {
+      raw.nodes[v].resource = v % kStages;
+      raw.nodes[v].demand.compute = rng.uniform(1e-8, 3e-8);
+    }
+    raw.edges = {{0, 1}, {0, 2}, {1, 3}, {2, 3}};
+    specs.push_back(registry.canonicalize(raw));
+  }
+  ASSERT_EQ(registry.size(), 1u);
+
+  std::uint64_t id = 1;
+  auto admit_next = [&] {
+    sim.run_until(sim.now() + kSpacing);
+    GraphTaskSpec& spec = specs[id % specs.size()];
+    spec.id = id++;
+    return controller.try_admit(spec, sim.now()).admitted;
+  };
+  for (std::uint64_t i = 0; i < 2 * kLiveTarget; ++i) {
+    ASSERT_TRUE(admit_next());
+  }
+  ASSERT_GE(tracker.live_tasks(), kLiveTarget - 1);
+
+  g_allocs.store(0);
+  g_counting.store(true);
+  for (int i = 0; i < 2000; ++i) {
+    if (!admit_next()) break;
+  }
+  g_counting.store(false);
+
+  EXPECT_EQ(g_allocs.load(), 0u)
+      << "steady-state ratio-1 graph admits must not allocate";
+  EXPECT_EQ(controller.admitted(), controller.attempts());
+  EXPECT_EQ(controller.attempts(), 2 * kLiveTarget + 2000);
+  tracker.verify_lhs_cache(1e-9);
+}
+
 // The gray band of a capped shape (profile set incomplete): background load
 // puts the heaviest path at 90% of the budget, so every attempt's two path
 // values fall between the kept profiles and the envelope and the path-cap

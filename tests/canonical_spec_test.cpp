@@ -1,9 +1,10 @@
 // Canonical (layout-free) specs, docs/dag_bounds.md: canonicalize() returns
-// a spec whose `shape` owns the whole per-node layout, critical-section
-// segments included, with `nodes` and `edges` left empty. These tests pin
-// that the layout really lives in the shape: segments take part in shape
-// identity, the DAG runtime executes them from the shape, and a spec that
-// carries a layout next to its shape is refused in O(1).
+// a spec whose `shape` owns the interned topology and whose `demands` own
+// its per-node demands, critical-section segments included, with `nodes`
+// and `edges` left empty. These tests pin that split: demands and segments
+// take no part in shape identity, each canonical spec runs its own
+// segments on the DAG runtime, and a spec that carries a layout next to
+// its shape is refused in O(1).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -68,9 +69,18 @@ TEST(CanonicalSpecTest, CanonicalSpecIsLayoutFree) {
   EXPECT_EQ(canon.num_nodes(), raw.nodes.size());
   EXPECT_TRUE(canon.valid(kResources));
   EXPECT_FALSE(canon.valid(3));  // touches resource 3
-  EXPECT_EQ(canon.touched_resources(), raw.touched_resources());
+  const auto touched = canon.shape->touched_resources();
+  EXPECT_EQ(std::vector<std::uint32_t>(touched.begin(), touched.end()),
+            (std::vector<std::uint32_t>{0, 1, 2, 3}));
+  ASSERT_NE(canon.demands, nullptr);
+  EXPECT_EQ(canon.demands->node_compute.size(), raw.nodes.size());
+  EXPECT_EQ(canon.demands->resource_compute.size(), touched.size());
 }
 
+// One shape, and each spec runs its own segments: layouts that differ only
+// in their demands (a critical section, its lock id, an explicit single
+// segment) intern to one topology, and each canonical spec keeps its own
+// materialized segments.
 TEST(CanonicalSpecTest, SegmentLayoutsDoNotAlias) {
   core::TaskGraphShapeRegistry registry;
   const auto plain = fork_join(1, 0.5, false);
@@ -79,34 +89,42 @@ TEST(CanonicalSpecTest, SegmentLayoutsDoNotAlias) {
       locked.nodes[1].demand.compute);
   // Same compute, same topology: only node 1's segments differ.
   ASSERT_EQ(locked.nodes[1].demand.compute, plain.nodes[1].demand.compute);
-  const auto* a = registry.intern(plain);
-  const auto* b = registry.intern(locked);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(registry.size(), 2u);
-
-  // A different lock id on the same split is a different layout too.
   auto other_lock = locked;
   other_lock.nodes[1].demand.segments[1].lock = 1;
-  EXPECT_NE(registry.intern(other_lock), b);
-
-  // An explicit single lock-free segment runs exactly like no segments,
-  // and interns to the same shape.
   auto explicit_plain = plain;
   explicit_plain.nodes[1].demand.segments = {
       sched::Segment{plain.nodes[1].demand.compute, sched::kNoLock}};
-  EXPECT_EQ(registry.intern(explicit_plain), a);
 
-  // The shape serves the materialized segments per canonical node.
-  std::size_t locked_nodes = 0;
-  for (std::size_t v = 0; v < b->num_nodes(); ++v) {
-    const auto segs = b->node_segments(v);
-    ASSERT_FALSE(segs.empty());
-    Duration sum = 0;
-    for (const auto& s : segs) sum += s.length;
-    EXPECT_DOUBLE_EQ(sum, b->node_compute()[v]);
-    if (segs.size() == 2 && segs[1].lock == 0) ++locked_nodes;
-  }
-  EXPECT_EQ(locked_nodes, 1u);
+  const auto a = registry.canonicalize(plain);
+  const auto b = registry.canonicalize(locked);
+  const auto c = registry.canonicalize(other_lock);
+  const auto d = registry.canonicalize(explicit_plain);
+  EXPECT_EQ(b.shape, a.shape);
+  EXPECT_EQ(c.shape, a.shape);
+  EXPECT_EQ(d.shape, a.shape);
+  EXPECT_EQ(registry.size(), 1u);
+
+  // Each spec serves its own materialized segments per canonical node.
+  auto locks_of = [](const core::GraphTaskSpec& spec) {
+    std::vector<int> locks;
+    for (std::size_t v = 0; v < spec.num_nodes(); ++v) {
+      const auto segs = spec.demands->node_segments(v);
+      EXPECT_FALSE(segs.empty());
+      Duration sum = 0;
+      for (const auto& seg : segs) {
+        sum += seg.length;
+        locks.push_back(seg.lock);
+      }
+      EXPECT_DOUBLE_EQ(sum, spec.demands->node_compute[v]);
+    }
+    return locks;
+  };
+  const int n = sched::kNoLock;
+  EXPECT_EQ(locks_of(a), (std::vector<int>{n, n, n, n}));
+  EXPECT_EQ(locks_of(b), (std::vector<int>{n, n, 0, n, n}));
+  EXPECT_EQ(locks_of(c), (std::vector<int>{n, n, 1, n, n}));
+  // An explicit single lock-free segment is the layout a plain demand runs.
+  EXPECT_EQ(locks_of(d), locks_of(a));
 }
 
 struct Completion {
@@ -142,27 +160,31 @@ std::vector<Completion> run(const std::vector<core::GraphTaskSpec>& specs) {
   return done;
 }
 
+// Twelve locked tasks and twelve lock-free ones share one shape. Run
+// together from that shape, each task runs like the same task interned in
+// a registry of its own, and the critical sections change the schedule.
 TEST(CanonicalSpecTest, InternedCriticalSectionsRunLikeTheOriginal) {
   core::TaskGraphShapeRegistry registry;
-  std::vector<core::GraphTaskSpec> raw;
-  std::vector<core::GraphTaskSpec> canon;
+  std::vector<core::GraphTaskSpec> shared;
+  std::vector<core::GraphTaskSpec> alone;
   std::vector<core::GraphTaskSpec> unlocked;
+  std::vector<core::TaskGraphShapeRegistry> own(12);
   for (std::uint64_t i = 0; i < 12; ++i) {
     // Later arrivals are more urgent, so they preempt and meet held locks.
     const Duration deadline = 0.4 - 0.02 * static_cast<double>(i);
-    raw.push_back(fork_join(i + 1, deadline, true));
-    canon.push_back(registry.canonicalize(raw.back()));
-    unlocked.push_back(fork_join(i + 1, deadline, false));
+    shared.push_back(registry.canonicalize(fork_join(i + 1, deadline, true)));
+    alone.push_back(own[i].canonicalize(fork_join(i + 1, deadline, true)));
+    unlocked.push_back(
+        registry.canonicalize(fork_join(i + 1, deadline, false)));
   }
-  EXPECT_EQ(registry.size(), 1u);  // one shape, twelve canonical specs
+  EXPECT_EQ(registry.size(), 1u);  // one shape, 24 canonical specs
 
-  const auto from_raw = run(raw);
-  const auto from_canon = run(canon);
-  ASSERT_EQ(from_raw.size(), raw.size());
-  EXPECT_EQ(from_canon, from_raw);
+  const auto from_shared = run(shared);
+  ASSERT_EQ(from_shared.size(), shared.size());
+  EXPECT_EQ(run(alone), from_shared);
   // The critical sections change the schedule, so the runtime really
-  // executed the shape's segments rather than one lock-free segment.
-  EXPECT_NE(run(unlocked), from_raw);
+  // executed each spec's own segments rather than one lock-free segment.
+  EXPECT_NE(run(unlocked), from_shared);
 }
 
 TEST(CanonicalSpecDeathTest, LayoutNextToAShapeIsRefused) {
@@ -190,7 +212,6 @@ TEST(CanonicalSpecDeathTest, LayoutNextToAShapeIsRefused) {
 TEST(CanonicalSpecDeathTest, LongPathModeRefusesAnUninternedSpec) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   const auto spec = fork_join(1, 0.5, false);
-  ASSERT_TRUE(spec.valid(kResources));
   ASSERT_EQ(spec.shape, nullptr);
 
   sim::Simulator sim;

@@ -8,7 +8,10 @@
 //   2. DOMINANCE — on the same tracker state, every task the critical-path
 //      test admits is also admitted by the long-path test (the long-path
 //      region contains the critical-path region), and strictly more tasks
-//      are admitted overall.
+//      are admitted overall. The critical-path test is the evaluator's
+//      ratio-1 mode at the worst-case alpha; the frozen raw-graph
+//      evaluator it replaced is compared against it in
+//      dag_critical_path_differential_test.cpp.
 //
 // The sweep covers >= 10k randomized DAGs (layered and Erdős–Rényi) across
 // seeds; a seeded fixture pins exact admit counts so any change in either
@@ -78,7 +81,7 @@ EpisodeStats run_episode(std::uint64_t seed, std::uint64_t target_offered) {
       std::vector<double>(kResources, kDeadlineMax), {}, kAlpha);
   core::GraphAdmissionController controller(sim, tracker,
                                             std::move(long_eval));
-  core::GraphRegionEvaluator crit_eval(kAlpha, {});
+  auto crit_eval = core::LongPathEvaluator::ratio_one(kResources, kAlpha, {});
 
   // Random fixed priority per task: deliberately NOT deadline-monotonic, so
   // only priority-agnostic bounds may claim zero misses.
@@ -110,7 +113,8 @@ EpisodeStats run_episode(std::uint64_t seed, std::uint64_t target_offered) {
       const auto add = spec.resource_contributions(kResources);
       for (std::size_t k = 0; k < kResources; ++k) u[k] += add[k];
       const bool crit_admit = core::FeasibleRegion::admits_lhs(
-          crit_eval.lhs(spec, u), crit_eval.bound(spec));
+          crit_eval.lhs_from_snapshot(spec, u),
+          core::LongPathEvaluator::kDelayBudget);
 
       const auto d = controller.try_admit(spec, sim.now());
       if (d.admitted) {
@@ -167,11 +171,13 @@ TEST(DagBoundDifferentialTest, GeneratedTasksRespectCeilingContract) {
   util::Rng rng(7);
   core::LongPathEvaluator eval(std::vector<double>(kResources, kDeadlineMax),
                                {}, core::LongPathEvaluator::kNoStageCap);
+  core::TaskGraphShapeRegistry registry;
   for (int i = 0; i < 200; ++i) {
     const auto cfg = episode_config(rng);
-    const auto spec = workload::random_dag(
+    const auto raw = workload::random_dag(
         rng, cfg, static_cast<std::uint64_t>(i + 1),
         rng.uniform(kDeadlineMin, kDeadlineMax));
+    const auto spec = registry.canonicalize(raw);
     EXPECT_TRUE(eval.respects_ceilings(spec));
     EXPECT_TRUE(spec.valid(kResources));
   }

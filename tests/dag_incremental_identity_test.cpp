@@ -66,7 +66,7 @@ TEST(DagIncrementalIdentityTest, IncrementalMatchesSnapshotRewalkBitwise) {
       const auto u_before = tracker.utilizations();
       auto u_with = u_before;
       const auto touched = spec.shape->touched_resources();
-      const auto compute = spec.shape->resource_compute();
+      const auto& compute = spec.demands->resource_compute;
       const double inv_d = util::safe_inv(spec.deadline);
       for (std::size_t t = 0; t < touched.size(); ++t) {
         u_with[touched[t]] += compute[t] * inv_d;

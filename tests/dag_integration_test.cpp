@@ -1,6 +1,7 @@
 // End-to-end soundness of Theorem 2: randomized DAG tasks admitted by the
-// critical-path region and executed on the DAG runtime never miss their
-// end-to-end deadlines.
+// critical-path region (the ratio-1 mode of the long-path evaluator at
+// alpha = 1) and executed on the DAG runtime never miss their end-to-end
+// deadlines.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -8,8 +9,10 @@
 #include <vector>
 
 #include "core/admission.h"
+#include "core/long_path_bound.h"
 #include "core/synthetic_utilization.h"
 #include "core/task_graph.h"
+#include "core/task_graph_shape.h"
 #include "pipeline/pipeline_runtime.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
@@ -58,7 +61,8 @@ DagRunStats run_dag_soundness(std::size_t resources, double load,
   core::SyntheticUtilizationTracker tracker(sim, resources);
   pipeline::DagRuntime runtime(sim, resources, &tracker);
   core::GraphAdmissionController controller(
-      sim, tracker, core::GraphRegionEvaluator(1.0, {}));
+      sim, tracker, core::LongPathEvaluator::ratio_one(resources, 1.0, {}));
+  core::TaskGraphShapeRegistry registry;
 
   DagRunStats stats;
   runtime.set_on_task_complete(
@@ -81,7 +85,8 @@ DagRunStats run_dag_soundness(std::size_t resources, double load,
     if (t > sim_end) return;
     sim.at(t, [&] {
       ++stats.offered;
-      const auto spec = random_dag(next_id++, resources, resolution, rng);
+      const auto spec = registry.canonicalize(
+          random_dag(next_id++, resources, resolution, rng));
       if (controller.try_admit(spec, sim.now()).admitted) {
         ++stats.admitted;
         runtime.start_task(spec, sim.now() + spec.deadline);

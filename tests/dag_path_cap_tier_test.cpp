@@ -89,7 +89,7 @@ TEST(DagPathCapTierTest, VerdictsMatchExactAndAdmitsBoundTheExactValue) {
 
         auto u_with = tracker.utilizations();
         const auto touched = shape.touched_resources();
-        const auto compute = shape.resource_compute();
+        const auto& compute = spec.demands->resource_compute;
         const double inv_d = util::safe_inv(spec.deadline);
         for (std::size_t t = 0; t < touched.size(); ++t) {
           u_with[touched[t]] += compute[t] * inv_d;

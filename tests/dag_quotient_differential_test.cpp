@@ -209,42 +209,44 @@ TEST(DagQuotientTest, HandBuiltShapes) {
   util::Rng rng(11);
   std::vector<double> scratch;
 
-  const auto* empty = registry.intern(from_layout({}, {}));
+  const auto* empty = registry.canonicalize(from_layout({}, {})).shape;
   EXPECT_EQ(empty->quotient_num_nodes(), 0u);
   EXPECT_TRUE(same_bits(empty->longest_path_weight({}, scratch), 0.0));
 
-  const auto* single = registry.intern(from_layout({2}, {}));
+  const auto* single = registry.canonicalize(from_layout({2}, {})).shape;
   EXPECT_EQ(single->quotient_num_nodes(), 1u);
   check_quotient(rng, *single, 3);
 
   // A chain keeps every node: each prefix has a different length.
   const auto* chain =
-      registry.intern(from_layout({0, 0, 1, 0}, {{0, 1}, {1, 2}, {2, 3}}));
+      registry
+          .canonicalize(from_layout({0, 0, 1, 0}, {{0, 1}, {1, 2}, {2, 3}}))
+          .shape;
   EXPECT_EQ(chain->quotient_num_nodes(), 4u);
   EXPECT_EQ(chain->quotient_num_edges(), 3u);
   check_quotient(rng, *chain, 2);
 
   // A diamond whose two middle nodes share a resource folds them.
-  const auto* diamond = registry.intern(
-      from_layout({0, 1, 1, 2}, {{0, 1}, {0, 2}, {1, 3}, {2, 3}}));
+  const auto* diamond = registry.canonicalize(
+      from_layout({0, 1, 1, 2}, {{0, 1}, {0, 2}, {1, 3}, {2, 3}})).shape;
   EXPECT_EQ(diamond->quotient_num_nodes(), 3u);
   EXPECT_EQ(diamond->quotient_num_edges(), 2u);
   check_quotient(rng, *diamond, 3);
   // ...and one whose middle nodes differ keeps all four.
-  const auto* split = registry.intern(
-      from_layout({0, 1, 2, 0}, {{0, 1}, {0, 2}, {1, 3}, {2, 3}}));
+  const auto* split = registry.canonicalize(
+      from_layout({0, 1, 2, 0}, {{0, 1}, {0, 2}, {1, 3}, {2, 3}})).shape;
   EXPECT_EQ(split->quotient_num_nodes(), 4u);
   check_quotient(rng, *split, 3);
 
   // Independent sources on one resource collapse into one class.
-  const auto* fan_in = registry.intern(
-      from_layout({0, 0, 0, 1}, {{0, 3}, {1, 3}, {2, 3}}));
+  const auto* fan_in = registry.canonicalize(
+      from_layout({0, 0, 0, 1}, {{0, 3}, {1, 3}, {2, 3}})).shape;
   EXPECT_EQ(fan_in->quotient_num_nodes(), 2u);
   check_quotient(rng, *fan_in, 2);
 
   // Duplicate edges and a relabeled presentation change nothing.
-  const auto* dup = registry.intern(
-      from_layout({1, 0, 0}, {{1, 0}, {2, 0}, {1, 0}}));
+  const auto* dup = registry.canonicalize(
+      from_layout({1, 0, 0}, {{1, 0}, {2, 0}, {1, 0}})).shape;
   EXPECT_EQ(dup->quotient_num_nodes(), 2u);
   EXPECT_EQ(dup->quotient_num_edges(), 1u);
   check_quotient(rng, *dup, 2);
@@ -255,7 +257,8 @@ TEST(DagQuotientTest, BenchmarkSizedShapes) {
   util::Rng rng(0x5eed0da6);
   for (const std::size_t n : {100, 1000, 10000}) {
     for (int k = 0; k < 2; ++k) {
-      const auto* shape = registry.intern(sparse_er_dag(rng, n, 8, 4.0));
+      const auto* shape =
+          registry.canonicalize(sparse_er_dag(rng, n, 8, 4.0)).shape;
       // The quotient is what makes the DP cheap on these shapes.
       EXPECT_LT(shape->quotient_num_nodes(), shape->num_nodes()) << n;
       check_quotient(rng, *shape, 8);
@@ -272,7 +275,7 @@ TEST(DagQuotientTest, BenchmarkSizedShapes) {
     cfg.extra_edge_prob = 2.0 / 600.0;
     for (int k = 0; k < 3; ++k) {
       const auto raw = workload::random_dag(rng, cfg, 1, 1.0);
-      check_quotient(rng, *registry.intern(raw), 6);
+      check_quotient(rng, *registry.canonicalize(raw).shape, 6);
     }
   }
 }
@@ -286,7 +289,7 @@ TEST_P(ShapeDifferentialTest, FlatEnumeratorAndQuotientMatchReferences) {
   std::size_t capped = 0;
   for (int i = 0; i < 500; ++i) {
     const core::GraphTaskSpec raw = random_shape(rng, 1500);
-    const core::TaskGraphShape& shape = *registry.intern(raw);
+    const core::TaskGraphShape& shape = *registry.canonicalize(raw).shape;
     ASSERT_NO_FATAL_FAILURE(check_profiles(shape)) << "dag " << i;
     ASSERT_NO_FATAL_FAILURE(check_quotient(rng, shape, 12)) << "dag " << i;
     capped += shape.profiles_complete() ? 0 : 1;

@@ -11,6 +11,7 @@
 #include "obs/stage_observer.h"
 #include "pipeline/pipeline_runtime.h"
 #include "sim/simulator.h"
+#include "support/reference_graph.h"
 #include "util/rng.h"
 
 namespace frap::pipeline {
@@ -43,6 +44,13 @@ struct Done {
   bool missed;
 };
 
+// The runtime takes canonical specs only; every test interns its graphs
+// here first.
+core::GraphTaskSpec canonical(const core::GraphTaskSpec& raw) {
+  static core::TaskGraphShapeRegistry registry;
+  return registry.canonicalize(raw);
+}
+
 class DagRuntimeTest : public ::testing::Test {
  protected:
   void build(std::size_t resources, bool with_tracker = true) {
@@ -64,7 +72,8 @@ class DagRuntimeTest : public ::testing::Test {
 TEST_F(DagRuntimeTest, ForkJoinRespectsPrecedence) {
   build(4);
   sim_.at(0.0, [&] {
-    runtime_->start_task(fig3(1, 100.0, {1.0, 2.0, 5.0, 1.0}), 100.0);
+    runtime_->start_task(canonical(fig3(1, 100.0, {1.0, 2.0, 5.0, 1.0})),
+                         100.0);
   });
   sim_.run();
   ASSERT_EQ(done_.size(), 1u);
@@ -76,7 +85,8 @@ TEST_F(DagRuntimeTest, ForkJoinRespectsPrecedence) {
 TEST_F(DagRuntimeTest, BranchesRunInParallelOnDistinctResources) {
   build(4);
   sim_.at(0.0, [&] {
-    runtime_->start_task(fig3(1, 100.0, {1.0, 3.0, 3.0, 1.0}), 100.0);
+    runtime_->start_task(canonical(fig3(1, 100.0, {1.0, 3.0, 3.0, 1.0})),
+                         100.0);
   });
   sim_.run();
   // If branches serialized this would be 1+3+3+1=8; parallel: 1+3+1=5.
@@ -94,15 +104,15 @@ TEST_F(DagRuntimeTest, SharedResourceSerializesNodes) {
              core::GraphNode{1, demand(3.0)}, core::GraphNode{2, demand(1.0)}};
   g.edges = {core::GraphEdge{0, 1}, core::GraphEdge{0, 2},
              core::GraphEdge{1, 3}, core::GraphEdge{2, 3}};
-  sim_.at(0.0, [&] { runtime_->start_task(g, 100.0); });
+  sim_.at(0.0, [&] { runtime_->start_task(canonical(g), 100.0); });
   sim_.run();
   ASSERT_EQ(done_.size(), 1u);
   EXPECT_DOUBLE_EQ(done_[0].response, 8.0);  // 1 + (3+3) + 1
 }
 
 // A pipeline is the chain case of a task graph: a TaskSpec stream and the
-// same stream as from_pipeline chains (half of the seeds interned) must run
-// identically through the one runtime — completion ids and times,
+// same stream as canonical from_pipeline chains must run identically
+// through the one runtime — completion ids and times,
 // responses, misses, the shedding predicate at every abort, and the
 // tracker's utilizations after every simulator event, all bit for bit.
 TEST_F(DagRuntimeTest, ChainBehavesLikePipeline) {
@@ -125,10 +135,9 @@ TEST_F(DagRuntimeTest, ChainBehavesLikePipeline) {
   std::uint64_t sheds_started = 0;
   std::uint64_t sheds_unstarted = 0;
   for (int seed = 0; seed < kSeeds; ++seed) {
-    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
     util::Rng rng(static_cast<std::uint64_t>(seed) + 1);
     const auto stages = static_cast<std::size_t>(rng.uniform_int(1, 5));
-    const bool intern = seed % 2 == 1;
 
     sim::Simulator psim;
     sim::Simulator dsim;
@@ -163,8 +172,8 @@ TEST_F(DagRuntimeTest, ChainBehavesLikePipeline) {
       for (auto& st : spec.stages) {
         st.compute = rng.bernoulli(0.1) ? 0.0 : rng.uniform(0.05, 1.0);
       }
-      auto graph = core::GraphTaskSpec::from_pipeline(spec);
-      if (intern) graph = registry.canonicalize(graph);
+      const auto graph =
+          registry.canonicalize(frap::testing::from_pipeline(spec));
       const auto contrib = spec.contributions();
       psim.at(t, [&pipe, &ptracker, &psim, spec, contrib] {
         ptracker.add(spec.id, contrib, psim.now() + spec.deadline);
@@ -234,7 +243,7 @@ TEST_F(DagRuntimeTest, IndependentNodesAllStartImmediately) {
   g.deadline = 10.0;
   g.nodes = {core::GraphNode{0, demand(2.0)}, core::GraphNode{1, demand(3.0)},
              core::GraphNode{2, demand(1.0)}};
-  sim_.at(0.0, [&] { runtime_->start_task(g, 10.0); });
+  sim_.at(0.0, [&] { runtime_->start_task(canonical(g), 10.0); });
   sim_.run();
   ASSERT_EQ(done_.size(), 1u);
   EXPECT_DOUBLE_EQ(done_[0].response, 3.0);  // max of the three
@@ -246,7 +255,7 @@ TEST_F(DagRuntimeTest, MissDetection) {
   g.id = 1;
   g.deadline = 1.0;
   g.nodes = {core::GraphNode{0, demand(2.0)}};
-  sim_.at(0.0, [&] { runtime_->start_task(g, 1.0); });
+  sim_.at(0.0, [&] { runtime_->start_task(canonical(g), 1.0); });
   sim_.run();
   ASSERT_EQ(done_.size(), 1u);
   EXPECT_TRUE(done_[0].missed);
@@ -263,7 +272,7 @@ TEST_F(DagRuntimeTest, DepartureFiresWhenLastNodeOnResourceFinishes) {
              core::GraphNode{1, demand(1.0)}};
   g.edges = {core::GraphEdge{0, 1}, core::GraphEdge{1, 2}};
   tracker_->add(1, std::vector<double>{0.5, 0.5}, 100.0);
-  sim_.at(0.0, [&] { runtime_->start_task(g, 100.0); });
+  sim_.at(0.0, [&] { runtime_->start_task(canonical(g), 100.0); });
   // At t=1.5 (after first node, before second) resource 0 has NOT been
   // departed: an idle reset there must keep the contribution. The server
   // never idles mid-sequence here, but the invariant we check is that the
@@ -283,8 +292,8 @@ TEST_F(DagRuntimeTest, TwoTasksInterleaveByPriority) {
   lax.id = 2;
   lax.deadline = 50.0;
   lax.nodes = {core::GraphNode{0, demand(2.0)}};
-  sim_.at(0.0, [&] { runtime_->start_task(lax, 50.0); });
-  sim_.at(0.1, [&] { runtime_->start_task(urgent, 1.1); });
+  sim_.at(0.0, [&] { runtime_->start_task(canonical(lax), 50.0); });
+  sim_.at(0.1, [&] { runtime_->start_task(canonical(urgent), 1.1); });
   sim_.run();
   ASSERT_EQ(done_.size(), 2u);
   EXPECT_EQ(done_[0].id, 1u);  // DM: shorter deadline preempts
@@ -306,7 +315,7 @@ TEST_F(DagRuntimeTest, DiamondWithWideFanout) {
     g.edges.push_back(core::GraphEdge{0, i});
     g.edges.push_back(core::GraphEdge{i, 6});
   }
-  sim_.at(0.0, [&] { runtime_->start_task(g, 100.0); });
+  sim_.at(0.0, [&] { runtime_->start_task(canonical(g), 100.0); });
   sim_.run();
   ASSERT_EQ(done_.size(), 1u);
   // Source 1s; fanout: resource 0 runs nodes 1 and 5 serially (2s), others
@@ -320,7 +329,8 @@ TEST_F(DagRuntimeTest, TraceRecordsLifecycle) {
   obs::StageObserver observer(4);
   runtime_->set_stage_observer(&observer);
   sim_.at(0.0, [&] {
-    runtime_->start_task(fig3(1, 100.0, {1.0, 2.0, 5.0, 1.0}), 100.0);
+    runtime_->start_task(canonical(fig3(1, 100.0, {1.0, 2.0, 5.0, 1.0})),
+                         100.0);
     EXPECT_EQ(runtime_->started(), 1u);  // released
   });
   sim_.run();
@@ -346,7 +356,8 @@ TEST_F(DagRuntimeTest, AbortRemovesAllNodes) {
   obs::StageObserver observer(4);
   runtime_->set_stage_observer(&observer);
   sim_.at(0.0, [&] {
-    runtime_->start_task(fig3(1, 100.0, {1.0, 2.0, 5.0, 1.0}), 100.0);
+    runtime_->start_task(canonical(fig3(1, 100.0, {1.0, 2.0, 5.0, 1.0})),
+                         100.0);
   });
   sim_.at(1.5, [&] {  // branches mid-flight
     runtime_->abort_task(1);
@@ -387,7 +398,7 @@ TEST(DagRuntimePoolTest, SharedResourceBranchesRunInParallel) {
              core::GraphNode{1, demand(2.0)}, core::GraphNode{2, demand(1.0)}};
   g.edges = {core::GraphEdge{0, 1}, core::GraphEdge{0, 2},
              core::GraphEdge{1, 3}, core::GraphEdge{2, 3}};
-  sim.at(0.0, [&] { runtime.start_task(g, 100.0); });
+  sim.at(0.0, [&] { runtime.start_task(canonical(g), 100.0); });
   sim.run_until(3.9);
   EXPECT_EQ(observer.snapshot()[2].enqueued, 0u);
   sim.run_until(4.0);
@@ -422,8 +433,8 @@ TEST_F(DagRuntimeTest, StartedExecutingPredicate) {
   hog.deadline = 1.0;  // more urgent under DM
   hog.nodes = {core::GraphNode{0, demand(5.0)}};
   sim_.at(0.0, [&] {
-    runtime_->start_task(hog, 1.0);
-    runtime_->start_task(g, 100.0);
+    runtime_->start_task(canonical(hog), 1.0);
+    runtime_->start_task(canonical(g), 100.0);
   });
   sim_.at(1.0, [&] {
     EXPECT_TRUE(runtime_->task_started_executing(2));   // the hog runs
@@ -466,11 +477,10 @@ core::GraphTaskSpec random_graph(util::Rng& rng, std::uint64_t id,
   return g;
 }
 
-// Tasks of different node counts, half of them interned, run one at a
-// time, so each reuses the slot (node array, departure counts, successor
-// lists) its predecessor freed: growing and shrinking node counts. Each
-// must complete exactly as the same task alone in a fresh runtime,
-// released at the same instant.
+// Tasks of different node counts run one at a time, so each reuses the
+// slot (node array, departure counts) its predecessor freed: growing and
+// shrinking node counts. Each must complete exactly as the same task alone
+// in a fresh runtime, released at the same instant.
 TEST(DagRuntimeSlotTest, TasksOfDifferentSizesCycleThroughOneSlot) {
   constexpr std::size_t kResources = 4;
   constexpr std::size_t kTasks = 120;
@@ -479,9 +489,9 @@ TEST(DagRuntimeSlotTest, TasksOfDifferentSizesCycleThroughOneSlot) {
   std::vector<core::GraphTaskSpec> specs;
   std::size_t total_nodes = 0;
   for (std::size_t i = 0; i < kTasks; ++i) {
-    core::GraphTaskSpec g = random_graph(rng, i + 1, kResources);
+    const core::GraphTaskSpec g = random_graph(rng, i + 1, kResources);
     total_nodes += g.num_nodes();
-    specs.push_back(i % 2 == 1 ? registry.canonicalize(g) : g);
+    specs.push_back(registry.canonicalize(g));
   }
 
   struct Completion {
@@ -516,7 +526,7 @@ TEST(DagRuntimeSlotTest, TasksOfDifferentSizesCycleThroughOneSlot) {
   EXPECT_EQ(runtime.completed(), kTasks);
 
   for (std::size_t i = 0; i < kTasks; ++i) {
-    SCOPED_TRACE(testing::Message() << "task " << i);
+    SCOPED_TRACE(::testing::Message() << "task " << i);
     sim::Simulator rsim;
     DagRuntime fresh(rsim, kResources, nullptr);
     std::vector<Completion> ref;
@@ -547,7 +557,7 @@ TEST_F(DagRuntimeTest, ResourceUtilizations) {
   g.deadline = 100.0;
   g.nodes = {core::GraphNode{0, demand(2.0)}, core::GraphNode{1, demand(1.0)}};
   g.edges = {core::GraphEdge{0, 1}};
-  sim_.at(0.0, [&] { runtime_->start_task(g, 100.0); });
+  sim_.at(0.0, [&] { runtime_->start_task(canonical(g), 100.0); });
   sim_.run();
   sim_.run_until(10.0);
   const auto u = runtime_->stage_utilizations(0.0, 10.0);
