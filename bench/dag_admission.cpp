@@ -8,8 +8,9 @@
 //     evaluation runs but nothing commits.
 //   * DagAdmitGrayBand/N: evaluations/sec of the same probe with the
 //     background load just under the budget, so both path values land in
-//     the gray band (kept profiles under budget, envelope over it) and the
-//     path-cap tier settles them without the O(V + E) DP.
+//     the gray band (kept profiles under budget, the envelope's dot product
+//     over it) and the envelope knapsack settles them without the O(V + E)
+//     DP.
 //   * DagAdmitRewalk/N: the same decision recomputed the pre-interning way
 //     — snapshot every utilization into a reused buffer, walk all N nodes,
 //     run the exact DP (exact_lhs_from_snapshot, allocation-free when
@@ -165,11 +166,11 @@ void DagAdmitGrayBand(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(eval.evaluate(spec, tracker));
   }
-  // Two path values per evaluation; the bench times the path-cap tier only
+  // Two path values per evaluation; the bench times the envelope tier only
   // if that tier settled every one of them.
-  if (eval.tier_counts().path_cap_admit !=
+  if (eval.tier_counts().envelope_admit !=
       2 * static_cast<std::uint64_t>(state.iterations())) {
-    state.SkipWithError("gray-band probe not settled by the path-cap tier");
+    state.SkipWithError("gray-band probe not settled by the envelope tier");
     return;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
@@ -293,14 +294,13 @@ void DagAdmittedLoad(benchmark::State& state) {
   const auto& tiers = controller.long_path_evaluator()->tier_counts();
   const auto values = static_cast<double>(std::max<std::uint64_t>(
       1, tiers.complete + tiers.envelope_admit + tiers.kept_reject +
-             tiers.path_cap_admit + tiers.dp));
+             tiers.dp));
   const auto share = [values](std::uint64_t n) {
     return static_cast<double>(n) / values;
   };
   state.counters["complete_share"] = share(tiers.complete);
   state.counters["envelope_share"] = share(tiers.envelope_admit);
   state.counters["kept_share"] = share(tiers.kept_reject);
-  state.counters["path_cap_share"] = share(tiers.path_cap_admit);
   state.counters["dp_share"] = share(tiers.dp);
 }
 BENCHMARK(DagAdmittedLoad)
@@ -342,7 +342,7 @@ int main(int argc, char** argv) {
       summary[std::string(key) + "_" + size] = reporter.counter_of(dp, key);
     }
     for (const char* tier :
-         {"complete", "envelope", "kept", "path_cap", "dp"}) {
+         {"complete", "envelope", "kept", "dp"}) {
       const std::string key = std::string(tier) + "_share";
       summary[key + "_" + size] =
           reporter.counter_of("DagAdmittedLoad/" + size, key);

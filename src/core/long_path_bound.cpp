@@ -67,10 +67,10 @@ double LongPathEvaluator::weight_of(std::size_t k, double f_term,
   return f_term * (t.scale * s) + t.beta;
 }
 
-// frap:contract(hotpath) -- profile dot products and the path-cap bound
-// over cached shape data; only the last tier, the DP, walks the graph
-// (longest_path_weight, scratch reused, warm after the first DP on a shape
-// of this size).
+// frap:contract(hotpath) -- profile dot products and the envelope
+// knapsack over cached shape data; only the last tier, the DP, walks the
+// graph (longest_path_weight, scratch reused, warm after the first DP on a
+// shape of this size).
 double LongPathEvaluator::path_value(const TaskGraphShape& shape,
                                      std::span<const double> w_local) {
   double kept = 0;
@@ -86,30 +86,35 @@ double LongPathEvaluator::path_value(const TaskGraphShape& shape,
     return kept;
   }
 
-  // Capped profile set: the envelope upper-bounds every dropped path.
-  double env = 0;
-  for (const auto& e : shape.envelope()) {
-    env += static_cast<double>(e.mult) * w_local[e.local];
+  // Capped profile set. Both bounds are rounded past the DP's own binary64
+  // error, so each verdict below is the DP's (docs/dag_bounds.md): the
+  // DP's path sums run over at most T = max_path_nodes() nodes, and these
+  // sums over at most t_count products. Inflating by (T + t_count + 2)·ε
+  // covers both with room for the inflation's own rounding, and nextafter
+  // breaks a tie away from the DP's value.
+  const double rel =
+      static_cast<double>(shape.max_path_nodes() + w_local.size() + 2) *
+      std::numeric_limits<double>::epsilon();
+  // A kept profile is a real path, so its value rounded down is at or
+  // below the DP's: rejecting on it is the DP's reject. (+inf stays +inf:
+  // a path through a saturated stage.)
+  const double lower =
+      std::isinf(kept) ? kept : std::nextafter(kept - kept * rel, 0.0);
+  if (!FeasibleRegion::admits_lhs(lower, kDelayBudget)) {
+    ++tiers_.kept_reject;
+    return lower;
   }
-  const double upper = std::max(kept, env);
-  // Admitting on an upper bound is sound and agrees with the exact test
-  // (true value <= upper <= budget). Rejecting on the kept value is sound
-  // and agrees too (true value >= kept > budget).
+  // The kept profiles and the envelope knapsack bound every path, so their
+  // maximum rounded up is at or above the DP's value: admitting on it is
+  // the DP's admit. Since upper >= DP >= lower, at most one of the two
+  // tiers is conclusive, and testing the cheaper one first changes nothing.
+  const double bound = std::max(kept, envelope_bound(shape, w_local));
+  const double upper = std::nextafter(bound + bound * rel, util::kInf);
   if (FeasibleRegion::admits_lhs(upper, kDelayBudget)) {
     ++tiers_.envelope_admit;
     return upper;
   }
-  if (!FeasibleRegion::admits_lhs(kept, kDelayBudget)) {
-    ++tiers_.kept_reject;
-    return kept;
-  }
-  // Gray band. The path caps give a second, often tighter, upper bound.
-  const double capped = path_cap_bound(shape, w_local);
-  if (FeasibleRegion::admits_lhs(capped, kDelayBudget)) {
-    ++tiers_.path_cap_admit;
-    return capped;
-  }
-  // Still inconclusive: the exact DP settles it.
+  // Inconclusive: the exact DP settles it.
   ++tiers_.dp;
   const auto touched = shape.touched_resources();
   if (w_resource_.size() < terms_.size()) w_resource_.resize(terms_.size());
@@ -119,42 +124,34 @@ double LongPathEvaluator::path_value(const TaskGraphShape& shape,
   return shape.longest_path_weight(w_resource_, dp_dist_);
 }
 
-// Every path profile m satisfies m <= U (path_caps) and sum(m) <= T
-// (max_path_nodes), so the fractional knapsack over those constraints
-// bounds the path maximum. Its optimum fills the largest weights first and
-// is integral, since U and T are integers.
-double LongPathEvaluator::path_cap_bound(const TaskGraphShape& shape,
+// Every path the kept profiles miss has a profile m with m <= envelope and
+// sum(m) <= envelope_total, so the fractional knapsack over those
+// constraints bounds it. Its optimum fills the largest weights first and is
+// integral, since the caps and the total are integers.
+double LongPathEvaluator::envelope_bound(const TaskGraphShape& shape,
                                          std::span<const double> w_local) {
-  const auto caps = shape.path_caps();
-  const std::size_t t_count = w_local.size();
-  if (by_weight_.size() < t_count) by_weight_.resize(t_count);
-  // Insertion sort by weight, largest first: t_count is the shape's
-  // touched-resource count, a handful.
-  for (std::size_t i = 0; i < t_count; ++i) {
+  const auto env = shape.envelope();
+  if (by_weight_.size() < env.size()) by_weight_.resize(env.size());
+  // Insertion sort of the envelope entries by weight, largest first: at
+  // most one entry per touched resource, a handful.
+  for (std::size_t i = 0; i < env.size(); ++i) {
+    const double w = w_local[env[i].local];
     std::size_t j = i;
-    while (j > 0 && w_local[by_weight_[j - 1]] < w_local[i]) {
+    while (j > 0 && w_local[env[by_weight_[j - 1]].local] < w) {
       by_weight_[j] = by_weight_[j - 1];
       --j;
     }
     by_weight_[j] = static_cast<std::uint32_t>(i);
   }
   double value = 0;
-  std::uint32_t nodes_left = shape.max_path_nodes();
-  for (std::size_t i = 0; i < t_count && nodes_left > 0; ++i) {
-    const std::uint32_t t = by_weight_[i];
-    const std::uint32_t m = std::min(caps[t], nodes_left);
-    value += static_cast<double>(m) * w_local[t];
+  std::uint32_t nodes_left = shape.envelope_total();
+  for (std::size_t i = 0; i < env.size() && nodes_left > 0; ++i) {
+    const auto& e = env[by_weight_[i]];
+    const std::uint32_t m = std::min(e.mult, nodes_left);
+    value += static_cast<double>(m) * w_local[e.local];
     nodes_left -= m;
   }
-  // Round up. The DP sums each path left to right in binary64, which can
-  // land up to a factor (1 + T·u) above the real path sum; this sum of
-  // t_count products can land up to (1 + (t_count + 1)·u) below the real
-  // knapsack value (u = epsilon / 2). Inflating by (T + t_count + 2)·epsilon
-  // covers both with room for the inflation's own rounding, and nextafter
-  // breaks a tie upward, so the result is never below the DP's value.
-  const double rel = static_cast<double>(shape.max_path_nodes() + t_count + 2) *
-                     std::numeric_limits<double>::epsilon();
-  return std::nextafter(value + value * rel, util::kInf);
+  return value;
 }
 
 LongPathEvaluator::Eval LongPathEvaluator::evaluate(

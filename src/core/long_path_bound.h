@@ -32,13 +32,18 @@
 // per-path maximum is taken over the shape's cached dominant path profiles
 // in O(touched resources + profile entries), and the "before" value reuses
 // the tracker's cached per-stage f-terms. When the profile set is capped,
-// three more O(touched) tiers settle most values: the envelope admits, a
-// kept profile over budget rejects, and the path-cap knapsack bound admits.
-// Only when all three are inconclusive does the exact DP run, and that tier
-// alone walks a graph: the shape's label-sequence quotient, O(V + E) of the
-// quotient, which returns the canonical graph's DP value bit for bit.
-// Decisions always equal the exact all-paths test. Every entry point takes
-// a canonical spec (TaskGraphShapeRegistry::canonicalize).
+// two more O(touched) tiers settle nearly every value: the kept profiles
+// and a knapsack over the dropped-path envelope and its visit total admit
+// when their maximum, rounded up, is within budget, and a kept profile
+// rounded down rejects when it is over. Only when both are inconclusive
+// does the exact DP run, and that tier alone walks a graph: the shape's
+// label-sequence quotient, O(V + E) of the quotient, which returns the
+// canonical graph's DP value bit for bit. The rounding makes each of the
+// two bound tiers' verdicts the DP's own. The complete tier is not rounded:
+// its dot products sum in touched-resource order, not path order, so at an
+// ulp-level tie with the budget its verdict could differ from the DP's.
+// Every entry point takes a canonical spec
+// (TaskGraphShapeRegistry::canonicalize).
 #pragma once
 
 #include <limits>
@@ -130,9 +135,8 @@ class LongPathEvaluator {
   // counted once per call, so one evaluate() adds two.
   struct TierCounts {
     std::uint64_t complete = 0;        // exact over a complete profile set
-    std::uint64_t envelope_admit = 0;  // max(kept, envelope) within budget
+    std::uint64_t envelope_admit = 0;  // max(kept, envelope knapsack) fits
     std::uint64_t kept_reject = 0;     // a kept profile over budget
-    std::uint64_t path_cap_admit = 0;  // path-cap bound within budget
     std::uint64_t dp = 0;              // exact DP over the shape's quotient
   };
   const TierCounts& tier_counts() const { return tiers_; }
@@ -161,16 +165,16 @@ class LongPathEvaluator {
                    double s) const;
 
   // Max path value over the shape's cached profiles; exact when the profile
-  // set is complete, else envelope admit / kept reject / path-cap admit /
-  // exact DP. w_local holds one weight per touched resource of the shape.
-  // An admitting tier may report a bound at or above the exact value.
+  // set is complete, else envelope admit / kept reject / exact DP. w_local
+  // holds one weight per touched resource of the shape. The admitting tier
+  // reports a bound at or above the DP's value, the rejecting tier one at
+  // or below it.
   double path_value(const TaskGraphShape& shape,
                     std::span<const double> w_local);
 
-  // max{w·m : 0 <= m <= path_caps, sum(m) <= max_path_nodes}, rounded up
-  // past the DP's own floating-point error (docs/dag_bounds.md): a sound
-  // upper bound on the exact DP value.
-  double path_cap_bound(const TaskGraphShape& shape,
+  // max{w·m : 0 <= m <= envelope, sum(m) <= envelope_total}, unrounded:
+  // the real-arithmetic bound on every path the kept profiles miss.
+  double envelope_bound(const TaskGraphShape& shape,
                         std::span<const double> w_local);
 
   std::vector<Terms> terms_;
@@ -181,7 +185,7 @@ class LongPathEvaluator {
   std::vector<double> w_with_;
   std::vector<double> w_resource_;  // dense per-resource weights for the DP
   std::vector<double> dp_dist_;
-  std::vector<std::uint32_t> by_weight_;  // touched positions, path-cap order
+  std::vector<std::uint32_t> by_weight_;  // envelope entries, knapsack order
   std::vector<double> dbg_u_;  // debug cross-check snapshot (kept heap-free)
   TierCounts tiers_;
 };

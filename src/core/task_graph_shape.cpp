@@ -49,21 +49,23 @@ bool dominates(Row a, Row b, std::size_t stride) {
   return true;
 }
 
-// Componentwise max of `width` multiplicities into an envelope; the first
-// fold copies.
-void fold_max(std::uint32_t* envelope, bool& has_envelope,
-              const std::uint32_t* mult, std::size_t width) {
-  for (std::size_t i = 0; i < width; ++i) {
-    envelope[i] = has_envelope ? std::max(envelope[i], mult[i]) : mult[i];
+// Componentwise max of a row into an envelope row, visit total included:
+// the envelope's word 0 is then the most nodes on any path it covers. The
+// first fold copies.
+void fold_max(std::uint32_t* envelope, bool& has_envelope, Row row,
+              std::size_t stride) {
+  for (std::size_t i = 0; i < stride; ++i) {
+    envelope[i] = has_envelope ? std::max(envelope[i], row[i]) : row[i];
   }
   has_envelope = true;
 }
 
 // Pareto-prunes `count` rows at `rows`: orders them by row_before, drops
 // every row an earlier kept row dominates, and caps the survivors at `cap`,
-// folding the rest into the envelope (dominance drops are lossless). `kept`
-// receives the indices of the first min(cap, survivors) rows, in order.
-// Returns true when the cap dropped a row.
+// folding the rest into the envelope. A dominance drop needs no fold: the
+// row that dominates it is kept or folded, and has at least its visits and
+// its total. `kept` receives the indices of the first min(cap, survivors)
+// rows, in order. Returns true when the cap dropped a row.
 bool prune_rows(const std::uint32_t* rows, std::size_t count,
                 std::size_t stride, std::size_t cap, std::uint32_t* envelope,
                 bool& has_envelope, std::vector<std::uint32_t>& order,
@@ -93,7 +95,7 @@ bool prune_rows(const std::uint32_t* rows, std::size_t count,
   }
   if (kept.size() <= cap) return false;
   for (std::size_t i = cap; i < kept.size(); ++i) {
-    fold_max(envelope, has_envelope, rows + kept[i] * stride + 1, stride - 1);
+    fold_max(envelope, has_envelope, rows + kept[i] * stride, stride);
   }
   kept.resize(cap);
   return true;
@@ -349,13 +351,10 @@ void TaskGraphShapeRegistry::enumerate_profiles(
   const std::size_t stride = 1 + width;  // row: visit total, multiplicities
 
   // Each live node owns one slab: up to kNodeProfileCap profile rows, then
-  // its path caps (the most visits to each resource and the most nodes over
-  // the paths ending there: exact componentwise maxima, no capping) and its
-  // dropped-path envelope. A slab returns to the free list once every
-  // successor has consumed it.
-  const std::size_t caps_at = kNodeProfileCap * stride;
-  const std::size_t env_at = caps_at + width;
-  const std::size_t slab_words = env_at + width;
+  // its dropped-path envelope, one row wide. A slab returns to the free list
+  // once every successor has consumed it.
+  const std::size_t env_at = kNodeProfileCap * stride;
+  const std::size_t slab_words = env_at + stride;
   std::vector<std::uint32_t> uses_left(n, 0);  // successors not yet consumed
   auto reset_uses = [&] {
     for (std::size_t v = 0; v < n; ++v) {
@@ -388,9 +387,8 @@ void TaskGraphShapeRegistry::enumerate_profiles(
   std::vector<std::uint32_t> finals;  // kept rows of every sink
   std::vector<std::uint32_t> order;
   std::vector<std::uint32_t> kept;
-  std::vector<std::uint32_t> final_env(width, 0u);
+  std::vector<std::uint32_t> final_env(stride, 0u);
   bool has_final_env = false;
-  std::vector<std::uint32_t> final_caps(width, 0u);
   for (std::size_t v = 0; v < n; ++v) {
     const std::size_t lv = static_cast<std::size_t>(
         std::lower_bound(touched.begin(), touched.end(),
@@ -405,10 +403,8 @@ void TaskGraphShapeRegistry::enumerate_profiles(
     slab_of[v] = free_slabs.back();
     free_slabs.pop_back();
     std::uint32_t* slab = slabs.data() + slab_of[v] * slab_words;
-    std::uint32_t* caps = slab + caps_at;
     std::uint32_t* env = slab + env_at;
     bool env_set = false;
-    std::fill(caps, caps + width, 0u);
 
     const auto preds = pred.subspan(pred_offset[v],
                                     pred_offset[v + 1] - pred_offset[v]);
@@ -417,10 +413,7 @@ void TaskGraphShapeRegistry::enumerate_profiles(
     for (std::uint32_t u : preds) {
       const std::uint32_t* from = slabs.data() + slab_of[u] * slab_words;
       cand.insert(cand.end(), from, from + rows_of[u] * stride);
-      if (has_env[u]) fold_max(env, env_set, from + env_at, width);
-      for (std::size_t i = 0; i < width; ++i) {
-        caps[i] = std::max(caps[i], from[caps_at + i]);
-      }
+      if (has_env[u]) fold_max(env, env_set, from + env_at, stride);
       hops[v] = std::max(hops[v], hops[u]);
     }
     const std::size_t count = cand.size() / stride;
@@ -428,8 +421,11 @@ void TaskGraphShapeRegistry::enumerate_profiles(
       ++cand[r * stride];
       ++cand[r * stride + 1 + lv];
     }
-    if (env_set) ++env[lv];
-    ++caps[lv];
+    // The envelope extends like a row: one more node, on resource lv.
+    if (env_set) {
+      ++env[0];
+      ++env[1 + lv];
+    }
     ++hops[v];
     if (prune_rows(cand.data(), count, stride, kNodeProfileCap, env, env_set,
                    order, kept)) {
@@ -445,15 +441,11 @@ void TaskGraphShapeRegistry::enumerate_profiles(
     }
     if (shape.successors(v).empty()) {  // sink: collect, then free
       finals.insert(finals.end(), slab, slab + rows_of[v] * stride);
-      if (env_set) fold_max(final_env.data(), has_final_env, env, width);
-      for (std::size_t i = 0; i < width; ++i) {
-        final_caps[i] = std::max(final_caps[i], caps[i]);
-      }
+      if (env_set) fold_max(final_env.data(), has_final_env, env, stride);
       shape.max_path_nodes_ = std::max(shape.max_path_nodes_, hops[v]);
       free_slabs.push_back(slab_of[v]);
     }
   }
-  shape.path_caps_ = std::move(final_caps);
   if (prune_rows(finals.data(), finals.size() / stride, stride,
                  kFinalProfileCap, final_env.data(), has_final_env, order,
                  kept)) {
@@ -475,10 +467,11 @@ void TaskGraphShapeRegistry::enumerate_profiles(
   }
   if (!complete) {
     FRAP_ASSERT(has_final_env);
+    shape.envelope_total_ = final_env[0];
     for (std::size_t i = 0; i < width; ++i) {
-      if (final_env[i] > 0) {
+      if (final_env[1 + i] > 0) {
         shape.envelope_.push_back({static_cast<std::uint32_t>(i),
-                                   final_env[i]});
+                                   final_env[1 + i]});
       }
     }
   }

@@ -36,13 +36,12 @@
 // w >= 0 the maximum is attained on a Pareto-maximal m_P. The enumeration
 // below keeps, per node, the Pareto frontier of path profiles ending there
 // (capped; overflow folds into a componentwise-max envelope that stays an
-// upper bound on every dropped path). When `profiles_complete()` the kept
-// profiles evaluate the path maximum EXACTLY in O(profiles * nnz),
-// independent of graph size. Otherwise the evaluator settles a value from
-// the envelope, the kept profiles, or the path caps (the most visits any
-// path makes to each resource, and the most nodes on any path), and runs
-// the exact DP only when all three are inconclusive
-// (core/long_path_bound.h).
+// upper bound on every dropped path, and carries the most nodes on any path
+// it covers). When `profiles_complete()` the kept profiles evaluate the path
+// maximum EXACTLY in O(profiles * nnz), independent of graph size.
+// Otherwise the evaluator admits on a knapsack over the envelope and its
+// visit total, rejects on a kept profile, and runs the exact DP only when
+// both are inconclusive (core/long_path_bound.h).
 //
 // Exact DP quotient: the DP's value is the max over paths of the left-to-
 // right binary64 sum of w[resource(i)]. fl(x + w) is monotone in x and max
@@ -114,16 +113,16 @@ class TaskGraphShape {
   // maximum over them is exact for any nonnegative weights.
   [[nodiscard]] bool profiles_complete() const { return profiles_complete_; }
 
-  // Componentwise-max envelope over every path profile dropped by the caps
-  // (empty when profiles_complete()). For w >= 0, max(kept, envelope) is an
-  // upper bound on the true path maximum.
+  // Componentwise-max envelope over every path whose prefix the caps
+  // dropped (empty, with a zero total, when profiles_complete()). Such a
+  // path's profile m satisfies m <= envelope() in every component and
+  // sum(m) <= envelope_total(), so for w >= 0 the knapsack
+  // max{w·x : 0 <= x <= envelope, sum(x) <= envelope_total} bounds it.
   std::span<const ProfileEntry> envelope() const { return envelope_; }
+  std::uint32_t envelope_total() const { return envelope_total_; }
 
-  // Path caps, one pass at registration: path_caps()[t] is the most visits
-  // any source->sink path makes to touched resource t, and
-  // max_path_nodes() the most nodes on any path. Every path profile m
-  // satisfies m <= path_caps() and sum(m) <= max_path_nodes().
-  std::span<const std::uint32_t> path_caps() const { return path_caps_; }
+  // The most nodes on any source->sink path: the length of the DP's longest
+  // binary64 sum, which the evaluator's rounding slack scales with.
   std::uint32_t max_path_nodes() const { return max_path_nodes_; }
 
   // Longest source->sink path with per-node weights w[resource(node)]: the
@@ -169,8 +168,8 @@ class TaskGraphShape {
   std::vector<ProfileEntry> profile_entries_;
   std::vector<std::uint32_t> profile_offset_;
   std::vector<ProfileEntry> envelope_;
+  std::uint32_t envelope_total_ = 0;
   bool profiles_complete_ = true;
-  std::vector<std::uint32_t> path_caps_;
   std::uint32_t max_path_nodes_ = 0;
 
   std::vector<std::uint32_t> quotient_resource_;

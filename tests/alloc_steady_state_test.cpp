@@ -244,9 +244,9 @@ TEST(AllocSteadyStateTest, RatioOneGraphAdmitCycleIsAllocationFree) {
 
 // The gray band of a capped shape (profile set incomplete): background load
 // puts the heaviest path at 90% of the budget, so every attempt's two path
-// values fall between the kept profiles and the envelope and the path-cap
-// tier settles them. That tier must not allocate, and must keep the exact
-// DP from running at all.
+// values fall between the kept profiles and the envelope's dot product, and
+// the envelope knapsack settles them. That tier must not allocate, and must
+// keep the exact DP from running at all.
 TEST(AllocSteadyStateTest, LongPathGrayBandAdmitCycleIsAllocationFree) {
   constexpr std::uint64_t kLiveTarget = 2000;
   constexpr Duration kSpacing = 1.0 / static_cast<double>(kLiveTarget);
@@ -297,7 +297,7 @@ TEST(AllocSteadyStateTest, LongPathGrayBandAdmitCycleIsAllocationFree) {
       << "steady-state gray-band graph admits must not allocate";
   EXPECT_EQ(controller.admitted(), controller.attempts());
   const auto& after = controller.long_path_evaluator()->tier_counts();
-  EXPECT_EQ(after.path_cap_admit - tiers.path_cap_admit, 2u * 2000u);
+  EXPECT_EQ(after.envelope_admit - tiers.envelope_admit, 2u * 2000u);
   EXPECT_EQ(after.dp, tiers.dp);
   tracker.verify_lhs_cache(1e-9);
 }

@@ -36,8 +36,10 @@ void fold_max(Mvec& into, const Mvec& from) {
 
 // Pareto-prunes `set` in place (dedupe + dominance filter), then caps it at
 // `cap` keeping the largest profiles by (sum, lexicographic). Dropped
-// vectors fold into `envelope`; returns true when the cap dropped any.
-bool prune_profiles(std::vector<Mvec>& set, std::size_t cap, Mvec& envelope) {
+// vectors fold into `envelope`, their sums into `envelope_total`; returns
+// true when the cap dropped any.
+bool prune_profiles(std::vector<Mvec>& set, std::size_t cap, Mvec& envelope,
+                    std::uint64_t& envelope_total) {
   std::sort(set.begin(), set.end(), [](const Mvec& a, const Mvec& b) {
     const std::uint64_t sa = vec_sum(a);
     const std::uint64_t sb = vec_sum(b);
@@ -61,6 +63,7 @@ bool prune_profiles(std::vector<Mvec>& set, std::size_t cap, Mvec& envelope) {
   if (kept.size() > cap) {
     for (std::size_t i = cap; i < kept.size(); ++i) {
       fold_max(envelope, kept[i]);
+      envelope_total = std::max(envelope_total, vec_sum(kept[i]));
     }
     kept.resize(cap);
     capped = true;
@@ -101,7 +104,7 @@ ReferenceProfiles reference_profiles(const core::TaskGraphShape& shape) {
   ReferenceProfiles out;
   std::vector<std::vector<Mvec>> paths(n);
   std::vector<Mvec> env(n);
-  std::vector<Mvec> caps(n);
+  std::vector<std::uint64_t> env_total(n, 0);
   std::vector<std::uint32_t> hops(n, 0);
   std::vector<std::uint32_t> uses_left(n, 0);
   for (std::size_t v = 0; v < n; ++v) {
@@ -117,44 +120,47 @@ ReferenceProfiles reference_profiles(const core::TaskGraphShape& shape) {
   bool complete = true;
   std::vector<Mvec> finals;
   Mvec final_env;
-  Mvec final_caps(width, 0u);
+  std::uint64_t final_env_total = 0;
   for (std::size_t v = 0; v < n; ++v) {
     const std::size_t lv = local_of(shape.node_resource()[v]);
     std::vector<Mvec> cand;
-    caps[v].assign(width, 0u);
     if (pred[v].empty()) {
       cand.emplace_back(width, 0u);
     } else {
       for (std::uint32_t u : pred[v]) {
         for (const Mvec& p : paths[u]) cand.push_back(p);
-        if (!env[u].empty()) fold_max(env[v], env[u]);
-        fold_max(caps[v], caps[u]);
+        if (!env[u].empty()) {
+          fold_max(env[v], env[u]);
+          env_total[v] = std::max(env_total[v], env_total[u]);
+        }
         hops[v] = std::max(hops[v], hops[u]);
       }
     }
     for (Mvec& p : cand) ++p[lv];
-    if (!env[v].empty()) ++env[v][lv];
-    ++caps[v][lv];
+    if (!env[v].empty()) {
+      ++env[v][lv];
+      ++env_total[v];
+    }
     ++hops[v];
-    if (prune_profiles(cand, Registry::kNodeProfileCap, env[v])) {
+    if (prune_profiles(cand, Registry::kNodeProfileCap, env[v],
+                       env_total[v])) {
       complete = false;
     }
     paths[v] = std::move(cand);
     for (std::uint32_t u : pred[v]) {
-      if (--uses_left[u] == 0) {
-        paths[u].clear();
-        caps[u].clear();
-      }
+      if (--uses_left[u] == 0) paths[u].clear();
     }
     if (shape.successors(v).empty()) {
       for (const Mvec& p : paths[v]) finals.push_back(p);
-      if (!env[v].empty()) fold_max(final_env, env[v]);
-      fold_max(final_caps, caps[v]);
+      if (!env[v].empty()) {
+        fold_max(final_env, env[v]);
+        final_env_total = std::max(final_env_total, env_total[v]);
+      }
       out.max_path_nodes = std::max(out.max_path_nodes, hops[v]);
     }
   }
-  out.path_caps = std::move(final_caps);
-  if (prune_profiles(finals, Registry::kFinalProfileCap, final_env)) {
+  if (prune_profiles(finals, Registry::kFinalProfileCap, final_env,
+                     final_env_total)) {
     complete = false;
   }
   out.complete = complete;
@@ -165,6 +171,7 @@ ReferenceProfiles reference_profiles(const core::TaskGraphShape& shape) {
     }
   }
   if (!complete) {
+    out.envelope_total = static_cast<std::uint32_t>(final_env_total);
     for (std::size_t i = 0; i < width; ++i) {
       if (final_env[i] > 0) {
         out.envelope.push_back({static_cast<std::uint32_t>(i), final_env[i]});

@@ -8,7 +8,8 @@
 //     same bits for every weight vector.
 //   * reference_profiles is the enumerator that kept one std::vector per
 //     profile. The flat enumerator must produce the same profiles (same
-//     order), envelope, path caps, max path nodes and completeness flag.
+//     order), envelope and its visit total, max path nodes and
+//     completeness flag.
 // tests/dag_quotient_differential_test.cpp compares them. Nothing in src/
 // depends on this file.
 #pragma once
@@ -31,7 +32,7 @@ struct ReferenceProfiles {
   using Entry = core::TaskGraphShape::ProfileEntry;
   std::vector<std::vector<Entry>> profiles;  // sparse, kept order
   std::vector<Entry> envelope;               // empty when complete
-  std::vector<std::uint32_t> path_caps;
+  std::uint32_t envelope_total = 0;          // 0 when complete
   std::uint32_t max_path_nodes = 0;
   bool complete = true;
 };
