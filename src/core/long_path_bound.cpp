@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "core/stage_delay.h"
@@ -9,6 +10,51 @@
 #include "util/math.h"
 
 namespace frap::core {
+
+namespace {
+
+// Two lanes of the profile matrix, one SSE2 register: a GCC/Clang vector
+// extension, so no library is needed for it.
+using LanePair = double __attribute__((vector_size(2 * sizeof(double))));
+
+}  // namespace
+
+// frap:contract(hotpath) -- one pass over the shape's cached matrix, with
+// its kProfileLanes / 2 = 8 accumulator pairs in registers: that leaves
+// room in SSE2's 16 for the weight, the loaded column and the mask. The
+// lanes are spelled as vector pairs because the compiler does not
+// vectorize the scalar form: under the default -ftrapping-math it sinks
+// the product into the unmasked arm and keeps a branch per lane.
+double kept_profile_max(const TaskGraphShape& shape,
+                        std::span<const double> w_local) {
+  constexpr std::size_t kLanes = TaskGraphShape::kProfileLanes;
+  constexpr std::size_t kPairs = kLanes / 2;
+  FRAP_EXPECTS(shape.profile_matrix().size() == w_local.size() * kLanes);
+  const double* matrix = shape.profile_matrix().data();
+  const LanePair zero = {};
+  LanePair acc[kPairs] = {};
+  for (const double wt : w_local) {
+    const LanePair w = {wt, wt};
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < kPairs; ++i) {
+      LanePair m;
+      std::memcpy(&m, matrix + 2 * i, sizeof m);
+      // A lane that skips this resource adds +0.0, not 0·wt (NaN at +inf).
+      acc[i] += m > zero ? m * w : zero;
+    }
+    matrix += kLanes;
+  }
+  // The max over lanes as a tree of pairwise maxima (exact, so the order
+  // does not matter), rather than one serial chain of 16.
+  for (std::size_t half = kPairs / 2; half > 0; half /= 2) {
+    for (std::size_t i = 0; i < half; ++i) {
+      acc[i] = acc[i] > acc[i + half] ? acc[i] : acc[i + half];
+    }
+  }
+  const double lo = acc[0][0];
+  const double hi = acc[0][1];
+  return std::max(lo, hi);
+}
 
 LongPathEvaluator::LongPathEvaluator(
     const std::vector<double>& deadline_ceiling,
@@ -67,20 +113,13 @@ double LongPathEvaluator::weight_of(std::size_t k, double f_term,
   return f_term * (t.scale * s) + t.beta;
 }
 
-// frap:contract(hotpath) -- profile dot products and the envelope
+// frap:contract(hotpath) -- the kept-profile pass and the envelope
 // knapsack over cached shape data; only the last tier, the DP, walks the
 // graph (longest_path_weight, scratch reused, warm after the first DP on a
 // shape of this size).
 double LongPathEvaluator::path_value(const TaskGraphShape& shape,
                                      std::span<const double> w_local) {
-  double kept = 0;
-  for (std::size_t p = 0; p < shape.num_profiles(); ++p) {
-    double v = 0;
-    for (const auto& e : shape.profile(p)) {
-      v += static_cast<double>(e.mult) * w_local[e.local];
-    }
-    kept = std::max(kept, v);
-  }
+  const double kept = kept_profile_max(shape, w_local);
   if (shape.profiles_complete()) {
     ++tiers_.complete;
     return kept;

@@ -30,19 +30,19 @@
 //
 // Evaluation cost: with an interned shape (core/task_graph_shape.h) the
 // per-path maximum is taken over the shape's cached dominant path profiles
-// in O(touched resources + profile entries), and the "before" value reuses
-// the tracker's cached per-stage f-terms. When the profile set is capped,
-// two more O(touched) tiers settle nearly every value: the kept profiles
-// and a knapsack over the dropped-path envelope and its visit total admit
-// when their maximum, rounded up, is within budget, and a kept profile
-// rounded down rejects when it is over. Only when both are inconclusive
-// does the exact DP run, and that tier alone walks a graph: the shape's
-// label-sequence quotient, O(V + E) of the quotient, which returns the
-// canonical graph's DP value bit for bit. The rounding makes each of the
-// two bound tiers' verdicts the DP's own. The complete tier is not rounded:
-// its dot products sum in touched-resource order, not path order, so at an
-// ulp-level tie with the budget its verdict could differ from the DP's.
-// Every entry point takes a canonical spec
+// in one O(touched resources x profile lanes) pass (kept_profile_max,
+// below), and the "before" value reuses the tracker's cached per-stage
+// f-terms. When the profile set is capped, two more O(touched) tiers settle
+// nearly every value: the kept profiles and a knapsack over the dropped-path
+// envelope and its visit total admit when their maximum, rounded up, is
+// within budget, and a kept profile rounded down rejects when it is over.
+// Only when both are inconclusive does the exact DP run, and that tier
+// alone walks a graph: the shape's label-sequence quotient, O(V + E) of the
+// quotient, which returns the canonical graph's DP value bit for bit. The
+// rounding makes each of the two bound tiers' verdicts the DP's own. The
+// complete tier is not rounded: its dot products sum in touched-resource
+// order, not path order, so at an ulp-level tie with the budget its verdict
+// could differ from the DP's. Every entry point takes a canonical spec
 // (TaskGraphShapeRegistry::canonicalize).
 #pragma once
 
@@ -56,6 +56,17 @@
 #include "core/task_graph_shape.h"
 
 namespace frap::core {
+
+// The kept profiles' path maximum, max over kept p of Σ_t m[p][t]·w[t]
+// (0 with no kept profile), in one pass over the shape's dense profile
+// matrix with one accumulator per lane. Lane p adds its products in
+// ascending t, as a per-profile walk over the nonzero multiplicities does,
+// and a zero multiplicity adds an exact +0.0 instead of 0·w, which is NaN
+// for a saturated (+inf) weight. So the value is that walk's, bit for bit
+// (docs/dag_bounds.md). w_local holds one weight (>= 0, +inf allowed) per
+// touched resource of the shape.
+[[nodiscard]] double kept_profile_max(const TaskGraphShape& shape,
+                                      std::span<const double> w_local);
 
 class LongPathEvaluator {
  public:

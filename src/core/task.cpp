@@ -5,11 +5,12 @@
 
 namespace frap::core {
 
-std::vector<sched::Segment> StageDemand::make_segments() const {
+void StageDemand::append_segments(std::vector<sched::Segment>& out) const {
   if (segments.empty()) {
-    return {sched::Segment{compute, sched::kNoLock}};
+    out.push_back(sched::Segment{compute, sched::kNoLock});
+  } else {
+    out.insert(out.end(), segments.begin(), segments.end());
   }
-  return segments;
 }
 
 bool StageDemand::valid() const {

@@ -21,8 +21,9 @@ struct StageDemand {
   Duration compute = 0;
   std::vector<sched::Segment> segments;
 
-  // Materializes the segment list (single lock-free segment when none given).
-  std::vector<sched::Segment> make_segments() const;
+  // Appends the materialized segment list to `out` (a single lock-free
+  // segment when none given).
+  void append_segments(std::vector<sched::Segment>& out) const;
 
   // Validates internal consistency (segments sum to compute).
   [[nodiscard]] bool valid() const;

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <functional>
-#include <queue>
 
 #include "util/check.h"
 
@@ -215,83 +215,93 @@ bool TaskGraphShape::layout_equals(
   return i == encoding.size();
 }
 
-TaskGraphShapeRegistry::CanonicalForm TaskGraphShapeRegistry::canonical_form(
-    const GraphTaskSpec& spec) {
+void TaskGraphShapeRegistry::canonical_form(const GraphTaskSpec& spec,
+                                            CanonicalForm& form) {
   // n == 0 is allowed: the empty graph canonicalizes to a benign shape with
   // no touched resources and no profiles (its path maximum is 0). valid()
   // still rejects empty specs before they reach a runtime. An interned spec
   // has no layout of its own to canonicalize.
   FRAP_EXPECTS(spec.shape == nullptr);
   const std::size_t n = spec.nodes.size();
-  std::vector<std::vector<std::uint32_t>> succ(n);
-  std::vector<std::uint32_t> indeg(n, 0);
   // The layout checks a canonical spec's valid() trusts (edges in range and,
   // below, no cycle). Resources must fit the shape's 32-bit resource ids.
   for (const auto& node : spec.nodes) {
     FRAP_EXPECTS(node.demand.valid());
     FRAP_EXPECTS(node.resource <= 0xffffffffu);
   }
+  // Successor CSR over the original ids, each node's run in edge order.
+  form.succ_offset.assign(n + 1, 0);
+  form.indegree.assign(n, 0);
   for (const auto& e : spec.edges) {
     FRAP_EXPECTS(e.from < n && e.to < n);
-    succ[e.from].push_back(static_cast<std::uint32_t>(e.to));
-    ++indeg[e.to];
+    ++form.succ_offset[e.from + 1];
+    ++form.indegree[e.to];
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    form.succ_offset[v + 1] += form.succ_offset[v];
+  }
+  form.succ.resize(spec.edges.size());
+  form.fill.assign(form.succ_offset.begin(), form.succ_offset.end() - 1);
+  for (const auto& e : spec.edges) {
+    form.succ[form.fill[e.from]++] = static_cast<std::uint32_t>(e.to);
   }
 
   // Canonical order: Kahn's algorithm, taking the lowest-index ready node
   // first. The order is topological, and it is the identity for a spec
   // whose every edge already runs from a lower to a higher index.
-  std::priority_queue<std::uint32_t, std::vector<std::uint32_t>,
-                      std::greater<>>
-      ready;
+  std::vector<std::uint32_t>& ready = form.ready;
+  ready.clear();
   for (std::size_t v = 0; v < n; ++v) {
-    if (indeg[v] == 0) ready.push(static_cast<std::uint32_t>(v));
+    if (form.indegree[v] == 0) ready.push_back(static_cast<std::uint32_t>(v));
   }
-  std::vector<std::uint32_t> order;
-  order.reserve(n);
-  while (!ready.empty()) {
-    const std::uint32_t v = ready.top();
-    ready.pop();
+  std::vector<std::uint32_t>& order = form.order;
+  order.clear();
+  while (!ready.empty()) {  // ready ascends, so it is already a min-heap
+    std::pop_heap(ready.begin(), ready.end(), std::greater<>());
+    const std::uint32_t v = ready.back();
+    ready.pop_back();
     order.push_back(v);
-    for (std::uint32_t s : succ[v]) {
-      if (--indeg[s] == 0) ready.push(s);
+    for (std::uint32_t i = form.succ_offset[v]; i < form.succ_offset[v + 1];
+         ++i) {
+      if (--form.indegree[form.succ[i]] == 0) {
+        ready.push_back(form.succ[i]);
+        std::push_heap(ready.begin(), ready.end(), std::greater<>());
+      }
     }
   }
   FRAP_EXPECTS(order.size() == n);  // acyclic, no self-loops
 
-  CanonicalForm form;
   form.canon_of_original.resize(n);
   for (std::size_t pos = 0; pos < n; ++pos) {
     form.canon_of_original[order[pos]] = static_cast<std::uint32_t>(pos);
   }
 
   // Node count, edge count, one resource word per node, then the edges.
-  form.encoding.reserve(2 + n + spec.edges.size());
-  form.encoding.push_back(n);
-  form.encoding.push_back(spec.edges.size());
+  std::vector<std::uint64_t>& encoding = form.encoding;
+  encoding.clear();
+  encoding.push_back(n);
+  encoding.push_back(spec.edges.size());
   for (std::size_t pos = 0; pos < n; ++pos) {
-    form.encoding.push_back(spec.nodes[order[pos]].resource);
+    encoding.push_back(spec.nodes[order[pos]].resource);
   }
-  std::vector<std::uint64_t> edges;
-  edges.reserve(spec.edges.size());
+  // Last, so build_shape can read the sorted edges back from the tail.
   for (const auto& e : spec.edges) {
-    edges.push_back(
+    encoding.push_back(
         (static_cast<std::uint64_t>(form.canon_of_original[e.from]) << 32) |
         form.canon_of_original[e.to]);
   }
-  std::sort(edges.begin(), edges.end());
-  // Last, so build_shape can read the sorted edges back from the tail.
-  form.encoding.insert(form.encoding.end(), edges.begin(), edges.end());
+  std::sort(encoding.end() - static_cast<std::ptrdiff_t>(spec.edges.size()),
+            encoding.end());
 
   std::uint64_t h = 0x646167u;
-  for (std::uint64_t w : form.encoding) h = combine(h, w);
+  for (std::uint64_t w : encoding) h = combine(h, w);
   form.hash = h;
-  return form;
 }
 
 std::unique_ptr<TaskGraphShape> TaskGraphShapeRegistry::build_shape(
     const CanonicalForm& form) {
   auto shape = std::unique_ptr<TaskGraphShape>(new TaskGraphShape());
-  const std::size_t n = form.canon_of_original.size();
+  const std::size_t n = form.order.size();
   const std::size_t num_edges = form.encoding[1];
   shape->hash_ = form.hash;
   const auto resources = std::span<const std::uint64_t>(form.encoding)
@@ -453,17 +463,13 @@ void TaskGraphShapeRegistry::enumerate_profiles(
   }
 
   shape.profiles_complete_ = complete;
-  shape.profile_offset_.push_back(0);
-  for (std::uint32_t k : kept) {
-    const std::uint32_t* row = finals.data() + k * stride;
-    for (std::size_t i = 0; i < width; ++i) {
-      if (row[1 + i] > 0) {
-        shape.profile_entries_.push_back(
-            {static_cast<std::uint32_t>(i), row[1 + i]});
-      }
+  constexpr std::size_t lanes = TaskGraphShape::kProfileLanes;
+  shape.profile_matrix_.assign(width * lanes, 0.0);
+  for (std::size_t p = 0; p < kept.size(); ++p) {
+    const std::uint32_t* row = finals.data() + kept[p] * stride;
+    for (std::size_t t = 0; t < width; ++t) {
+      shape.profile_matrix_[t * lanes + p] = row[1 + t];
     }
-    shape.profile_offset_.push_back(
-        static_cast<std::uint32_t>(shape.profile_entries_.size()));
   }
   if (!complete) {
     FRAP_ASSERT(has_final_env);
@@ -582,42 +588,42 @@ const TaskGraphShape* TaskGraphShapeRegistry::intern(
 }
 
 GraphTaskSpec TaskGraphShapeRegistry::canonicalize(const GraphTaskSpec& spec) {
-  const CanonicalForm form = canonical_form(spec);
+  canonical_form(spec, form_);
   GraphTaskSpec out;
   out.id = spec.id;
   out.deadline = spec.deadline;
   out.importance = spec.importance;
-  out.shape = intern(form);
+  out.shape = intern(form_);
 
+  // Each of the demands' vectors is sized once.
   const std::size_t n = spec.nodes.size();
-  std::vector<std::size_t> original_of(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    original_of[form.canon_of_original[v]] = v;
+  std::size_t num_segments = 0;
+  for (const GraphNode& node : spec.nodes) {
+    num_segments += std::max<std::size_t>(1, node.demand.segments.size());
   }
   auto demands = std::make_shared<GraphDemands>();
   demands->node_compute.resize(n);
+  demands->segment_offset.reserve(n + 1);
   demands->segment_offset.push_back(0);
+  demands->segments.reserve(num_segments);
   // Per-resource compute sums: the (resource, compute) pairs sorted, then
   // summed in ascending order, so the sums do not depend on the node
   // numbering.
-  std::vector<std::pair<std::uint32_t, Duration>> per_resource;
-  per_resource.reserve(n);
+  per_resource_.clear();
   for (std::size_t c = 0; c < n; ++c) {
-    const GraphNode& node = spec.nodes[original_of[c]];
+    const GraphNode& node = spec.nodes[form_.order[c]];
     demands->node_compute[c] = node.demand.compute;
-    for (const sched::Segment& seg : node.demand.make_segments()) {
-      demands->segments.push_back(seg);
-    }
+    node.demand.append_segments(demands->segments);
     demands->segment_offset.push_back(
         static_cast<std::uint32_t>(demands->segments.size()));
-    per_resource.emplace_back(static_cast<std::uint32_t>(node.resource),
-                              node.demand.compute);
+    per_resource_.emplace_back(static_cast<std::uint32_t>(node.resource),
+                               node.demand.compute);
   }
-  std::sort(per_resource.begin(), per_resource.end());
+  std::sort(per_resource_.begin(), per_resource_.end());
   const auto touched = out.shape->touched_resources();
   demands->resource_compute.assign(touched.size(), 0);
   std::size_t t = 0;
-  for (const auto& [r, c] : per_resource) {
+  for (const auto& [r, c] : per_resource_) {
     while (touched[t] != r) ++t;
     demands->resource_compute[t] += c;
   }

@@ -37,8 +37,10 @@
 // below keeps, per node, the Pareto frontier of path profiles ending there
 // (capped; overflow folds into a componentwise-max envelope that stays an
 // upper bound on every dropped path, and carries the most nodes on any path
-// it covers). When `profiles_complete()` the kept profiles evaluate the path
-// maximum EXACTLY in O(profiles * nnz), independent of graph size.
+// it covers). The kept profiles are stored as one dense matrix, lane p of
+// column t holding profile p's visits to touched resource t. When
+// `profiles_complete()` they evaluate the path maximum EXACTLY in one
+// O(touched * lanes) pass, independent of graph size.
 // Otherwise the evaluator admits on a knapsack over the envelope and its
 // visit total, rejects on a kept profile, and runs the exact DP only when
 // both are inconclusive (core/long_path_bound.h).
@@ -59,6 +61,7 @@
 #include <memory>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/task_graph.h"
@@ -95,19 +98,15 @@ class TaskGraphShape {
   }
 
   // --- dominant long-path profiles --------------------------------------
-  // Sparse multiplicity vectors over touched-resource positions: profile p
-  // spans entries [profile_offset(p), profile_offset(p+1)) of
-  // profile_entries(). Entry (local, mult): `local` indexes into
-  // touched_resources().
-  struct ProfileEntry {
-    std::uint32_t local = 0;  // index into touched_resources()
-    std::uint32_t mult = 0;   // visits along the path
-  };
-  std::size_t num_profiles() const { return profile_offset_.size() - 1; }
-  std::span<const ProfileEntry> profile(std::size_t p) const {
-    return {profile_entries_.data() + profile_offset_[p],
-            profile_offset_[p + 1] - profile_offset_[p]};
-  }
+  // The kept profiles as one dense column-major matrix of multiplicities:
+  // column t holds kProfileLanes doubles, and lane p of it is how often
+  // kept profile p visits touched_resources()[t]. A profile that skips a
+  // resource holds 0 there, and the lanes past the last kept profile are
+  // all zero, so every shape runs the one kernel with no tail (about
+  // 1 KiB for 8 touched resources). kProfileLanes is
+  // TaskGraphShapeRegistry::kFinalProfileCap.
+  static constexpr std::size_t kProfileLanes = 16;
+  std::span<const double> profile_matrix() const { return profile_matrix_; }
 
   // True when the kept profiles are the COMPLETE Pareto frontier: the path
   // maximum over them is exact for any nonnegative weights.
@@ -118,7 +117,12 @@ class TaskGraphShape {
   // path's profile m satisfies m <= envelope() in every component and
   // sum(m) <= envelope_total(), so for w >= 0 the knapsack
   // max{w·x : 0 <= x <= envelope, sum(x) <= envelope_total} bounds it.
-  std::span<const ProfileEntry> envelope() const { return envelope_; }
+  // Sparse: one entry per touched position with a nonzero component.
+  struct EnvelopeEntry {
+    std::uint32_t local = 0;  // index into touched_resources()
+    std::uint32_t mult = 0;   // the component
+  };
+  std::span<const EnvelopeEntry> envelope() const { return envelope_; }
   std::uint32_t envelope_total() const { return envelope_total_; }
 
   // The most nodes on any source->sink path: the length of the DP's longest
@@ -165,9 +169,8 @@ class TaskGraphShape {
 
   std::vector<std::uint32_t> touched_resources_;
 
-  std::vector<ProfileEntry> profile_entries_;
-  std::vector<std::uint32_t> profile_offset_;
-  std::vector<ProfileEntry> envelope_;
+  std::vector<double> profile_matrix_;  // touched x kProfileLanes
+  std::vector<EnvelopeEntry> envelope_;
   std::uint32_t envelope_total_ = 0;
   bool profiles_complete_ = true;
   std::uint32_t max_path_nodes_ = 0;
@@ -188,6 +191,7 @@ class TaskGraphShapeRegistry {
   // profiles_complete().
   static constexpr std::size_t kNodeProfileCap = 8;
   static constexpr std::size_t kFinalProfileCap = 16;
+  static_assert(kFinalProfileCap == TaskGraphShape::kProfileLanes);
 
   TaskGraphShapeRegistry() = default;
   TaskGraphShapeRegistry(const TaskGraphShapeRegistry&) = delete;
@@ -210,12 +214,25 @@ class TaskGraphShapeRegistry {
   std::uint64_t misses() const { return misses_; }
 
  private:
+  // A spec's topology in canonical numbering, and the scratch it is built
+  // in. The registry keeps one (form_) and only ever grows it, so
+  // canonicalizing a spec of a registered topology allocates nothing but
+  // its GraphDemands.
   struct CanonicalForm {
+    std::vector<std::uint32_t> order;              // canonical -> original id
     std::vector<std::uint32_t> canon_of_original;  // original id -> canonical
     std::vector<std::uint64_t> encoding;
     std::uint64_t hash = 0;
+    // Scratch: the original successor CSR, its fill cursors, and Kahn's
+    // ready set (a min-heap).
+    std::vector<std::uint32_t> succ_offset;
+    std::vector<std::uint32_t> succ;
+    std::vector<std::uint32_t> fill;
+    std::vector<std::uint32_t> indegree;
+    std::vector<std::uint32_t> ready;
   };
-  static CanonicalForm canonical_form(const GraphTaskSpec& spec);
+  // Overwrites `form` with the canonical form of `spec`.
+  static void canonical_form(const GraphTaskSpec& spec, CanonicalForm& form);
   const TaskGraphShape* intern(const CanonicalForm& form);
   static std::unique_ptr<TaskGraphShape> build_shape(
       const CanonicalForm& form);
@@ -226,6 +243,10 @@ class TaskGraphShapeRegistry {
   static void build_quotient(TaskGraphShape& shape,
                              std::span<const std::uint32_t> pred_offset,
                              std::span<const std::uint32_t> pred);
+
+  CanonicalForm form_;
+  // canonicalize's (resource, compute) pairs.
+  std::vector<std::pair<std::uint32_t, Duration>> per_resource_;
 
   std::vector<std::unique_ptr<TaskGraphShape>> shapes_;
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> by_hash_;

@@ -28,6 +28,7 @@
 #include "core/stage_delay.h"
 #include "core/synthetic_utilization.h"
 #include "core/task.h"
+#include "core/task_graph_shape.h"
 #include "ingest/ingest_session.h"
 #include "ingest/wire_decoder.h"
 #include "ingest/wire_encoder.h"
@@ -338,6 +339,41 @@ TEST(AllocSteadyStateTest, LongPathExactDpIsAllocationFree) {
 
   EXPECT_EQ(g_allocs.load(), 0u) << "warm exact DP must not allocate";
   EXPECT_GT(sum, 0.0);
+}
+
+// Canonicalizing a spec whose topology is already registered: the
+// registry's canonical-form buffers are warm after the first call, so each
+// call allocates only the new spec's GraphDemands, its shared block and its
+// four vectors, sized once each.
+TEST(AllocSteadyStateTest, RegisteredShapeCanonicalizeAllocatesOnlyDemands) {
+  TaskGraphShapeRegistry registry;
+  // Fork/join 0 -> {1, 2} -> 3, node 2 with two critical-section segments.
+  GraphTaskSpec spec;
+  spec.deadline = 1.0;
+  spec.nodes.resize(4);
+  for (std::size_t v = 0; v < 4; ++v) {
+    spec.nodes[v].resource = v % 3;
+    spec.nodes[v].demand.compute = 1e-3;
+  }
+  spec.nodes[2].demand.segments = {sched::Segment{4e-4, sched::kNoLock},
+                                   sched::Segment{6e-4, 0}};
+  spec.edges = {{0, 1}, {0, 2}, {1, 3}, {2, 3}};
+  const TaskGraphShape* shape = registry.canonicalize(spec).shape;
+
+  constexpr int kCalls = 100;
+  g_allocs.store(0);
+  g_counting.store(true);
+  for (int i = 0; i < kCalls; ++i) {
+    spec.id = static_cast<std::uint64_t>(i);
+    // A failed intern is asserted after the counting window.
+    if (registry.canonicalize(spec).shape != shape) break;
+  }
+  g_counting.store(false);
+
+  EXPECT_EQ(g_allocs.load(), 5u * kCalls)
+      << "a registered topology must allocate only its GraphDemands";
+  EXPECT_EQ(registry.size(), 1u);
+  EXPECT_EQ(registry.hits(), static_cast<std::uint64_t>(kCalls));
 }
 
 // The ISSUE 10 extension: the full wire-ingest cycle — zero-copy cursor

@@ -7,9 +7,10 @@
 //     and overflowing sums;
 //   * the quotient is never larger than the shape, is topologically
 //     ordered, and keeps at most one source class per touched resource;
-//   * the flat profile enumerator yields the same profiles (in order),
-//     envelope and its visit total, max path nodes and completeness flag
-//     over 3000 random DAGs of 1-1500 nodes on 1-12 resources.
+//   * the flat profile enumerator yields the same profiles (in order, as
+//     the lanes of the dense profile matrix, zeros included), envelope and
+//     its visit total, max path nodes and completeness flag over 3000
+//     random DAGs of 1-1500 nodes on 1-12 resources.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -166,8 +167,8 @@ void check_quotient(util::Rng& rng, const core::TaskGraphShape& shape,
 }
 
 void expect_same_entries(
-    std::span<const core::TaskGraphShape::ProfileEntry> got,
-    const std::vector<core::TaskGraphShape::ProfileEntry>& want) {
+    std::span<const core::TaskGraphShape::EnvelopeEntry> got,
+    const std::vector<testing::ReferenceProfiles::Entry>& want) {
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].local, want[i].local);
@@ -175,12 +176,31 @@ void expect_same_entries(
   }
 }
 
+// The dense profile matrix against the reference's sparse profiles: every
+// entry of every kept lane, zeros included, and all-zero padding lanes.
+void expect_same_matrix(const core::TaskGraphShape& shape,
+                        const testing::ReferenceProfiles& want) {
+  const std::size_t width = shape.touched_resources().size();
+  constexpr std::size_t lanes = core::TaskGraphShape::kProfileLanes;
+  ASSERT_LE(want.profiles.size(), lanes);
+  const auto matrix = shape.profile_matrix();
+  ASSERT_EQ(matrix.size(), width * lanes);
+  std::vector<double> dense(width);
+  for (std::size_t p = 0; p < lanes; ++p) {
+    std::fill(dense.begin(), dense.end(), 0.0);
+    if (p < want.profiles.size()) {
+      for (const auto& e : want.profiles[p]) dense[e.local] = e.mult;
+    }
+    for (std::size_t t = 0; t < width; ++t) {
+      ASSERT_EQ(matrix[t * lanes + p], dense[t])
+          << "lane " << p << " column " << t;
+    }
+  }
+}
+
 void check_profiles(const core::TaskGraphShape& shape) {
   const testing::ReferenceProfiles want = testing::reference_profiles(shape);
-  ASSERT_EQ(shape.num_profiles(), want.profiles.size());
-  for (std::size_t p = 0; p < want.profiles.size(); ++p) {
-    expect_same_entries(shape.profile(p), want.profiles[p]);
-  }
+  expect_same_matrix(shape, want);
   expect_same_entries(shape.envelope(), want.envelope);
   EXPECT_EQ(shape.envelope_total(), want.envelope_total);
   EXPECT_EQ(shape.max_path_nodes(), want.max_path_nodes);

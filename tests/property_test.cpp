@@ -14,6 +14,7 @@
 #include "core/task_graph_shape.h"
 #include "sim/simulator.h"
 #include "support/reference_graph.h"
+#include "support/reference_shape.h"
 #include "util/rng.h"
 #include "workload/random_dag.h"
 
@@ -315,7 +316,9 @@ TEST(ShapeInternEdgeCaseTest, EmptyGraphInternsToBenignShape) {
   const auto* shape = registry.canonicalize(empty).shape;
   ASSERT_NE(shape, nullptr);
   EXPECT_EQ(shape->num_nodes(), 0u);
-  EXPECT_EQ(shape->num_profiles(), 0u);
+  EXPECT_EQ(testing::kept_lanes(*shape), 0u);
+  EXPECT_TRUE(shape->profile_matrix().empty());
+  EXPECT_EQ(core::kept_profile_max(*shape, {}), 0.0);
   EXPECT_TRUE(shape->profiles_complete());
   EXPECT_EQ(registry.canonicalize(empty).shape, shape);
   EXPECT_EQ(registry.size(), 1u);
@@ -327,23 +330,34 @@ TEST(ShapeInternEdgeCaseTest, SingleNodeChainAndDiamondProfiles) {
   // Single node: one profile, multiplicity 1 on its only resource.
   const auto single = chain_spec(1, 1.0, {2}, 3 * kMilli);
   const auto* s1 = registry.canonicalize(single).shape;
-  ASSERT_EQ(s1->num_profiles(), 1u);
+  ASSERT_EQ(testing::kept_lanes(*s1), 1u);
   EXPECT_TRUE(s1->profiles_complete());
-  ASSERT_EQ(s1->profile(0).size(), 1u);
-  EXPECT_EQ(s1->touched_resources()[s1->profile(0)[0].local], 2u);
-  EXPECT_EQ(s1->profile(0)[0].mult, 1u);
+  ASSERT_EQ(s1->touched_resources().size(), 1u);
+  EXPECT_EQ(s1->touched_resources()[0], 2u);
+  // One column of kProfileLanes lanes: the profile in lane 0, zero
+  // padding.
+  constexpr std::size_t lanes = core::TaskGraphShape::kProfileLanes;
+  std::vector<double> want1(lanes, 0.0);
+  want1[0] = 1;
+  EXPECT_EQ(std::vector<double>(s1->profile_matrix().begin(),
+                                s1->profile_matrix().end()),
+            want1);
 
   // Chain with a repeated resource: the single path profile accumulates
   // multiplicity 2 at the repeat.
   const auto chain = chain_spec(2, 1.0, {0, 1, 0}, 2 * kMilli);
   const auto* s2 = registry.canonicalize(chain).shape;
-  ASSERT_EQ(s2->num_profiles(), 1u);
+  ASSERT_EQ(testing::kept_lanes(*s2), 1u);
   EXPECT_TRUE(s2->profiles_complete());
-  std::uint32_t mult0 = 0;
-  for (const auto& e : s2->profile(0)) {
-    if (s2->touched_resources()[e.local] == 0u) mult0 = e.mult;
-  }
-  EXPECT_EQ(mult0, 2u);
+  // Touched resources {0, 1}: column 0 holds lane 0's two visits to
+  // resource 0, column 1 its one visit to resource 1.
+  ASSERT_EQ(s2->touched_resources().size(), 2u);
+  std::vector<double> want2(2 * lanes, 0.0);
+  want2[0] = 2;
+  want2[lanes] = 1;
+  EXPECT_EQ(std::vector<double>(s2->profile_matrix().begin(),
+                                s2->profile_matrix().end()),
+            want2);
 
   // Diamond 0 -> {1, 2} -> 3 with distinct resources: two maximal paths,
   // neither dominating (different middle resources), both kept.
@@ -358,7 +372,17 @@ TEST(ShapeInternEdgeCaseTest, SingleNodeChainAndDiamondProfiles) {
   diamond.edges = {{0, 1}, {0, 2}, {1, 3}, {2, 3}};
   const auto* s3 = registry.canonicalize(diamond).shape;
   EXPECT_TRUE(s3->profiles_complete());
-  EXPECT_EQ(s3->num_profiles(), 2u);
+  ASSERT_EQ(testing::kept_lanes(*s3), 2u);
+  // Columns are resources 0..3; both lanes visit 0 and 3, and each visits
+  // one middle resource, the other lane holding 0 there.
+  const auto m3 = s3->profile_matrix();
+  ASSERT_EQ(m3.size(), 4 * lanes);
+  for (std::size_t p = 0; p < 2; ++p) {
+    EXPECT_EQ(m3[0 * lanes + p], 1.0);
+    EXPECT_EQ(m3[3 * lanes + p], 1.0);
+    EXPECT_EQ(m3[1 * lanes + p] + m3[2 * lanes + p], 1.0);
+  }
+  EXPECT_EQ(m3[1 * lanes + 0] * m3[1 * lanes + 1], 0.0);
 }
 
 // On chains the long-path bound with per-resource ceilings equal to the

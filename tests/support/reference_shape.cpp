@@ -181,4 +181,32 @@ ReferenceProfiles reference_profiles(const core::TaskGraphShape& shape) {
   return out;
 }
 
+std::size_t kept_lanes(const core::TaskGraphShape& shape) {
+  constexpr std::size_t lanes = core::TaskGraphShape::kProfileLanes;
+  const auto matrix = shape.profile_matrix();
+  std::size_t kept = 0;
+  for (std::size_t p = 0; p < lanes; ++p) {
+    for (std::size_t i = p; i < matrix.size(); i += lanes) {
+      if (matrix[i] != 0) {
+        kept = p + 1;
+        break;
+      }
+    }
+  }
+  return kept;
+}
+
+double reference_kept_max(const ReferenceProfiles& profiles,
+                          std::span<const double> w_local) {
+  double kept = 0;
+  for (const auto& profile : profiles.profiles) {
+    double v = 0;
+    for (const auto& e : profile) {
+      v += static_cast<double>(e.mult) * w_local[e.local];
+    }
+    kept = std::max(kept, v);
+  }
+  return kept;
+}
+
 }  // namespace frap::testing

@@ -1,8 +1,9 @@
 // Test-support references for the interned shape's derived structures.
 //
-// Both functions are the implementations core::TaskGraphShape used before
-// the quotient DP and the flat profile enumerator, preserved with the same
-// outputs and reading only the shape's public canonical layout:
+// The three references are implementations the library used before the
+// quotient DP, the flat profile enumerator and the dense profile matrix,
+// preserved with the same outputs and reading only the shape's public
+// canonical layout:
 //   * reference_longest_path_weight is the push DP over the canonical CSR.
 //     The quotient DP (TaskGraphShape::longest_path_weight) must return the
 //     same bits for every weight vector.
@@ -10,10 +11,15 @@
 //     profile. The flat enumerator must produce the same profiles (same
 //     order), envelope and its visit total, max path nodes and
 //     completeness flag.
-// tests/dag_quotient_differential_test.cpp compares them. Nothing in src/
-// depends on this file.
+//   * reference_kept_max is the sparse per-profile walk the evaluator ran
+//     before the dense profile matrix. core::kept_profile_max must return
+//     the same bits for every nonnegative weight vector.
+// tests/dag_quotient_differential_test.cpp and
+// tests/dag_profile_kernel_test.cpp compare them. Nothing in src/ depends
+// on this file.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -29,7 +35,10 @@ namespace frap::testing {
     std::span<const double> weight_by_resource);
 
 struct ReferenceProfiles {
-  using Entry = core::TaskGraphShape::ProfileEntry;
+  struct Entry {
+    std::uint32_t local = 0;  // index into the shape's touched_resources()
+    std::uint32_t mult = 0;   // nonzero
+  };
   std::vector<std::vector<Entry>> profiles;  // sparse, kept order
   std::vector<Entry> envelope;               // empty when complete
   std::uint32_t envelope_total = 0;          // 0 when complete
@@ -40,5 +49,15 @@ struct ReferenceProfiles {
 // Dominant path profiles of `shape` with the registry's caps.
 [[nodiscard]] ReferenceProfiles reference_profiles(
     const core::TaskGraphShape& shape);
+
+// How many lanes of the shape's profile matrix hold a kept profile: the
+// lanes with a nonzero entry, since every kept profile is a path of at
+// least one node and the padding lanes are all zero.
+[[nodiscard]] std::size_t kept_lanes(const core::TaskGraphShape& shape);
+
+// max over `profiles.profiles` of the sum of mult * w_local[local] over the
+// profile's entries in ascending `local` (0 with no profile).
+[[nodiscard]] double reference_kept_max(const ReferenceProfiles& profiles,
+                                        std::span<const double> w_local);
 
 }  // namespace frap::testing

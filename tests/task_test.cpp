@@ -9,7 +9,8 @@ namespace {
 TEST(StageDemandTest, DefaultSegmentIsSingleLockFree) {
   StageDemand d;
   d.compute = 2.5;
-  const auto segs = d.make_segments();
+  std::vector<sched::Segment> segs;
+  d.append_segments(segs);
   ASSERT_EQ(segs.size(), 1u);
   EXPECT_DOUBLE_EQ(segs[0].length, 2.5);
   EXPECT_EQ(segs[0].lock, sched::kNoLock);
@@ -21,7 +22,8 @@ TEST(StageDemandTest, ExplicitSegmentsPreserved) {
   d.compute = 3.0;
   d.segments = {sched::Segment{1.0, sched::kNoLock}, sched::Segment{2.0, 0}};
   EXPECT_TRUE(d.valid());
-  const auto segs = d.make_segments();
+  std::vector<sched::Segment> segs;
+  d.append_segments(segs);
   ASSERT_EQ(segs.size(), 2u);
   EXPECT_EQ(segs[1].lock, 0);
 }
