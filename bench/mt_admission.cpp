@@ -1,34 +1,38 @@
-// Multi-threaded admission throughput: the sharded service's uncontended
-// hot path at 1/2/4/8 threads against the single-threaded PR-1 fast path.
+// Multi-threaded admission throughput, in two groups.
 //
-// Scenario mirrors micro_admission's AdmissionFastPath steady state scaled
-// into each shard's quota slice: every shard is prefilled to ~94% of the
-// balanced per-stage cap IN ITS SCALED VIEW, and each thread hammers its
-// own home shard with a sparse probe that is rejected right at the
-// boundary — the full test runs, nothing commits, state stays constant.
-// The fallback is disabled, so no weight moves and the measurement
-// isolates the scaling claim. Two sharded variants bracket the design space:
-//   * MtShardedHotPath       — atomic fast path OFF: the per-shard MUTEX
-//     baseline (lock/unlock plus the exact test per probe).
-//   * MtShardedAtomicHotPath — atomic fast path ON: the boundary probe is
-//     settled entirely lock-free (quantized fixed-point fast reject, no
-//     mutex, no shared service atomics touched).
-// Acceptance target (ISSUE 6): the atomic variant should show >= 3x
-// aggregate attempts/sec at 8 threads over its own 1-thread rate on
-// hardware with >= 8 cores. On a single-core container real-time
-// throughput stays flat for BOTH variants — per-thread CPU time
-// (cpu_time in the JSON) is the honest signal there, and the
-// atomic-vs-mutex ratio at each thread count still measures the per-probe
-// cost the lock-free path removes.
+// Non-committing probes (MtShardedHotPath, MtShardedHotPathTraced,
+// MtShardedFallbackPath) against the single-threaded fast path: every
+// shard is prefilled to ~94% of the balanced per-stage cap IN ITS SCALED
+// VIEW, and each thread hammers its own home shard with a sparse probe
+// that is rejected right at the boundary — the full test runs, nothing
+// commits, state stays constant. They measure the per-probe cost of the
+// shard lock plus the exact test, and of the global fallback.
+//
+// Committing lanes (MtCommitSharded, MtCommitOneMutex) compare the two
+// designs on the work the service exists to scale: one presented-time
+// stream of arrivals that are tested, committed and expired. The sharded
+// service runs at its default config (4 shards, fallback on); the other
+// side is one AdmissionController behind one std::mutex. Both advance
+// their simulators to the presented instant before each decision. The
+// stream: 5 stages, 2 touched per task, D ~ U[5, 400] ms, ~10k live tasks,
+// half of all ids on shard 0. Arg 0 runs at the region's edge: it offers
+// 1.2x the balanced per-stage cap, so the LHS sits at the bound and some
+// arrivals are rejected (at exactly 1x the live set's LHS hovers just below
+// the bound and every arrival is admitted). Arg 1 offers half the cap.
+// Run at 1, 2 and 4 threads.
+//
 // Writes BENCH_mt_admission.json at the repo root (override with
 // FRAP_BENCH_JSON); a failed export exits nonzero.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "bench_json.h"
@@ -42,6 +46,7 @@
 #include "obs/observer.h"
 #include "service/sharded_admission.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -242,13 +247,9 @@ core::TaskSpec boundary_probe(const benchmark::State& state) {
 
 // --- sharded hot path, T threads on K=8 shards --------------------------
 
-// Mutex baseline: the atomic fast path is explicitly disabled so every
-// probe pays the shard lock plus the exact test — the configuration the
-// service shipped with before the lock-free path existed.
+// Every probe pays the shard lock plus the exact test.
 void setup_hot_path(const benchmark::State& /*state*/) {
-  build_prefilled({.num_shards = kShards,
-                   .enable_fallback = false,
-                   .enable_atomic_fast_path = false});
+  build_prefilled({.num_shards = kShards, .enable_fallback = false});
 }
 
 void MtShardedHotPath(benchmark::State& state) {
@@ -265,46 +266,6 @@ void MtShardedHotPath(benchmark::State& state) {
 }
 BENCHMARK(MtShardedHotPath)
     ->Setup(setup_hot_path)
-    ->Teardown(drop_service)
-    ->Threads(1)
-    ->Threads(2)
-    ->Threads(4)
-    ->Threads(8)
-    ->UseRealTime();
-
-// --- lock-free atomic fast path, same scenario --------------------------
-
-// Identical prefill and boundary probe, atomic fast path ON (the default
-// config): the probe's under-estimated delta already exceeds the quantized
-// bound ceiling, so every attempt is a certain lock-free reject — no shard
-// mutex, no globally shared atomic, just the per-shard guard reads.
-void setup_atomic_hot_path(const benchmark::State& /*state*/) {
-  build_prefilled({.num_shards = kShards, .enable_fallback = false});
-}
-
-void MtShardedAtomicHotPath(benchmark::State& state) {
-  const auto probe = boundary_probe(state);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(svc->try_admit(probe, 0.0));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-
-  if (state.thread_index() == 0) {
-    const auto s = svc->stats();
-    double atomic_rejects = 0;
-    double slow_rejects = 0;
-    for (const auto& sh : s.shards) {
-      atomic_rejects += static_cast<double>(sh.atomic_rejects);
-      slow_rejects += static_cast<double>(sh.rejects);
-    }
-    // Sanity for the JSON consumer: the scenario is only measuring the
-    // lock-free path if essentially everything fast-rejected.
-    state.counters["atomic_rejects"] = atomic_rejects;
-    state.counters["slow_rejects"] = slow_rejects;
-  }
-}
-BENCHMARK(MtShardedAtomicHotPath)
-    ->Setup(setup_atomic_hot_path)
     ->Teardown(drop_service)
     ->Threads(1)
     ->Threads(2)
@@ -368,6 +329,171 @@ BENCHMARK(MtShardedFallbackPath)
     ->Threads(4)
     ->UseRealTime();
 
+// --- committing lanes: the sharded service against one mutex ------------
+
+constexpr std::size_t kCommitShards =
+    service::ShardedAdmissionConfig{}.num_shards;
+constexpr std::size_t kCommitTouched = 2;
+constexpr double kCommitLive = 10000;
+constexpr Duration kCommitDeadlineMin = 0.005;
+constexpr Duration kCommitDeadlineMax = 0.400;
+// Slot g is presented at g x kCommitSpacing, so about kCommitLive tasks are
+// live at any instant whatever the thread count.
+constexpr Duration kCommitSpacing =
+    0.5 * (kCommitDeadlineMin + kCommitDeadlineMax) / kCommitLive;
+constexpr std::size_t kCommitPool = std::size_t{1} << 14;
+// Enough slots to cover the longest deadline twice: the live set is steady
+// before the timed loop starts.
+constexpr std::uint64_t kCommitWarmup = 40000;
+
+struct CommitTemplate {
+  Duration deadline = 0;
+  std::array<double, kStages> compute{};
+};
+
+// The stream's specs, cycled by slot, and the next slot to present. Both
+// are reset by a lane's Setup hook before any lane thread starts.
+std::vector<CommitTemplate> commit_pool;
+std::atomic<std::uint64_t> commit_slot{0};
+
+// Offered load per stage = live x (touched / stages) x mean contribution,
+// `load` times the balanced per-stage cap.
+void build_commit_pool(double load) {
+  util::Rng rng(20261020);
+  const double mean_c = load * core::balanced_stage_bound(kStages) /
+                        (kCommitLive * kCommitTouched / kStages);
+  commit_pool.assign(kCommitPool, CommitTemplate{});
+  for (CommitTemplate& t : commit_pool) {
+    t.deadline = rng.uniform(kCommitDeadlineMin, kCommitDeadlineMax);
+    for (std::size_t touched = 0; touched < kCommitTouched;) {
+      const auto j = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(kStages) - 1));
+      if (t.compute[j] > 0) continue;
+      t.compute[j] = rng.uniform(0.5, 1.5) * mean_c * t.deadline;
+      ++touched;
+    }
+  }
+  commit_slot.store(0, std::memory_order_relaxed);
+}
+
+// Takes the stream's next slot, rewrites `spec` (sized to kStages) as that
+// slot's task and decides it through `admit`; true if admitted. Even slots
+// route to shard 0, odd ones to the other shards in turn: half of all ids
+// land on shard 0.
+template <class Admit>
+bool decide_next_slot(core::TaskSpec& spec, Admit admit) {
+  const std::uint64_t slot =
+      commit_slot.fetch_add(1, std::memory_order_relaxed);
+  const CommitTemplate& t = commit_pool[slot % kCommitPool];
+  const std::uint64_t shard =
+      slot % 2 == 0 ? 0 : 1 + (slot / 2) % (kCommitShards - 1);
+  spec.id = slot * kCommitShards + shard;
+  spec.deadline = t.deadline;
+  for (std::size_t j = 0; j < kStages; ++j) {
+    spec.stages[j].compute = t.compute[j];
+  }
+  return admit(spec, static_cast<double>(slot) * kCommitSpacing).admitted;
+}
+
+// One AdmissionController behind one mutex: the unsharded design.
+struct OneMutexAdmitter {
+  OneMutexAdmitter()
+      : tracker(sim, kStages),
+        controller(sim, tracker,
+                   core::FeasibleRegion::deadline_monotonic(kStages)) {}
+
+  core::AdmissionDecision try_admit(const core::TaskSpec& spec, Time now) {
+    std::scoped_lock lk(mu);
+    const Time eff = std::max(now, sim.now());
+    sim.run_until(eff);
+    return controller.try_admit(spec, eff);
+  }
+
+  std::mutex mu;
+  sim::Simulator sim;
+  core::SyntheticUtilizationTracker tracker;
+  core::AdmissionController controller;
+};
+
+std::unique_ptr<OneMutexAdmitter> one_mutex;
+
+double commit_load(const benchmark::State& state) {
+  return state.range(0) == 0 ? 1.2 : 0.5;
+}
+
+// Presents slots from the shared counter to `admit` until the state stops,
+// with one reused spec (no allocation per decision). The admitted and
+// decided counters sum over threads.
+template <class Admit>
+void run_commit_lane(benchmark::State& state, Admit admit) {
+  core::TaskSpec spec;
+  spec.stages.resize(kStages);
+  std::uint64_t admitted = 0;
+  for (auto _ : state) {
+    admitted += decide_next_slot(spec, admit) ? 1 : 0;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["admitted"] = static_cast<double>(admitted);
+  state.counters["decided"] = static_cast<double>(state.iterations());
+}
+
+template <class Admit>
+void warm_commit_stream(Admit admit) {
+  core::TaskSpec spec;
+  spec.stages.resize(kStages);
+  for (std::uint64_t i = 0; i < kCommitWarmup; ++i) {
+    (void)decide_next_slot(spec, admit);
+  }
+}
+
+const auto admit_sharded = [](const core::TaskSpec& spec, Time now) {
+  return svc->try_admit(spec, now);
+};
+const auto admit_one_mutex = [](const core::TaskSpec& spec, Time now) {
+  return one_mutex->try_admit(spec, now);
+};
+
+void setup_commit_sharded(const benchmark::State& state) {
+  build_commit_pool(commit_load(state));
+  svc = std::make_unique<service::ShardedAdmissionService>(
+      core::FeasibleRegion::deadline_monotonic(kStages));
+  warm_commit_stream(admit_sharded);
+}
+
+void setup_commit_one_mutex(const benchmark::State& state) {
+  build_commit_pool(commit_load(state));
+  one_mutex = std::make_unique<OneMutexAdmitter>();
+  warm_commit_stream(admit_one_mutex);
+}
+
+void drop_one_mutex(const benchmark::State& /*state*/) { one_mutex.reset(); }
+
+void MtCommitSharded(benchmark::State& state) {
+  run_commit_lane(state, admit_sharded);
+}
+BENCHMARK(MtCommitSharded)
+    ->Setup(setup_commit_sharded)
+    ->Teardown(drop_service)
+    ->Arg(0)
+    ->Arg(1)
+    ->Threads(1)
+    ->Threads(2)
+    ->Threads(4)
+    ->UseRealTime();
+
+void MtCommitOneMutex(benchmark::State& state) {
+  run_commit_lane(state, admit_one_mutex);
+}
+BENCHMARK(MtCommitOneMutex)
+    ->Setup(setup_commit_one_mutex)
+    ->Teardown(drop_one_mutex)
+    ->Arg(0)
+    ->Arg(1)
+    ->Threads(1)
+    ->Threads(2)
+    ->Threads(4)
+    ->UseRealTime();
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -387,25 +513,30 @@ int main(int argc, char** argv) {
       rate("MtShardedHotPath/real_time/threads:1");
   summary["sharded_8t_attempts_per_sec"] =
       rate("MtShardedHotPath/real_time/threads:8");
-  for (int t : {1, 2, 4, 8}) {
-    summary["atomic_" + std::to_string(t) + "t_attempts_per_sec"] =
-        rate(("MtShardedAtomicHotPath/real_time/threads:" + std::to_string(t))
-                 .c_str());
-  }
   for (int t : {1, 2, 4}) {
     summary["fallback_reject_" + std::to_string(t) + "t_attempts_per_sec"] =
         rate(("MtShardedFallbackPath/real_time/threads:" + std::to_string(t))
                  .c_str());
   }
-  // Atomic-over-mutex ratio at 8 threads, and the atomic path's own thread
-  // scaling (the ISSUE >= 3x target, meaningful on >= 8 cores).
-  const double mutex_8t = summary["sharded_8t_attempts_per_sec"];
-  const double atomic_1t = summary["atomic_1t_attempts_per_sec"];
-  const double atomic_8t = summary["atomic_8t_attempts_per_sec"];
-  summary["atomic_vs_mutex_8t_speedup"] =
-      mutex_8t > 0 ? atomic_8t / mutex_8t : 0;
-  summary["atomic_8t_over_1t_scaling"] =
-      atomic_1t > 0 ? atomic_8t / atomic_1t : 0;
+  // Committing lanes: Arg 0 at the region's edge (commit_*), Arg 1 at half
+  // of it (commit_below_*).
+  for (const auto& [design, bench] :
+       {std::pair{"sharded", "MtCommitSharded"},
+        std::pair{"onemutex", "MtCommitOneMutex"}}) {
+    for (const auto& [arg, prefix] :
+         {std::pair{"0", "commit_"}, std::pair{"1", "commit_below_"}}) {
+      for (int t : {1, 2, 4}) {
+        const std::string name = std::string(bench) + "/" + arg +
+                                 "/real_time/threads:" + std::to_string(t);
+        const std::string key =
+            prefix + std::string(design) + "_" + std::to_string(t) + "t_";
+        summary[key + "decisions_per_sec"] = rate(name.c_str());
+        const double decided = reporter.counter_of(name, "decided");
+        summary[key + "admitted_ratio"] =
+            decided > 0 ? reporter.counter_of(name, "admitted") / decided : 0;
+      }
+    }
+  }
   summary["traced_overhead_pct"] =
       reporter.counter_of("MtTracingOverheadReport*", "overhead_pct");
   if (!frap::benchjson::export_json("BENCH_mt_admission.json", reporter,

@@ -97,12 +97,6 @@ bool AdmissionController::test(const TaskSpec& spec) const {
 // frap:contract(hotpath)
 AdmissionDecision AdmissionController::try_admit(const TaskSpec& spec,
                                                  Time now) {
-  return try_admit_tagged(spec, now, AdmissionDecision::Reason::kAdmitted);
-}
-
-// frap:contract(hotpath)
-AdmissionDecision AdmissionController::try_admit_tagged(
-    const TaskSpec& spec, Time now, AdmissionDecision::Reason admit_reason) {
   ++attempts_;
   const std::uint64_t t0 = sink_ != nullptr ? sink_->begin_decision() : 0;
   // Admission reads only deadline and per-stage computes; the full
@@ -120,7 +114,8 @@ AdmissionDecision AdmissionController::try_admit_tagged(
   d.lhs_with_task = incremental_lhs_with(
       spec, d.lhs_before, sink_ != nullptr ? &touched : nullptr);
   d.admitted = region_.admits(d.lhs_with_task);
-  d.reason = d.admitted ? admit_reason : reject_reason(d.lhs_with_task);
+  d.reason = d.admitted ? AdmissionDecision::Reason::kAdmitted
+                        : reject_reason(d.lhs_with_task);
 
   if (d.admitted) {
     ++admitted_;

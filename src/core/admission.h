@@ -81,15 +81,6 @@ class AdmissionController {
   // record).
   [[nodiscard]] AdmissionDecision try_admit(const TaskSpec& spec, Time now);
 
-  // try_admit with the ADMIT reason overridden: identical test, commit
-  // and trace, but an admitted decision carries (and is traced with)
-  // `admit_reason` instead of kAdmitted. The sharded service's atomic fast
-  // path uses this to label its exact-path confirmations kAtomicFastPath /
-  // kSlowPathFallback without double-recording into the sink. Rejections
-  // keep their computed reason regardless.
-  [[nodiscard]] AdmissionDecision try_admit_tagged(
-      const TaskSpec& spec, Time now, AdmissionDecision::Reason admit_reason);
-
   // Would the task be admitted right now? No state change. Shares the exact
   // LHS computation and the region's admits() predicate with try_admit(), so
   // the two can never disagree — including on boundary ties.

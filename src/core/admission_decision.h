@@ -26,10 +26,8 @@ struct AdmissionDecision {
     kTimedOut,               // waited out its patience without fitting
     kQuotaFallback,          // admitted by the sharded service's global path
     kQuotaFallbackRejected,  // rejected even by the global fallback path
-    kAtomicFastPath,         // admitted via the lock-free CAS reservation
-                             // (confirmed by the exact test at commit)
-    kSlowPathFallback,       // admitted by the exact mutex path after the
-                             // atomic test was inconclusive (boundary slack)
+    kAtomicFastPath,    // never produced; goes with the next bench change
+    kSlowPathFallback,  // never produced; goes with the next bench change
   };
 
   bool admitted = false;

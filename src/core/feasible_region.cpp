@@ -1,6 +1,5 @@
 #include "core/feasible_region.h"
 
-
 #include "core/stage_delay.h"
 #include "util/check.h"
 #include "util/math.h"
@@ -20,12 +19,6 @@ FeasibleRegion::FeasibleRegion(std::size_t num_stages, double alpha,
   }
   FRAP_EXPECTS(beta_sum < 1.0);  // otherwise the region is empty
   bound_ = alpha_ * (1.0 - beta_sum);
-  // frap:contract(rounds: conservative-for=admit) -- the admit predicate
-  // compares an UP-rounded lhs against this DOWN-rounded bound.
-  qbound_floor_ = fixed::quantize_down(bound_);
-  // frap:contract(rounds: conservative-for=reject) -- the reject predicate
-  // needs the lhs floor to beat an UP-rounded bound before it is certain.
-  qbound_ceil_ = fixed::quantize_up(bound_);
 }
 
 FeasibleRegion FeasibleRegion::deadline_monotonic(std::size_t num_stages) {

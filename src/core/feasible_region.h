@@ -16,11 +16,8 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
-
-#include "core/fixed_point.h"
 
 namespace frap::core {
 
@@ -59,55 +56,6 @@ class FeasibleRegion {
     return admits_lhs(lhs, bound_);
   }
 
-  // --- quantized (32.32 fixed-point) surface for the lock-free path ------
-  //
-  // The atomic fast path (service/atomic_admission.h) works on quanta
-  // (core/fixed_point.h). Both quantized predicates live HERE, next to
-  // admits_lhs, for the same R2 reason: they are the only sanctioned
-  // spellings of a quantized region comparison, and their rounding
-  // directions make each one strictly conservative with respect to
-  // admits_lhs:
-  //
-  //   * admits_quantized is STRICT (<, not <=) against the rounded-DOWN
-  //     bound. The exact predicate admits boundary ties (lhs == bound), but
-  //     a quantized tie cannot distinguish "exactly on the boundary" from
-  //     "within one quantum above it", so ties are deliberately
-  //     INCONCLUSIVE: the atomic path must defer them to the exact mutex
-  //     path, never admit optimistically.
-  //   * rejects_quantized is strict (>) against the rounded-UP bound: the
-  //     caller's quanta under-estimate the exact LHS, so exceeding the
-  //     ceiling proves the exact test would reject.
-  //
-  // A value that satisfies neither lies within the rounding slack of the
-  // boundary (quantization_slack_quanta wide) and must be retried exactly.
-
-  // Quanta the admit test compares against: bound() rounded DOWN.
-  [[nodiscard]] std::uint64_t quantized_bound_floor() const {
-    return qbound_floor_;
-  }
-  // Quanta the reject test compares against: bound() rounded UP.
-  [[nodiscard]] std::uint64_t quantized_bound_ceil() const {
-    return qbound_ceil_;
-  }
-  // Width of the inconclusive band between the two quantized bounds.
-  [[nodiscard]] std::uint64_t quantization_slack_quanta() const {
-    return qbound_ceil_ - qbound_floor_;
-  }
-
-  // Would an over-estimated state of `qlhs_with` quanta PROVABLY pass the
-  // exact test against a bound whose floor is `qbound_floor`?
-  [[nodiscard]] static bool admits_quantized(std::uint64_t qlhs_with,
-                                             std::uint64_t qbound_floor) {
-    return qlhs_with < qbound_floor;
-  }
-
-  // Would an under-estimated state of `qlhs_with` quanta PROVABLY fail the
-  // exact test against a bound whose ceiling is `qbound_ceil`?
-  [[nodiscard]] static bool rejects_quantized(std::uint64_t qlhs_with,
-                                              std::uint64_t qbound_ceil) {
-    return qlhs_with > qbound_ceil;
-  }
-
   // Left-hand side: sum_j f(U_j). Returns +infinity if any U_j >= 1.
   // utilizations.size() must equal num_stages().
   [[nodiscard]] double lhs(std::span<const double> utilizations) const;
@@ -128,10 +76,6 @@ class FeasibleRegion {
   double alpha_;
   std::vector<double> beta_;
   double bound_;  // alpha * (1 - sum beta_j), cached
-  // bound_ quantized both ways (core/fixed_point.h), cached at construction
-  // so the lock-free path never re-quantizes.
-  std::uint64_t qbound_floor_ = 0;
-  std::uint64_t qbound_ceil_ = 0;
 };
 
 }  // namespace frap::core

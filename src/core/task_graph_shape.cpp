@@ -160,7 +160,11 @@ void class_set(std::span<const std::uint32_t> ids,
 
 // frap:contract(hotpath) -- one pull pass over the quotient; the scratch
 // only grows, so a warm call does not allocate.
-double TaskGraphShape::longest_path_weight(
+// Aligned so that the pass's loops sit in the same fetch windows whatever
+// the size of the code linked before it: a 16-byte shift of its start
+// (deleting unrelated service code) raised dag_long_path's frame_p99_us,
+// set by the frames that reach the DP, by ~20%.
+[[gnu::aligned(64)]] double TaskGraphShape::longest_path_weight(
     std::span<const double> weight_by_resource,
     std::vector<double>& scratch_dist) const {
   // Every quotient resource is a touched resource.

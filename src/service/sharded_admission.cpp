@@ -27,9 +27,7 @@ ShardedAdmissionService::Shard::Shard(const core::FeasibleRegion& region,
                                       double w)
     : tracker(sim, region.num_stages()),
       controller(sim, tracker, region),
-      weight(w),
-      guard(region),
-      inv_weight(1.0 / w) {
+      weight(w) {
   tracker.set_view_scale(1.0 / w);
 }
 
@@ -50,64 +48,6 @@ core::AdmissionDecision ShardedAdmissionService::try_admit(
   const std::size_t k = route(spec.id);
   Shard& sh = *shards_[k];
 
-  if (cfg_.enable_atomic_fast_path) {
-    // No lock taken here. Fast rejects are disabled while tracing so every
-    // traced decision flows through a recording sink.
-    // frap:contract(order: relaxed; pairs with the release store in
-    // attach_observer -- a stale false only lets one more reject go
-    // untraced during attach, never corrupts a decision)
-    const bool allow_fast_reject = !tracing_.load(std::memory_order_relaxed);
-    const AtomicAdmissionGuard::FastResult fast =
-        // frap:contract(order: relaxed; a steal-stale inv_weight only
-        // yields kInconclusive, and the exact mutex path re-reads it)
-        sh.guard.classify(spec, sh.inv_weight.load(std::memory_order_relaxed),
-                          now, allow_fast_reject);
-    switch (fast.verdict) {
-      case AtomicAdmissionGuard::Verdict::kAdmit: {
-        // The CAS reserved ceil(d_hi) quanta; the shard mutex is taken only
-        // to COMMIT, where the exact test is the final authority (a
-        // concurrent weight change can invalidate the reservation's bound).
-        AdmissionDecision d;
-        {
-          std::scoped_lock lk(sh.mu);
-          const Time eff = std::max(now, sh.sim.now());
-          sh.sim.run_until(eff);
-          d = sh.controller.try_admit_tagged(
-              spec, eff, AdmissionDecision::Reason::kAtomicFastPath);
-          sync_guard_locked(sh, fast.reserved);
-        }
-        if (d.admitted) {
-          sh.atomic_admits.increment();
-          return d;
-        }
-        // Reservation degraded by a weight race: same as a local reject.
-        sh.atomic_inconclusive.increment();
-        if (cfg_.enable_fallback) {
-          d = fallback(k, spec, now);
-        } else {
-          sh.rejects.increment();
-        }
-        return d;
-      }
-      case AtomicAdmissionGuard::Verdict::kReject: {
-        if (!cfg_.enable_fallback) {
-          sh.atomic_rejects.increment();
-          return fast_reject_decision(fast, now);
-        }
-        // The home shard provably rejects; decide globally (the fallback
-        // re-tests every shard, home included, under the exact predicate).
-        return fallback(k, spec, now);
-      }
-      case AtomicAdmissionGuard::Verdict::kInconclusive:
-        sh.atomic_inconclusive.increment();
-        break;  // inside the rounding slack: exact mutex path below
-    }
-  }
-
-  const AdmissionDecision::Reason admit_tag =
-      cfg_.enable_atomic_fast_path
-          ? AdmissionDecision::Reason::kSlowPathFallback
-          : AdmissionDecision::Reason::kAdmitted;
   AdmissionDecision d;
   {
     std::scoped_lock lk(sh.mu);
@@ -115,8 +55,7 @@ core::AdmissionDecision ShardedAdmissionService::try_admit(
     // than the shard clock is anchored at the shard clock.
     const Time eff = std::max(now, sh.sim.now());
     sh.sim.run_until(eff);
-    d = sh.controller.try_admit_tagged(spec, eff, admit_tag);
-    sync_guard_locked(sh, 0);
+    d = sh.controller.try_admit(spec, eff);
   }
 
   if (d.admitted) {
@@ -126,32 +65,6 @@ core::AdmissionDecision ShardedAdmissionService::try_admit(
   } else {
     sh.rejects.increment();
   }
-  return d;
-}
-
-void ShardedAdmissionService::sync_guard_locked(Shard& sh,
-                                                std::uint64_t released_quanta) {
-  if (!cfg_.enable_atomic_fast_path) return;
-  sh.guard.reconcile_locked(sh.tracker.cached_lhs(), sh.sim.next_event_at(),
-                            released_quanta);
-}
-
-void ShardedAdmissionService::sync_all_guards_locked() {
-  for (const auto& sh : shards_) sync_guard_locked(*sh, 0);
-}
-
-core::AdmissionDecision ShardedAdmissionService::fast_reject_decision(
-    const AtomicAdmissionGuard::FastResult& fast, Time now) const {
-  AdmissionDecision d;
-  d.admitted = false;
-  d.reason = fast.saturates ? AdmissionDecision::Reason::kStageSaturated
-                            : AdmissionDecision::Reason::kRegionFull;
-  d.bound = region_.bound();
-  d.arrival = now;
-  d.decided_at = now;
-  d.lhs_before = fast.lhs_floor;
-  d.lhs_with_task =
-      fast.saturates ? util::kInf : fast.lhs_floor + fast.delta_floor;
   return d;
 }
 
@@ -239,12 +152,6 @@ void ShardedAdmissionService::apply_weight_locked(Shard& sh, double w_new) {
   // tracker's view scale (an O(stages) cache rebuild, no task record).
   sh.tracker.set_view_scale(1.0 / w_new);
   sh.weight = w_new;
-  // frap:contract(order: relaxed; sync_guard_locked republishes the guard
-  // right after, which is what makes the new weight authoritative)
-  sh.inv_weight.store(1.0 / w_new, std::memory_order_relaxed);
-  // The scaled committed LHS just moved; republish the guard immediately so
-  // the lock-free view is never optimistic about the new weight.
-  sync_guard_locked(sh, 0);
 }
 
 core::AdmissionDecision ShardedAdmissionService::fallback(
@@ -259,10 +166,6 @@ core::AdmissionDecision ShardedAdmissionService::fallback(
 
   const Time eff = advance_all_locked(now);
   AdmissionDecision d = fallback_decide_locked(origin, spec, now, eff);
-  // advance_all may have drained expiries and the decide pass may have
-  // admitted / moved weights; republish every guard before dropping the
-  // locks.
-  sync_all_guards_locked();
   if (observer_ != nullptr) {
     // The admitting shard's sink already recorded the local decision (with
     // its pre-override reason); the service-level span carries the FINAL
@@ -369,14 +272,10 @@ ServiceStats ShardedAdmissionService::stats() const {
     out.rejects = sh->rejects.value();
     out.fallback_admits = sh->fallback_admits.value();
     out.fallback_rejects = sh->fallback_rejects.value();
-    out.atomic_admits = sh->atomic_admits.value();
-    out.atomic_rejects = sh->atomic_rejects.value();
-    out.atomic_inconclusive = sh->atomic_inconclusive.value();
     // Every try_admit lands in exactly one of these counters, whichever
     // path decided it.
     s.decisions += out.admits + out.rejects + out.fallback_admits +
-                   out.fallback_rejects + out.atomic_admits +
-                   out.atomic_rejects;
+                   out.fallback_rejects;
     {
       std::scoped_lock lk(sh->mu);
       out.weight = sh->weight;
@@ -398,11 +297,6 @@ void ShardedAdmissionService::enable_tracing(const obs::SinkConfig& sink_cfg,
   for (std::size_t k = 0; k < shards_.size(); ++k) {
     shards_[k]->controller.set_sink(&observer_->sink(k));
   }
-  // Published last: once visible, the fast path stops issuing lock-free
-  // rejects so every decision reaches a recording sink.
-  // frap:contract(order: release publish of the sink wiring above; pairs
-  // with the fast path's tracing_ load so no traced decision misses a sink)
-  tracing_.store(true, std::memory_order_release);
 }
 
 obs::Observer& ShardedAdmissionService::observer() {
@@ -425,7 +319,6 @@ std::vector<double> ShardedAdmissionService::global_utilizations(Time now) {
   locks.reserve(shards_.size());
   for (const auto& sh : shards_) locks.emplace_back(sh->mu);
   advance_all_locked(now);
-  sync_all_guards_locked();
   return true_utilizations_locked();
 }
 

@@ -18,18 +18,10 @@
 // UNSOUND: convexity makes f superadditive, so K shards each inside B/K can
 // jointly sit outside B.
 //
-// Three paths:
-//   * ATOMIC FAST PATH (enable_atomic_fast_path, default on) — each shard
-//     additionally keeps its region LHS quantized into a 64-bit fixed-point
-//     atomic (service/atomic_admission.h). Certain rejects return without
-//     ANY lock; admits reserve quanta with one CAS and then take the shard
-//     mutex only to commit, where the exact test re-confirms (reason
-//     kAtomicFastPath). Decisions the quantized view cannot settle —
-//     boundary ties and anything inside the rounding slack — fall through
-//     to the mutex path below (admits there carry kSlowPathFallback).
+// Two paths, both deciding with the exact region test:
 //   * HOT PATH — route(spec.id) picks the home shard; under that shard's
-//     mutex its private simulator is advanced and its controller decides.
-//     Zero cross-shard synchronization.
+//     mutex its private simulator is advanced and its controller decides
+//     (admits carry kAdmitted). Zero cross-shard synchronization.
 //   * GLOBAL FALLBACK — a task the home shard cannot take is retried under
 //     the global mutex (all shard locks, fixed order): first against every
 //     other shard's existing headroom, then by shrinking donor shards to
@@ -54,7 +46,6 @@
 // the hot path holds only the home shard's mutex.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -67,7 +58,6 @@
 #include "core/task.h"
 #include "metrics/counters.h"
 #include "obs/observer.h"
-#include "service/atomic_admission.h"
 #include "sim/simulator.h"
 #include "util/time.h"
 
@@ -80,10 +70,6 @@ struct ShardedAdmissionConfig {
   // soundness A/B tests as the comparison baseline and by benchmarks to
   // measure the uncontended hot path.
   bool enable_fallback = true;
-  // Lock-free fixed-point fast path (service/atomic_admission.h). Off, the
-  // service behaves exactly as before the atomic path existed (admits are
-  // reported kAdmitted) — the A/B soundness tests use that as the mirror.
-  bool enable_atomic_fast_path = true;
 };
 
 struct ShardStats {
@@ -91,10 +77,9 @@ struct ShardStats {
   std::uint64_t rejects = 0;          // final local rejections
   std::uint64_t fallback_admits = 0;  // admitted via the global path
   std::uint64_t fallback_rejects = 0; // rejected even by the global path
-  std::uint64_t atomic_admits = 0;    // CAS-reserved, exact-confirmed
-  std::uint64_t atomic_rejects = 0;   // final lock-free rejections
-  // Atomic tests that landed in the rounding slack and were retried on the
-  // exact path (their outcome is counted under admits/rejects/fallback_*).
+  // Always 0; sharded_skew reads it until the next benchmark change.
+  std::uint64_t atomic_admits = 0;
+  // Always 0; sharded_skew reads it until the next benchmark change.
   std::uint64_t atomic_inconclusive = 0;
   double weight = 0;
   std::size_t live_tasks = 0;
@@ -112,14 +97,14 @@ struct ServiceStats {
   std::uint64_t total_admits() const {
     std::uint64_t n = 0;
     for (const auto& s : shards) {
-      n += s.admits + s.fallback_admits + s.atomic_admits;
+      n += s.admits + s.fallback_admits;
     }
     return n;
   }
   std::uint64_t total_rejects() const {
     std::uint64_t n = 0;
     for (const auto& s : shards) {
-      n += s.rejects + s.fallback_rejects + s.atomic_rejects;
+      n += s.rejects + s.fallback_rejects;
     }
     return n;
   }
@@ -190,20 +175,13 @@ class ShardedAdmissionService final {
     core::SyntheticUtilizationTracker tracker;
     core::AdmissionController controller;
     // The shard's quota weight, the one store of it: 1/K at construction,
-    // moved only by the fallback's quota steal. inv_weight and the
-    // tracker's view scale are derived from it in apply_weight_locked.
+    // moved only by the fallback's quota steal. The tracker's view scale is
+    // derived from it in apply_weight_locked.
     double weight;  // guarded by mu (plus global_mu_ for writers)
-    // Lock-free quantized view + the 1/weight the fast path scales
-    // contributions by (written under mu, read without it).
-    AtomicAdmissionGuard guard;
-    std::atomic<double> inv_weight;
     metrics::AtomicCounter admits;
     metrics::AtomicCounter rejects;
     metrics::AtomicCounter fallback_admits;
     metrics::AtomicCounter fallback_rejects;
-    metrics::AtomicCounter atomic_admits;
-    metrics::AtomicCounter atomic_rejects;
-    metrics::AtomicCounter atomic_inconclusive;
   };
 
   // All-shard helpers; caller must hold global_mu_ and every shard mutex.
@@ -225,27 +203,10 @@ class ShardedAdmissionService final {
                                                  const core::TaskSpec& spec,
                                                  Time now, Time eff);
 
-  // Republishes one shard's guard from its exact tracker/simulator state;
-  // caller holds that shard's mutex. `released_quanta` retires a CAS
-  // reservation being converted (or abandoned) by this same critical
-  // section. No-op when the atomic path is disabled.
-  void sync_guard_locked(Shard& sh, std::uint64_t released_quanta);
-  // All shards; caller holds global_mu_ and every shard mutex.
-  void sync_all_guards_locked();
-  // The decision record for a lock-free rejection: conservative quantized
-  // LHS pair, arrival == decided_at == now (the fast path never touches
-  // the shard clock).
-  core::AdmissionDecision fast_reject_decision(
-      const AtomicAdmissionGuard::FastResult& fast, Time now) const;
-
   core::FeasibleRegion region_;
   ShardedAdmissionConfig cfg_;
   std::vector<std::unique_ptr<Shard>> shards_;
   mutable std::mutex global_mu_;
-  // Set once by enable_tracing (before concurrent use); the fast path
-  // reads it lock-free to disable fast rejects, which would otherwise
-  // bypass the per-shard recording sinks.
-  std::atomic<bool> tracing_{false};
   std::unique_ptr<obs::Observer> observer_;  // null until enable_tracing
 };
 

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "util/check.h"
-#include "util/math.h"
 
 namespace frap::sim {
 
@@ -29,10 +28,6 @@ void Simulator::dispatch_next() {
   now_ = e.time;
   ++executed_;
   e.fire();
-}
-
-Time Simulator::next_event_at() const {
-  return queue_.empty() ? util::kInf : queue_.next_time();
 }
 
 void Simulator::run() {

@@ -57,13 +57,6 @@ class Simulator {
   // Executes at most `n` further events (for tests); returns how many ran.
   std::size_t step(std::size_t n = 1);
 
-  // Earliest pending event time, or +infinity when idle. Always > now()
-  // right after run_until(now()). Used by the sharded service's lock-free
-  // fast path to publish a staleness horizon: a decision taken strictly
-  // before this instant sees exactly the state the exact path would (no
-  // expiry can fire in between).
-  [[nodiscard]] Time next_event_at() const;
-
   // Events executed since construction (closures and timers).
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
 

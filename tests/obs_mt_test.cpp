@@ -251,11 +251,8 @@ TEST(ObsMtShardedTest, EightThreadsTracedConservationHolds) {
     for (std::size_t r = 0; r < kReasonCount; ++r) {
       traced_decisions += s.decisions_by_reason[r];
     }
-    for (const auto reason : {AdmissionDecision::Reason::kAdmitted,
-                              AdmissionDecision::Reason::kAtomicFastPath,
-                              AdmissionDecision::Reason::kSlowPathFallback}) {
-      traced_admits += s.decisions_by_reason[static_cast<std::size_t>(reason)];
-    }
+    traced_admits += s.decisions_by_reason[static_cast<std::size_t>(
+        AdmissionDecision::Reason::kAdmitted)];
     // Ring conservation per shard, with producers quiescent.
     const auto& ring = svc.observer().sink(k).ring();
     EXPECT_EQ(ring.snapshot().size(),
@@ -267,10 +264,10 @@ TEST(ObsMtShardedTest, EightThreadsTracedConservationHolds) {
   // sink carries the final kQuotaFallback reason), a fallback REJECT is
   // decided globally without a second controller call.
   EXPECT_EQ(traced_decisions, kAttempts + fb_admits);
-  // Shard sinks record the pre-override reason, so every admission — atomic
-  // fast path (kAtomicFastPath), exact hot path (kSlowPathFallback), or
-  // fallback (recorded as kAdmitted by the admitting shard's controller
-  // before the kQuotaFallback override) — appears as exactly one event.
+  // Shard sinks record the pre-override reason, so every admission — home
+  // shard hot path or fallback (recorded by the admitting shard's
+  // controller before the kQuotaFallback override) — appears as exactly one
+  // kAdmitted event.
   EXPECT_EQ(traced_admits, admits.load());
 
   // The service-level sink saw only spans: one kFallback per global-path
@@ -281,8 +278,8 @@ TEST(ObsMtShardedTest, EightThreadsTracedConservationHolds) {
     EXPECT_EQ(service_snap.decisions_by_reason[r], 0u);
   }
   EXPECT_EQ(service_snap.span_events, fb_admits + fb_rejects);
-  // Some fallback stole quota, so weights moved while other threads read
-  // them on the lock-free path.
+  // Some fallback stole quota, so weights moved while other threads decided
+  // on their home shards.
   bool weight_moved = false;
   for (const auto& s : stats.shards) {
     weight_moved = weight_moved || !util::almost_equal(s.weight, 0.25);

@@ -75,34 +75,17 @@ TEST(ShardedAdmissionDeathTest, RefusesMoreShardsThanTheWeightFloorAllows) {
 }
 
 TEST(ShardedAdmissionTest, HotPathAdmitsSmallTask) {
-  // Default config: a small task clears the lock-free CAS reservation and
-  // is confirmed by the exact test at commit.
+  // Default config: a small task is admitted by its home shard's exact
+  // test under that shard's mutex.
   ShardedAdmissionService svc(core::FeasibleRegion::deadline_monotonic(2),
                               {.num_shards = 4});
   const auto d = svc.try_admit(make_task(1, 1.0, {0.01, 0.01}), 0.0);
   EXPECT_TRUE(d.admitted);
-  EXPECT_EQ(d.reason, core::AdmissionDecision::Reason::kAtomicFastPath);
+  EXPECT_EQ(d.reason, core::AdmissionDecision::Reason::kAdmitted);
   EXPECT_DOUBLE_EQ(d.bound, svc.region().bound());
   const auto s = svc.stats();
   EXPECT_EQ(s.total_admits(), 1u);
-  EXPECT_EQ(s.shards[svc.route(1)].atomic_admits, 1u);
-  EXPECT_EQ(s.shards[svc.route(1)].admits, 0u);
-  EXPECT_EQ(s.decisions, 1u);
-}
-
-TEST(ShardedAdmissionTest, AtomicPathOffRestoresLegacyReason) {
-  // With the atomic path disabled the service behaves exactly as before it
-  // existed: admits are reported kAdmitted on the mutex hot path.
-  ShardedAdmissionService svc(
-      core::FeasibleRegion::deadline_monotonic(2),
-      {.num_shards = 4, .enable_atomic_fast_path = false});
-  const auto d = svc.try_admit(make_task(1, 1.0, {0.01, 0.01}), 0.0);
-  EXPECT_TRUE(d.admitted);
-  EXPECT_EQ(d.reason, core::AdmissionDecision::Reason::kAdmitted);
-  const auto s = svc.stats();
   EXPECT_EQ(s.shards[svc.route(1)].admits, 1u);
-  EXPECT_EQ(s.shards[svc.route(1)].atomic_admits, 0u);
-  EXPECT_EQ(s.shards[svc.route(1)].atomic_inconclusive, 0u);
   EXPECT_EQ(s.decisions, 1u);
 }
 
@@ -114,13 +97,28 @@ TEST(ShardedAdmissionTest, LocalRejectIsFinalWithoutFallback) {
       {.num_shards = 4, .enable_fallback = false});
   const auto d = svc.try_admit(make_task(4, 1.0, {0.25, 0.25}), 0.0);
   EXPECT_FALSE(d.admitted);
-  // The saturated scaled view is certain without any lock: the decision is
-  // settled on the atomic fast path (c_j >= 1 is state-independent).
   EXPECT_EQ(d.reason, core::AdmissionDecision::Reason::kStageSaturated);
   const auto s = svc.stats();
-  EXPECT_EQ(s.shards[0].atomic_rejects, 1u);
-  EXPECT_EQ(s.shards[0].rejects, 0u);
+  EXPECT_EQ(s.shards[0].rejects, 1u);
   EXPECT_EQ(s.shards[0].fallback_rejects, 0u);
+}
+
+TEST(ShardedAdmissionTest, AdmitsResumeAfterExpiry) {
+  ShardedAdmissionService svc(
+      core::FeasibleRegion::deadline_monotonic(2),
+      {.num_shards = 2, .enable_fallback = false});
+  // Fill shard 0's half slice (scaled u = 0.42 per stage) so the probe
+  // below cannot also fit; the fill expires at t = 1.
+  const double w = 0.5;
+  ASSERT_TRUE(
+      svc.try_admit(make_task(2, 1.0, {0.21 * w, 0.21 * w}), 0.0).admitted);
+  EXPECT_FALSE(
+      svc.try_admit(make_task(4, 1.0, {0.2 * w, 0.2 * w}), 0.5).admitted);
+  // Past the fill's expiry the same probe is admitted: the shard clock is
+  // advanced to the presented instant before the test, which drains the
+  // expiry and frees the capacity.
+  EXPECT_TRUE(
+      svc.try_admit(make_task(6, 1.0, {0.2 * w, 0.2 * w}), 2.0).admitted);
 }
 
 TEST(ShardedAdmissionTest, FallbackStealsQuotaForOversizedTask) {
@@ -349,8 +347,8 @@ TEST(ShardedAdmissionSoundnessTest, FallbackAdmitsAtLeastPureLocal) {
 
 // Stress the hot path and the fallback from many threads at once. Run under
 // TSan in CI, where the fallback's quota steals move weights while other
-// threads read them on the lock-free path. Assertions are conservation
-// laws (every attempt is counted exactly once somewhere) and the weight
+// threads decide on their home shards. Assertions are conservation laws
+// (every attempt is counted exactly once somewhere) and the weight
 // invariants.
 TEST(ShardedAdmissionStressTest, ConcurrentCountersConserveDecisions) {
   constexpr std::size_t kThreads = 8;
@@ -383,7 +381,7 @@ TEST(ShardedAdmissionStressTest, ConcurrentCountersConserveDecisions) {
   bool weight_moved = false;
   for (const auto& sh : s.shards) {
     counted += sh.admits + sh.rejects + sh.fallback_admits +
-               sh.fallback_rejects + sh.atomic_admits + sh.atomic_rejects;
+               sh.fallback_rejects;
     weight_moved = weight_moved || !util::almost_equal(sh.weight, 0.25);
   }
   EXPECT_EQ(counted, kThreads * kPerThread);
@@ -396,6 +394,98 @@ TEST(ShardedAdmissionStressTest, ConcurrentCountersConserveDecisions) {
   double lhs = svc.region().lhs(u);
   EXPECT_TRUE(std::isfinite(lhs));
   EXPECT_LE(lhs, svc.region().bound() + 1e-6);
+}
+
+// Concurrent soundness: 8 threads present their arrivals at one instant
+// with far deadlines, half of all ids on shard 0, fallback on. Nothing
+// expires, so the committed set is exactly the admitted set; f is monotone,
+// so every order of a feasible set is feasible step by step, and one global
+// reference on an unscaled tracker must re-admit every admission in any
+// order, local and fallback alike.
+TEST(ShardedAdmissionStressTest, MirrorReplayFindsNoUnsoundAdmits) {
+  constexpr std::size_t kThreads = 8;
+  constexpr std::uint64_t kPerThread = 1'600;
+  constexpr std::size_t kStages = 5;
+  constexpr std::size_t kShards = 4;
+  const auto region = core::FeasibleRegion::deadline_monotonic(kStages);
+  ShardedAdmissionService svc(region, {.num_shards = kShards});
+
+  struct Recorded {
+    core::TaskSpec spec;
+    core::AdmissionDecision decision;
+  };
+  std::vector<std::vector<Recorded>> per_thread(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&svc, &per_thread, t] {
+      util::Rng rng(9000 + t);
+      auto& out = per_thread[t];
+      out.reserve(kPerThread);
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        core::TaskSpec spec;
+        // Even draws route to shard 0, odd ones to shards 1-3 in turn.
+        const std::uint64_t offset = i % 2 == 0 ? 0 : 1 + (i / 2) % 3;
+        spec.id = (static_cast<std::uint64_t>(t) * 1'000'000 + i) * kShards +
+                  offset;
+        spec.deadline = 1000.0;
+        spec.stages.resize(kStages);
+        bool any = false;
+        for (auto& s : spec.stages) {
+          s.compute = rng.bernoulli(0.3)
+                          ? 0.0
+                          : rng.uniform(2e-5, 2e-4) * spec.deadline;
+          any = any || s.compute > 0;
+        }
+        if (!any) spec.stages[0].compute = 1e-4 * spec.deadline;
+        out.push_back({spec, svc.try_admit(spec, 0.0)});
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  // Counter conservation: every attempt was settled on exactly one path.
+  const auto s = svc.stats();
+  std::uint64_t attempts = 0;
+  for (const auto& v : per_thread) attempts += v.size();
+  EXPECT_EQ(s.decisions, attempts);
+  std::uint64_t counted = 0;
+  std::uint64_t fallback_admits = 0;
+  for (const auto& sh : s.shards) {
+    counted += sh.admits + sh.rejects + sh.fallback_admits +
+               sh.fallback_rejects;
+    fallback_admits += sh.fallback_admits;
+  }
+  EXPECT_EQ(counted, attempts);
+  EXPECT_GT(fallback_admits, 0u);
+  EXPECT_FALSE(util::almost_equal(s.shards[0].weight, 1.0 / kShards))
+      << "no fallback steal ran";
+  EXPECT_NEAR(checked_weight_sum(s), 1.0, 1e-9);
+
+  sim::Simulator sim;
+  core::SyntheticUtilizationTracker tracker(sim, kStages);
+  core::AdmissionController controller(sim, tracker, region);
+  frap::testing::ReferenceAdmitter mirror(controller);
+  std::uint64_t replayed = 0;
+  std::uint64_t rejected = 0;
+  for (const auto& v : per_thread) {
+    for (const auto& rec : v) {
+      if (!rec.decision.admitted) {
+        ++rejected;
+        continue;
+      }
+      const auto replay = mirror.try_admit(rec.spec, 0.0);
+      ASSERT_TRUE(replay.admitted)
+          << "unsound admit: task " << rec.spec.id << " (reason "
+          << core::to_string(rec.decision.reason) << ") rejected by the "
+          << "global mirror with lhs_with_task=" << replay.lhs_with_task
+          << " bound=" << replay.bound;
+      ++replayed;
+    }
+  }
+  // The run must cross the region boundary: both verdicts occur.
+  EXPECT_GT(replayed, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

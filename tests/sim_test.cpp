@@ -8,7 +8,6 @@
 
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
-#include "util/math.h"
 #include "util/rng.h"
 
 namespace frap::sim {
@@ -452,23 +451,6 @@ TEST(SimulatorTest, TimerScheduledFromTimerFires) {
   sim.run();
   EXPECT_EQ(chain.hops, 6);
   EXPECT_DOUBLE_EQ(sim.now(), 1.5);
-}
-
-TEST(SimulatorTest, NextEventAtTracksEarliestAcrossCancels) {
-  Simulator sim;
-  Recorder r;
-  EXPECT_EQ(sim.next_event_at(), util::kInf);
-  const EventId first = sim.timer_at(1.0, &r, 1);
-  const EventId second = sim.at(2.0, [] {});
-  sim.timer_at(3.0, &r, 3);
-  EXPECT_DOUBLE_EQ(sim.next_event_at(), 1.0);
-  sim.cancel(first);
-  EXPECT_DOUBLE_EQ(sim.next_event_at(), 2.0);
-  sim.cancel(second);
-  EXPECT_DOUBLE_EQ(sim.next_event_at(), 3.0);
-  sim.run_until(3.0);
-  EXPECT_EQ(sim.next_event_at(), util::kInf);
-  EXPECT_EQ(r.fired, (std::vector<std::uint64_t>{3}));
 }
 
 }  // namespace

@@ -39,10 +39,9 @@
 //                          direction must be conservative for the declared
 //                          role: LHS-side values round UP for admit / DOWN
 //                          for reject, bound-side values the mirror image
-//                          (core/fixed_point.h derives why).
-//   R7 seqlock-protocol    in service/atomic_admission.* and
-//                          obs/trace_ring.*, seqlock writers must mark the
-//                          sequence odd before the payload stores (with a
+//                          (docs/static_analysis.md derives why).
+//   R7 seqlock-protocol    in obs/trace_ring.*, seqlock writers must mark
+//                          the sequence odd before the payload stores (with a
 //                          release fence in between) and republish an even
 //                          value with release ordering; readers must start
 //                          from an acquire load and re-check the sequence
